@@ -37,10 +37,6 @@ namespace sldb {
 /// fails to converge or meets an uncolored register.
 Status allocateRegistersE(MachineFunction &MF, const ProgramInfo &Info);
 
-/// Legacy convenience wrapper: reports an allocation failure on stderr
-/// and aborts.  Status-aware drivers use allocateRegistersE.
-void allocateRegisters(MachineFunction &MF, const ProgramInfo &Info);
-
 /// Registers read by \p I (including implicit uses).
 std::vector<Reg> minstrUses(const MInstr &I);
 

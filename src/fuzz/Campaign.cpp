@@ -4,40 +4,20 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Parallel execution model: both campaign runners decompose into
-// independent work units — (seed, promote-mode) for the differential
-// campaign, (seed, fault-point) for the injection campaign — and fan the
-// units across a work-stealing ThreadPool.  Every unit writes its
-// outcome into a slot indexed by its position in the canonical
-// seed-major unit order; after the pool drains, a single-threaded merge
-// walks the slots *in that order* to build the result.  The report is
-// therefore byte-identical for any --jobs value (including 1, which
-// runs inline without threads): scheduling can only change *when* a
-// slot is filled, never what the merge reads from it.
-//
-// Thread confinement: a unit does everything on one worker thread —
-// generate, arm its fault (FaultInjector state is thread_local),
-// compile, run, judge, shrink — so no unit can observe another's armed
-// fault or PRNG stream.  Reproducer files are written by the merge, not
-// the workers, so filename dedup needs no locking.
+// The differential and fault-injection oracles on the campaign engine
+// (fuzz/CampaignEngine.h): units are (seed, promote-mode) for the
+// differential campaign and (seed, fault-point) for the injection
+// campaign.  Both can fork each unit under a watchdog (fuzz/Isolation.h).
 //
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/Campaign.h"
 
 #include "eval/Levels.h"
+#include "fuzz/CampaignEngine.h"
 #include "fuzz/Isolation.h"
 #include "fuzz/Reduce.h"
 #include "support/FaultInjector.h"
-#include "support/Interrupt.h"
-#include "support/Sharder.h"
-#include "support/Stats.h"
-#include "support/ThreadPool.h"
-
-#include <filesystem>
-#include <fstream>
-#include <limits>
-#include <set>
 
 using namespace sldb;
 
@@ -49,6 +29,19 @@ unsigned CampaignCoverage::fired(const std::string &PassName) const {
   return N;
 }
 
+void CampaignCoverage::add(const CampaignCoverage &O) {
+  WithHoisted += O.WithHoisted;
+  WithSunk += O.WithSunk;
+  WithDeadMarks += O.WithDeadMarks;
+  WithAvailMarks += O.WithAvailMarks;
+  WithSRRecords += O.WithSRRecords;
+  if (Firings.empty())
+    Firings = O.Firings;
+  else
+    for (std::size_t S = 0; S < Firings.size() && S < O.Firings.size(); ++S)
+      Firings[S].Changed += O.Firings[S].Changed;
+}
+
 std::vector<Violation> sldb::checkProgram(const std::string &Src,
                                           bool Promote, unsigned MaxStops,
                                           const OptOptions *Opts) {
@@ -58,13 +51,10 @@ std::vector<Violation> sldb::checkProgram(const std::string &Src,
   LO.Promote = Promote;
   LO.MaxStops = MaxStops;
   LockstepResult R = runLockstep(Src, LO);
-  if (!R.Compiled) {
-    // Surface the compile failure as a violation so campaign-level
-    // accounting never silently drops a program.
-    return {{ViolationKind::LockstepDiverged, InvalidFunc, InvalidStmt, "",
-             "does not compile: " + R.CompileError}};
-  }
-  return checkSoundness(R);
+  // Surface a compile failure as a violation so campaign-level
+  // accounting never silently drops a program.
+  return R.Compiled ? checkSoundness(R)
+                    : std::vector<Violation>{notCompiled(R.CompileError)};
 }
 
 std::string sldb::renderFailure(const CampaignFailure &F) {
@@ -81,7 +71,14 @@ std::string sldb::renderFailure(const CampaignFailure &F) {
   for (const Violation &V : F.Violations)
     S += "// violation: " + V.str() + "\n";
   S += "//\n";
-  S += "// Reproduce: sldb-fuzz --repro <this file>";
+  // An injected fault is armed by the campaign, not by the program, so an
+  // inject reproducer re-runs its seed's fault matrix.
+  if (F.Oracle == "inject")
+    S += "// Reproduce: sldb-fuzz --inject --seed " + std::to_string(F.Seed) +
+         " --count 1" + (F.Alias ? " --alias" : "");
+  else
+    S += "// Reproduce: sldb-fuzz --repro <this file>" +
+         std::string(F.Oracle == "step" ? " --oracle=step" : "");
   if (!F.Level.empty())
     S += " --level " + F.Level;
   S += F.Promote ? "\n" : " --no-promote\n";
@@ -89,131 +86,50 @@ std::string sldb::renderFailure(const CampaignFailure &F) {
   return S;
 }
 
-namespace {
-
-/// Shrink predicate: still compiles and still produces a violation of
-/// the original kind (any statement/variable — the shrinker may move
-/// statement numbers around).
-bool sameKindStillFails(const std::string &Candidate, bool Promote,
-                        ViolationKind Kind, unsigned MaxStops,
-                        const OptOptions *Opts = nullptr) {
-  for (const Violation &V : checkProgram(Candidate, Promote, MaxStops, Opts))
-    if (V.Kind == Kind &&
-        V.Detail.rfind("does not compile", 0) == std::string::npos)
-      return true;
-  return false;
-}
-
-std::string processOutcomeText(const IsolatedOutcome &O) {
-  if (O.Status == IsolatedStatus::Timeout)
-    return "timeout (watchdog expired)";
-  if (O.Signal != 0)
-    return "crash (signal " + std::to_string(O.Signal) + ")";
-  return "crash (abnormal exit)";
-}
-
-/// Rejects configurations the runners cannot execute faithfully.
-/// Returns an empty string when valid.
-std::string configError(std::uint32_t Seed, unsigned Count,
-                        unsigned ShardIndex, unsigned ShardCount) {
-  const std::uint64_t Last =
-      static_cast<std::uint64_t>(Seed) + (Count ? Count - 1 : 0);
-  if (Last > std::numeric_limits<std::uint32_t>::max())
-    return "seed range overflows 32 bits: --seed " + std::to_string(Seed) +
-           " --count " + std::to_string(Count) + " reaches seed " +
-           std::to_string(Last) +
-           " > 4294967295; later seeds would wrap and re-run earlier "
-           "programs (double-counting coverage) — split the range or "
-           "lower --seed/--count";
-  if (ShardCount == 0)
-    return "shard count must be >= 1";
-  if (ShardIndex >= ShardCount)
-    return "shard index " + std::to_string(ShardIndex) +
-           " out of range for " + std::to_string(ShardCount) + " shard(s)";
-  return "";
-}
-
-/// Merge-time reproducer writer.  The stem already encodes (seed, mode,
-/// fault), so collisions only arise if one campaign produces two
-/// records for the same triple; a numeric suffix then keeps both
-/// instead of silently clobbering the first.
-std::string writeReproducerDeduped(const CampaignFailure &F,
-                                   const std::string &Dir,
-                                   std::set<std::string> &UsedPaths) {
-  std::error_code EC;
-  std::filesystem::create_directories(Dir, EC);
-  std::string Stem = Dir + "/seed-" + std::to_string(F.Seed) +
-                     (F.FaultName.empty() ? "" : "-" + F.FaultName) +
-                     (F.Promote ? "-promote" : "-frame");
-  std::string Path = Stem + ".minic";
-  for (unsigned N = 2; !UsedPaths.insert(Path).second; ++N)
-    Path = Stem + "-" + std::to_string(N) + ".minic";
-  std::ofstream Out(Path);
-  Out << renderFailure(F);
-  return Path;
-}
-
-/// Builds the crash/hang record for a seed the isolation layer caught,
-/// reducing it with a fork-based predicate (re-running the candidate in
-/// this process would reproduce the crash in the campaign itself).
-CampaignFailure
-makeProcessFailure(std::uint32_t Seed, bool Promote, const std::string &Src,
-                   const std::string &FaultName, const IsolatedOutcome &O,
-                   bool Shrink, unsigned TimeoutMs,
-                   const std::function<std::pair<bool, std::string>(
-                       const std::string &)> &Check) {
-  CampaignFailure F;
-  F.Seed = Seed;
-  F.Promote = Promote;
-  F.Source = Src;
-  F.FaultName = FaultName;
-  F.ProcessOutcome = processOutcomeText(O);
-  ViolationKind K = O.Status == IsolatedStatus::Timeout
-                        ? ViolationKind::ProcessHang
-                        : ViolationKind::ProcessCrash;
-  F.Violations = {{K, InvalidFunc, InvalidStmt, "", F.ProcessOutcome}};
-  if (Shrink)
-    F.Reduced = reduceProgram(
-        Src,
-        [&](const std::string &Cand) {
-          IsolatedOutcome CO =
-              runIsolated(TimeoutMs, [&] { return Check(Cand); });
-          return CO.Status == IsolatedStatus::Crash ||
-                 CO.Status == IsolatedStatus::Timeout;
-        },
-        /*MaxChecks=*/120);
-  return F;
-}
-
-/// Translates pool stats into campaign-level worker stats, resolving
-/// each worker's slowest unit index to its seed via \p SeedOfUnit.
-std::vector<CampaignWorkerStats>
-toCampaignStats(const std::vector<WorkerStats> &WS,
-                const std::function<std::uint32_t(std::size_t)> &SeedOfUnit) {
-  std::vector<CampaignWorkerStats> Out;
-  Out.reserve(WS.size());
-  for (const WorkerStats &S : WS) {
-    CampaignWorkerStats C;
-    C.Worker = S.Worker;
-    C.Units = S.Tasks;
-    C.Steals = S.Steals;
-    C.InitialQueue = S.InitialQueue;
-    C.BusyUs = S.BusyUs;
-    C.SlowestUs = S.SlowestUs;
-    if (S.SlowestIndex != SIZE_MAX)
-      C.SlowestSeed = SeedOfUnit(S.SlowestIndex);
-    Out.push_back(C);
-  }
-  return Out;
-}
-
-} // namespace
-
 bool sldb::isUnsoundViolation(ViolationKind K) {
   return K == ViolationKind::UnsoundCurrent ||
          K == ViolationKind::WrongRecovery ||
          K == ViolationKind::MissedUninitialized;
 }
+
+namespace {
+
+/// A forked check: (passed, report), the runIsolated callback contract.
+using ProbeFn =
+    std::function<std::pair<bool, std::string>(const std::string &)>;
+
+/// Builds the crash/hang record for a seed the isolation layer caught,
+/// reducing it with a fork-based predicate (re-running the candidate in
+/// this process would reproduce the crash in the campaign itself).
+CampaignFailure makeProcessFailure(std::uint32_t Seed, bool Promote,
+                                   const std::string &Src,
+                                   const std::string &Level,
+                                   const IsolatedOutcome &O, bool Shrink,
+                                   unsigned TimeoutMs, const ProbeFn &Probe) {
+  std::string What = O.Status == IsolatedStatus::Timeout
+                         ? "timeout (watchdog expired)"
+                     : O.Signal != 0
+                         ? "crash (signal " + std::to_string(O.Signal) + ")"
+                         : "crash (abnormal exit)";
+  ViolationKind K = O.Status == IsolatedStatus::Timeout
+                        ? ViolationKind::ProcessHang
+                        : ViolationKind::ProcessCrash;
+  CampaignFailure F = makeFailure(Seed, Promote, Src, Level,
+                                  {{K, InvalidFunc, InvalidStmt, "", What}});
+  F.ProcessOutcome = What;
+  if (Shrink)
+    F.Reduced = reduceProgram(
+        Src,
+        [&](const std::string &Cand) {
+          IsolatedStatus S =
+              runIsolated(TimeoutMs, [&] { return Probe(Cand); }).Status;
+          return S == IsolatedStatus::Crash || S == IsolatedStatus::Timeout;
+        },
+        /*MaxChecks=*/120);
+  return F;
+}
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Differential campaign
@@ -221,34 +137,28 @@ bool sldb::isUnsoundViolation(ViolationKind K) {
 
 namespace {
 
-/// One (seed, mode) unit's outcome: everything the merge needs, nothing
-/// shared while workers run.
-struct ModeOutcome {
-  bool Skipped = false;     ///< Fast-drained after an interrupt.
-  bool Ran = false;         ///< Counts as a lockstep run.
-  bool CompileFail = false; ///< Generator bug; mode 1 is skipped.
-  bool HasFailure = false;  ///< F holds a soundness/process failure.
-  CampaignFailure F;
+/// Process failures of the differential campaign are archived apart from
+/// its soundness failures.
+constexpr const char *DiffCrashDir = "fuzz-crashes";
+
+/// One (seed, mode) unit's outcome.
+struct DiffOutcome : UnitOutcome {
+  bool CompileFail = false; ///< Generator bug; the seed's other mode is
+                            ///< not counted.
   std::uint64_t Stops = 0;
   std::uint64_t Observations = 0;
-  bool Instrumented = false;
-  std::vector<PassFiring> Firings;
-  bool Hoisted = false, Sunk = false, DeadMarks = false,
-       AvailMarks = false, SRRecords = false;
-  std::vector<TraceEvent> Trace; ///< Unit-local capture (CollectTrace).
+  CampaignCoverage Coverage; ///< This program's evidence (instrumented).
 };
 
-/// Runs one (seed, mode) unit.  Thread-confined: everything from
-/// generation to shrinking happens on the calling worker.
-ModeOutcome runModeUnitImpl(const CampaignConfig &C, std::uint32_t Seed,
-                            bool Promote, bool Instrument) {
-  ModeOutcome O;
+/// Runs one (seed, mode) unit on the calling worker thread.
+DiffOutcome runDiffUnit(const CampaignConfig &C, std::uint32_t Seed,
+                        bool Promote, bool Instrument,
+                        const OptOptions *Opts) {
+  DiffOutcome O;
   std::string Src = generateProgram(Seed, C.Gen);
-
-  // Level campaigns override the optimized build's pass set; validated
-  // by runCampaign before any unit runs.
-  const LevelSpec *Spec = C.Level.empty() ? nullptr : findLevel(C.Level);
-  const OptOptions *Opts = Spec ? &Spec->Opts : nullptr;
+  auto Check = [&](const std::string &S) {
+    return checkProgram(S, Promote, 4000, Opts);
+  };
 
   if (C.Isolate) {
     // Containment first: probe the (seed, mode) in a forked child.
@@ -257,26 +167,19 @@ ModeOutcome runModeUnitImpl(const CampaignConfig &C, std::uint32_t Seed,
     // *cleanly* is re-run in-process below for the full
     // shrink-and-record path, which is safe precisely because the
     // child proved the seed does not bring the process down.
-    auto Probe = [&](const std::string &S) -> std::pair<bool, std::string> {
-      std::vector<Violation> Vs = checkProgram(S, Promote, C.MaxStops, Opts);
+    ProbeFn Probe = [&](const std::string &S) {
+      std::vector<Violation> Vs = Check(S);
       std::string Rep;
       for (const Violation &V : Vs)
         Rep += V.str() + "\n";
-      return {Vs.empty(), Rep};
+      return std::make_pair(Vs.empty(), Rep);
     };
-    IsolatedOutcome IO =
-        runIsolated(C.TimeoutMs, [&] { return Probe(Src); });
-    if (IO.Status == IsolatedStatus::Ok) {
-      O.Ran = true;
+    IsolatedOutcome IO = runIsolated(C.TimeoutMs, [&] { return Probe(Src); });
+    if (IO.Status == IsolatedStatus::Ok)
       return O;
-    }
-    if (IO.Status == IsolatedStatus::Crash ||
-        IO.Status == IsolatedStatus::Timeout) {
-      O.Ran = true;
-      O.F = makeProcessFailure(Seed, Promote, Src, "", IO, C.Shrink,
-                               C.TimeoutMs, Probe);
-      O.F.Level = C.Level;
-      O.HasFailure = true;
+    if (IO.Status != IsolatedStatus::Violation) {
+      O.Failures.push_back(makeProcessFailure(Seed, Promote, Src, C.Level, IO,
+                                              C.Shrink, C.TimeoutMs, Probe));
       return O;
     }
   }
@@ -285,195 +188,98 @@ ModeOutcome runModeUnitImpl(const CampaignConfig &C, std::uint32_t Seed,
   if (Opts)
     LO.Opts = *Opts;
   LO.Promote = Promote;
-  LO.MaxStops = C.MaxStops;
   LO.InstrumentPasses = Instrument;
   LockstepResult LR = runLockstep(Src, LO);
-  O.Ran = true;
-
   if (!LR.Compiled) {
     O.CompileFail = true;
-    O.F.Seed = Seed;
-    O.F.Promote = Promote;
-    O.F.Source = Src;
-    O.F.Level = C.Level;
-    O.F.Violations = {{ViolationKind::LockstepDiverged, InvalidFunc,
-                       InvalidStmt, "",
-                       "generated program does not compile: " +
-                           LR.CompileError}};
+    O.Failures.push_back(
+        compileFailure(Seed, Promote, Src, C.Level, LR.CompileError));
     return O;
   }
 
   O.Stops = LR.Stops.size();
   for (const StopObservation &S : LR.Stops)
     O.Observations += S.Vars.size();
-
   if (Instrument) {
-    O.Instrumented = true;
-    O.Firings = LR.Firings;
-    O.Hoisted = LR.NumHoisted != 0;
-    O.Sunk = LR.NumSunk != 0;
-    O.DeadMarks = LR.NumDeadMarks != 0;
-    O.AvailMarks = LR.NumAvailMarks != 0;
-    O.SRRecords = LR.NumSRRecords != 0;
+    O.Coverage.Firings = LR.Firings;
+    O.Coverage.WithHoisted = LR.NumHoisted != 0;
+    O.Coverage.WithSunk = LR.NumSunk != 0;
+    O.Coverage.WithDeadMarks = LR.NumDeadMarks != 0;
+    O.Coverage.WithAvailMarks = LR.NumAvailMarks != 0;
+    O.Coverage.WithSRRecords = LR.NumSRRecords != 0;
   }
 
   std::vector<Violation> Vs = checkSoundness(LR);
-  if (Vs.empty())
-    return O;
-
-  O.F.Seed = Seed;
-  O.F.Promote = Promote;
-  O.F.Source = Src;
-  O.F.Level = C.Level;
-  O.F.Violations = std::move(Vs);
-  if (C.Shrink) {
-    ViolationKind Kind = O.F.Violations.front().Kind;
-    O.F.Reduced = reduceProgram(
-        Src,
-        [&](const std::string &Cand) {
-          return sameKindStillFails(Cand, Promote, Kind, C.MaxStops, Opts);
-        },
-        /*MaxChecks=*/400);
-  }
-  O.HasFailure = true;
-  return O;
-}
-
-/// Trace-capturing wrapper: diverts the worker thread's events for the
-/// unit's duration so the merge can rebuild a deterministic, seed-major
-/// trace whatever the pool's scheduling was.
-ModeOutcome runModeUnit(const CampaignConfig &C, std::uint32_t Seed,
-                        bool Promote, bool Instrument) {
-  Stats::counter("campaign.units").add();
-  if (!C.CollectTrace)
-    return runModeUnitImpl(C, Seed, Promote, Instrument);
-  TraceCapture Cap;
-  ModeOutcome O;
-  {
-    TraceSpan Span("campaign.unit", "campaign");
-    Span.arg("seed", static_cast<std::uint64_t>(Seed));
-    Span.arg("promote", Promote ? "on" : "off");
-    O = runModeUnitImpl(C, Seed, Promote, Instrument);
-  }
-  O.Trace = Cap.take();
+  if (!Vs.empty())
+    O.Failures.push_back(makeFailure(Seed, Promote, Src, C.Level,
+                                     std::move(Vs), C.Shrink, Check));
   return O;
 }
 
 } // namespace
 
-CampaignResult sldb::runCampaign(const CampaignConfig &Cfg) {
+CampaignResult sldb::runCampaign(const CampaignConfig &C) {
   CampaignResult R;
-  R.ConfigError =
-      configError(Cfg.Seed, Cfg.Count, Cfg.ShardIndex, Cfg.ShardCount);
+  const LevelSpec *Spec = checkConfig(C, C.Level, R.ConfigError);
   if (!R.ConfigError.empty())
     return R;
 
   // Level campaigns collapse to one mode with the level's own settings.
-  CampaignConfig C = Cfg;
-  if (!C.Level.empty()) {
-    const LevelSpec *Spec = findLevel(C.Level);
-    if (!Spec) {
-      R.ConfigError = "unknown pipeline level: " + C.Level;
-      return R;
-    }
-    if (!judgeable(*Spec)) {
-      R.ConfigError = "pipeline level '" + C.Level +
-                      "' duplicates or splices statements and cannot be "
-                      "judged by the lockstep oracle";
-      return R;
-    }
-    C.BothPromoteModes = false;
-    C.Promote = Spec->Promote;
-  }
-
-  const ShardRange Shard =
-      Sharder::slice(C.Count, C.ShardIndex, C.ShardCount);
-  const unsigned Modes = C.BothPromoteModes ? 2 : 1;
-  const std::size_t NumUnits = Shard.size() * Modes;
-
-  // Canonical unit order: seed-major, promote mode before frame mode —
-  // the exact order the serial loop visited.
-  auto SeedOfUnit = [&](std::size_t U) {
-    return static_cast<std::uint32_t>(C.Seed + Shard.Begin + U / Modes);
-  };
-  auto PromoteOfUnit = [&](std::size_t U) {
-    return C.BothPromoteModes ? (U % Modes) == 0 : C.Promote;
-  };
-
-  std::vector<ModeOutcome> Out(NumUnits);
-  ThreadPool Pool(C.Jobs ? C.Jobs : ThreadPool::hardwareJobs());
-  std::vector<WorkerStats> WS =
-      Pool.parallelFor(NumUnits, [&](std::size_t U, unsigned) {
-        // Interrupt fast-drain: remaining units become no-ops so the
-        // pool empties quickly and the merge below still flushes every
-        // finished unit's reproducers (partial report, nothing lost).
-        if (interruptRequested()) {
-          Out[U].Skipped = true;
-          return;
-        }
-        bool Promote = PromoteOfUnit(U);
+  // Unit order within a seed: promote mode before frame mode.
+  const bool Both = C.BothPromoteModes && !Spec;
+  const bool Promote = Spec ? Spec->Promote : C.Promote;
+  runUnits<DiffOutcome>(
+      C, R, {"diff", Both ? 2u : 1u, DiffCrashDir},
+      [&](std::uint32_t Seed, unsigned K) {
         // Instrument the pipeline once per program: the IR pipeline
         // does not depend on the codegen configuration.
-        bool Instrument = Promote || !C.BothPromoteModes;
-        Out[U] = runModeUnit(C, SeedOfUnit(U), Promote, Instrument);
-      });
-  R.Workers = toCampaignStats(WS, SeedOfUnit);
-
-  // Deterministic merge in unit order.
-  std::set<std::string> UsedPaths;
-  for (std::size_t SI = 0; SI < Shard.size(); ++SI) {
-    bool SeedRan = false;
-    for (unsigned M = 0; M < Modes; ++M)
-      SeedRan |= !Out[SI * Modes + M].Skipped;
-    if (SeedRan)
-      ++R.Programs;
-    for (unsigned M = 0; M < Modes; ++M) {
-      ModeOutcome &O = Out[SI * Modes + M];
-      if (O.Skipped) {
-        ++R.SkippedUnits;
-        continue;
-      }
-      // Trace first: the compile-fail break below must not drop the
-      // unit's events.
-      for (TraceEvent &E : O.Trace) {
-        E.Tid = static_cast<std::uint32_t>(SI * Modes + M + 1);
-        R.Trace.push_back(std::move(E));
-      }
-      if (O.Ran)
+        return runDiffUnit(C, Seed, Both ? K == 0 : Promote, K == 0,
+                           Spec ? &Spec->Opts : nullptr);
+      },
+      [&](DiffOutcome &O) {
         ++R.Runs;
-      if (O.CompileFail) {
-        ++R.FailedCompiles;
-        R.Failures.push_back(std::move(O.F));
-        break; // The other mode cannot compile either.
-      }
-      R.Stops += O.Stops;
-      R.Observations += O.Observations;
-      if (O.Instrumented) {
-        if (R.Coverage.Firings.empty()) {
-          R.Coverage.Firings = std::move(O.Firings);
-        } else {
-          for (std::size_t S = 0; S < R.Coverage.Firings.size() &&
-                                  S < O.Firings.size();
-               ++S)
-            R.Coverage.Firings[S].Changed += O.Firings[S].Changed;
+        if (O.CompileFail) {
+          ++R.FailedCompiles;
+          return false; // The other mode cannot compile either.
         }
-        R.Coverage.WithHoisted += O.Hoisted;
-        R.Coverage.WithSunk += O.Sunk;
-        R.Coverage.WithDeadMarks += O.DeadMarks;
-        R.Coverage.WithAvailMarks += O.AvailMarks;
-        R.Coverage.WithSRRecords += O.SRRecords;
-      }
-      if (O.HasFailure) {
-        if (C.WriteFailures)
-          O.F.Path = writeReproducerDeduped(
-              O.F,
-              O.F.ProcessOutcome.empty() ? C.FailureDir : C.CrashDir,
-              UsedPaths);
-        R.Failures.push_back(std::move(O.F));
-      }
-    }
-  }
+        R.Stops += O.Stops;
+        R.Observations += O.Observations;
+        R.Coverage.add(O.Coverage);
+        return true;
+      });
   return R;
+}
+
+std::string sldb::renderCampaignReport(const CampaignResult &R) {
+  if (!R.ConfigError.empty())
+    return "config error: " + R.ConfigError + "\n";
+  const CampaignCoverage &Cov = R.Coverage;
+  std::string S =
+      "programs:      " + std::to_string(R.Programs) + " (" +
+      std::to_string(R.Runs) + " lockstep runs)\n" +
+      "paired stops:  " + std::to_string(R.Stops) + " (" +
+      std::to_string(R.Observations) + " variable observations)\n" +
+      "coverage:      hoisted " + std::to_string(Cov.WithHoisted) +
+      ", sunk " + std::to_string(Cov.WithSunk) + ", dead-marks " +
+      std::to_string(Cov.WithDeadMarks) + ", avail-marks " +
+      std::to_string(Cov.WithAvailMarks) + ", iv-recoveries " +
+      std::to_string(Cov.WithSRRecords) + " (of " +
+      std::to_string(R.Programs) + " programs)\n";
+  for (const PassFiring &F : Cov.Firings)
+    if (F.Changed)
+      S += "  pass " + F.Name +
+           std::string(F.Name.size() < 44 ? 44 - F.Name.size() : 0, ' ') +
+           " fired " + std::to_string(F.Changed) + "\n";
+  if (R.FailedCompiles)
+    S += "GENERATOR BUG: " + std::to_string(R.FailedCompiles) +
+         " programs failed to compile\n";
+  return S + renderVerdict(R, R.sound(),
+                           "soundness:     OK (no Current-with-wrong-value, "
+                           "no wrong recovery, tables consistent)",
+                           "soundness:     " +
+                               std::to_string(R.Failures.size()) +
+                               " FAILING program(s)",
+                           promoteHead);
 }
 
 //===----------------------------------------------------------------------===//
@@ -482,64 +288,9 @@ CampaignResult sldb::runCampaign(const CampaignConfig &Cfg) {
 
 namespace {
 
-/// Runs one seed under one armed fault and judges it.  The fault is
-/// armed on the calling thread for the whole lockstep run (the oracle
-/// side compiles and runs with injection suspended, see fuzz/Oracle.cpp)
-/// and disarmed before returning.
-std::vector<Violation> injectCheck(const std::string &Src,
-                                   const InjectCampaignConfig &C,
-                                   FaultId Id, std::uint32_t Seed) {
-  FaultInjector::arm(Id, Seed);
-  LockstepOptions LO;
-  LO.Promote = C.Promote;
-  LO.MaxStops = C.MaxStops;
-  LO.Fuel = C.Fuel;
-  if (!C.Level.empty())
-    if (const LevelSpec *Spec = findLevel(C.Level))
-      LO.Opts = Spec->Opts;
-  LockstepResult R = runLockstep(Src, LO);
-  FaultInjector::disarm();
-  if (!R.Compiled)
-    return {{ViolationKind::LockstepDiverged, InvalidFunc, InvalidStmt, "",
-             "does not compile: " + R.CompileError}};
-  return checkSoundness(R);
-}
-
-/// Child-side protocol for an isolated inject check: first report line
-/// is the summary (compile-error / unsound / degraded / clean), then
-/// one line per unsound violation.  Exit status 1 iff unsound.
-std::pair<bool, std::string>
-injectProbe(const std::string &Src, const InjectCampaignConfig &C,
-            FaultId Id, std::uint32_t Seed) {
-  std::vector<Violation> Vs = injectCheck(Src, C, Id, Seed);
-  bool CompileError =
-      !Vs.empty() && Vs.front().Detail.rfind("does not compile", 0) == 0;
-  std::string Rep;
-  std::vector<const Violation *> Unsound;
-  for (const Violation &V : Vs)
-    if (isUnsoundViolation(V.Kind))
-      Unsound.push_back(&V);
-  if (!Unsound.empty())
-    Rep = "unsound\n";
-  else if (CompileError)
-    Rep = "compile-error\n";
-  else if (!Vs.empty())
-    Rep = "degraded\n";
-  else
-    Rep = "clean\n";
-  for (const Violation *V : Unsound) {
-    std::string Line = V->str();
-    for (char &Ch : Line)
-      if (Ch == '\n')
-        Ch = ' ';
-    Rep += Line + "\n";
-  }
-  return {Unsound.empty(), Rep};
-}
-
-/// One (seed, fault-point) unit's outcome.
-struct InjectOutcome {
-  bool Skipped = false; ///< Fast-drained after an interrupt.
+/// One (seed, fault-point) unit's outcome.  The kinds are in the order
+/// of the InjectCampaignResult counters they bump.
+struct InjectOutcome : UnitOutcome {
   enum class Kind : std::uint8_t {
     Clean,
     CompileError,
@@ -549,131 +300,89 @@ struct InjectOutcome {
     Hang
   };
   Kind K = Kind::Clean;
-  bool HasFailure = false;
-  CampaignFailure F;
-  std::vector<TraceEvent> Trace; ///< Unit-local capture (CollectTrace).
 };
+using InjectKind = InjectOutcome::Kind;
 
-/// Runs one (seed, fault-point) unit on the calling worker thread.
-InjectOutcome runInjectUnitImpl(const InjectCampaignConfig &C,
-                                std::uint32_t Seed, const FaultPoint &P) {
-  InjectOutcome O;
-  std::string Src = generateProgram(Seed, C.Gen);
-
-  auto RecordUnsound = [&](const std::string &Report) {
-    O.K = InjectOutcome::Kind::Unsound;
-    O.F.Seed = Seed;
-    O.F.Promote = C.Promote;
-    O.F.Source = Src;
-    O.F.FaultName = P.Name;
-    O.F.Level = C.Level;
-    O.F.Violations = {{ViolationKind::UnsoundCurrent, InvalidFunc,
-                       InvalidStmt, "", Report}};
-    if (C.Shrink)
-      O.F.Reduced = reduceProgram(
-          Src,
-          [&](const std::string &Cand) {
-            if (!C.Isolate) {
-              for (const Violation &V : injectCheck(Cand, C, P.Id, Seed))
-                if (isUnsoundViolation(V.Kind))
-                  return true;
-              return false;
-            }
-            IsolatedOutcome CO = runIsolated(C.TimeoutMs, [&] {
-              return injectProbe(Cand, C, P.Id, Seed);
-            });
-            return CO.Status == IsolatedStatus::Violation;
-          },
-          /*MaxChecks=*/120);
-    O.HasFailure = true;
-  };
-
-  if (!C.Isolate) {
-    std::vector<Violation> Vs = injectCheck(Src, C, P.Id, Seed);
-    bool CompileError =
-        !Vs.empty() &&
-        Vs.front().Detail.rfind("does not compile", 0) == 0;
-    std::string Unsound;
-    for (const Violation &V : Vs)
-      if (isUnsoundViolation(V.Kind))
-        Unsound += V.str() + "\n";
-    if (!Unsound.empty())
-      RecordUnsound(Unsound);
-    else if (CompileError)
-      O.K = InjectOutcome::Kind::CompileError;
-    else if (!Vs.empty())
-      O.K = InjectOutcome::Kind::Degraded;
-    return O;
-  }
-
-  IsolatedOutcome IO =
-      runIsolated(C.TimeoutMs, [&] { return injectProbe(Src, C, P.Id, Seed); });
-  switch (IO.Status) {
-  case IsolatedStatus::Ok:
-    if (IO.Report.rfind("compile-error", 0) == 0)
-      O.K = InjectOutcome::Kind::CompileError;
-    else if (IO.Report.rfind("degraded", 0) == 0)
-      O.K = InjectOutcome::Kind::Degraded;
-    break;
-  case IsolatedStatus::Violation:
-    RecordUnsound(IO.Report);
-    break;
-  case IsolatedStatus::Crash:
-  case IsolatedStatus::Timeout:
-    O.K = IO.Status == IsolatedStatus::Timeout ? InjectOutcome::Kind::Hang
-                                               : InjectOutcome::Kind::Crash;
-    O.F = makeProcessFailure(Seed, C.Promote, Src, P.Name, IO, C.Shrink,
-                             C.TimeoutMs, [&](const std::string &Cand) {
-                               return injectProbe(Cand, C, P.Id, Seed);
-                             });
-    O.F.Level = C.Level;
-    O.HasFailure = true;
-    break;
-  }
-  return O;
+/// Sorts one check's violations into an outcome kind, plus the text of
+/// the unsound ones (one line each) for an Unsound run.
+std::pair<InjectKind, std::string>
+injectVerdict(const std::vector<Violation> &Vs) {
+  std::string Unsound;
+  for (const Violation &V : Vs)
+    if (isUnsoundViolation(V.Kind))
+      Unsound += V.str() + "\n";
+  if (!Unsound.empty())
+    return {InjectKind::Unsound, Unsound};
+  if (!compiles(Vs))
+    return {InjectKind::CompileError, ""};
+  return {Vs.empty() ? InjectKind::Clean : InjectKind::Degraded, ""};
 }
 
-/// Trace-capturing wrapper (see runModeUnit).
+/// Runs one (seed, fault-point) unit on the calling worker thread.  The
+/// fault is armed on this thread for each whole lockstep run (the oracle
+/// side compiles and runs with injection suspended, see fuzz/Oracle.cpp)
+/// and disarmed after it.
 InjectOutcome runInjectUnit(const InjectCampaignConfig &C,
-                            std::uint32_t Seed, const FaultPoint &P) {
-  Stats::counter("campaign.units").add();
-  if (!C.CollectTrace)
-    return runInjectUnitImpl(C, Seed, P);
-  TraceCapture Cap;
+                            std::uint32_t Seed, const FaultPoint &P,
+                            bool Promote, const OptOptions *Opts) {
+  auto Verdict = [&](const std::string &S) {
+    FaultInjector::arm(P.Id, Seed);
+    std::vector<Violation> Vs = checkProgram(S, Promote, 4000, Opts);
+    FaultInjector::disarm();
+    return injectVerdict(Vs);
+  };
+  // Child protocol for an isolated check: the kind as one digit, then
+  // the unsound violations.  Exit status 1 iff unsound.
+  ProbeFn Probe = [&](const std::string &S) {
+    auto [K, Text] = Verdict(S);
+    return std::make_pair(K != InjectKind::Unsound,
+                          std::to_string(static_cast<int>(K)) + Text);
+  };
+  IsolatedOutcome IO;
+  auto Judge = [&](const std::string &S) -> std::pair<InjectKind, std::string> {
+    if (!C.Isolate)
+      return Verdict(S);
+    IO = runIsolated(C.TimeoutMs, [&] { return Probe(S); });
+    if (IO.Status == IsolatedStatus::Crash)
+      return {InjectKind::Crash, ""};
+    if (IO.Status == IsolatedStatus::Timeout)
+      return {InjectKind::Hang, ""};
+    if (IO.Report.empty())
+      return {InjectKind::Clean, ""};
+    return {static_cast<InjectKind>(IO.Report[0] - '0'), IO.Report.substr(1)};
+  };
+
   InjectOutcome O;
-  {
-    TraceSpan Span("campaign.unit", "campaign");
-    Span.arg("seed", static_cast<std::uint64_t>(Seed));
-    Span.arg("fault", P.Name);
-    O = runInjectUnitImpl(C, Seed, P);
+  std::string Src = generateProgram(Seed, C.Gen);
+  auto [K, Text] = Judge(Src);
+  O.K = K;
+  if (K == InjectKind::Crash || K == InjectKind::Hang) {
+    O.Failures.push_back(makeProcessFailure(Seed, Promote, Src, C.Level, IO,
+                                            C.Shrink, C.TimeoutMs, Probe));
+  } else if (K == InjectKind::Unsound) {
+    O.Failures.push_back(makeFailure(
+        Seed, Promote, Src, C.Level,
+        {{ViolationKind::UnsoundCurrent, InvalidFunc, InvalidStmt, "", Text}}));
+    if (C.Shrink)
+      O.Failures.back().Reduced = reduceProgram(
+          Src,
+          [&](const std::string &Cand) {
+            return Judge(Cand).first == InjectKind::Unsound;
+          },
+          /*MaxChecks=*/120);
   }
-  O.Trace = Cap.take();
+  for (CampaignFailure &F : O.Failures)
+    F.FaultName = P.Name;
   return O;
 }
 
 } // namespace
 
-InjectCampaignResult sldb::runInjectCampaign(const InjectCampaignConfig &Cfg) {
-  InjectCampaignConfig C = Cfg;
+InjectCampaignResult sldb::runInjectCampaign(const InjectCampaignConfig &C) {
   InjectCampaignResult R;
-  R.ConfigError =
-      configError(C.Seed, C.Count, C.ShardIndex, C.ShardCount);
+  const LevelSpec *Spec = checkConfig(C, C.Level, R.ConfigError);
   if (!R.ConfigError.empty())
     return R;
-  if (!C.Level.empty()) {
-    const LevelSpec *Spec = findLevel(C.Level);
-    if (!Spec) {
-      R.ConfigError = "unknown pipeline level: " + C.Level;
-      return R;
-    }
-    if (!judgeable(*Spec)) {
-      R.ConfigError = "pipeline level '" + C.Level +
-                      "' duplicates or splices statements and cannot be "
-                      "judged by the lockstep oracle";
-      return R;
-    }
-    C.Promote = Spec->Promote;
-  }
 
   // Every *defended* fault point: the two undefended classifier faults
   // are the oracle's teeth (their whole purpose is to be caught as
@@ -683,71 +392,51 @@ InjectCampaignResult sldb::runInjectCampaign(const InjectCampaignConfig &Cfg) {
     if (P.Defended)
       Points.push_back(&P);
 
-  const ShardRange Shard =
-      Sharder::slice(C.Count, C.ShardIndex, C.ShardCount);
-  const std::size_t PerSeed = Points.size();
-  const std::size_t NumUnits = Shard.size() * PerSeed;
-
-  auto SeedOfUnit = [&](std::size_t U) {
-    return static_cast<std::uint32_t>(C.Seed + Shard.Begin + U / PerSeed);
-  };
-
-  std::vector<InjectOutcome> Out(NumUnits);
-  ThreadPool Pool(C.Jobs ? C.Jobs : ThreadPool::hardwareJobs());
-  std::vector<WorkerStats> WS =
-      Pool.parallelFor(NumUnits, [&](std::size_t U, unsigned) {
-        if (interruptRequested()) {
-          Out[U].Skipped = true;
-          return;
-        }
-        Out[U] = runInjectUnit(C, SeedOfUnit(U), *Points[U % PerSeed]);
+  const bool Promote = Spec ? Spec->Promote : C.Promote;
+  unsigned *Counters[] = {nullptr,        &R.CompileErrors, &R.DegradedRuns,
+                          &R.UnsoundRuns, &R.Crashes,       &R.Hangs};
+  runUnits<InjectOutcome>(
+      C, R, {"inject", static_cast<unsigned>(Points.size())},
+      [&](std::uint32_t Seed, unsigned K) {
+        return runInjectUnit(C, Seed, *Points[K], Promote,
+                             Spec ? &Spec->Opts : nullptr);
+      },
+      [&](InjectOutcome &O) {
+        ++R.Runs;
+        if (unsigned *N = Counters[static_cast<int>(O.K)])
+          ++*N;
+        return true;
       });
-  R.Workers = toCampaignStats(WS, SeedOfUnit);
-
-  // Deterministic merge in (seed, fault-point) order.
-  std::set<std::string> UsedPaths;
-  for (std::size_t SI = 0; SI < Shard.size(); ++SI) {
-    bool SeedRan = false;
-    for (std::size_t PI = 0; PI < PerSeed; ++PI)
-      SeedRan |= !Out[SI * PerSeed + PI].Skipped;
-    if (SeedRan)
-      ++R.Programs;
-    for (std::size_t PI = 0; PI < PerSeed; ++PI) {
-      InjectOutcome &O = Out[SI * PerSeed + PI];
-      if (O.Skipped) {
-        ++R.SkippedUnits;
-        continue;
-      }
-      for (TraceEvent &E : O.Trace) {
-        E.Tid = static_cast<std::uint32_t>(SI * PerSeed + PI + 1);
-        R.Trace.push_back(std::move(E));
-      }
-      ++R.Runs;
-      switch (O.K) {
-      case InjectOutcome::Kind::Clean:
-        break;
-      case InjectOutcome::Kind::CompileError:
-        ++R.CompileErrors;
-        break;
-      case InjectOutcome::Kind::Degraded:
-        ++R.DegradedRuns;
-        break;
-      case InjectOutcome::Kind::Unsound:
-        ++R.UnsoundRuns;
-        break;
-      case InjectOutcome::Kind::Crash:
-        ++R.Crashes;
-        break;
-      case InjectOutcome::Kind::Hang:
-        ++R.Hangs;
-        break;
-      }
-      if (O.HasFailure) {
-        if (C.WriteFailures)
-          O.F.Path = writeReproducerDeduped(O.F, C.CrashDir, UsedPaths);
-        R.Failures.push_back(std::move(O.F));
-      }
-    }
-  }
   return R;
+}
+
+std::string sldb::renderInjectCampaignReport(const InjectCampaignResult &R,
+                                             bool Isolated) {
+  if (!R.ConfigError.empty())
+    return "config error: " + R.ConfigError + "\n";
+  unsigned Defended = 0;
+  for (const FaultPoint &P : FaultInjector::points())
+    Defended += P.Defended;
+  std::string S =
+      "inject:        " + std::to_string(R.Programs) + " programs x " +
+      std::to_string(Defended) + " fault points = " +
+      std::to_string(R.Runs) + " runs (" +
+      (Isolated ? "isolated, watchdog on" : "in-process") + ")\n" +
+      "outcomes:      " + std::to_string(R.DegradedRuns) +
+      " degraded-conservative, " + std::to_string(R.CompileErrors) +
+      " compile errors, " + std::to_string(R.Crashes) + " crashes, " +
+      std::to_string(R.Hangs) + " hangs, " + std::to_string(R.UnsoundRuns) +
+      " unsound\n";
+  return S + renderVerdict(
+                 R, R.sound(),
+                 "injection:     OK (no crash, no hang, no unsound verdict "
+                 "under any injected fault)",
+                 "injection:     " + std::to_string(R.Failures.size()) +
+                     " FAILING run(s)",
+                 [](const CampaignFailure &F) {
+                   return "fault " + F.FaultName + ": " +
+                          (F.ProcessOutcome.empty()
+                               ? F.Violations.front().str()
+                               : F.ProcessOutcome);
+                 });
 }

@@ -12,6 +12,10 @@
 /// violation into a minimized on-disk reproducer.  Both `tools/sldb-fuzz`
 /// and the tier-1 `fuzz_diff_test` are thin wrappers around this.
 ///
+/// Every campaign (this file's differential and fault-injection ones, and
+/// QualityCampaign.h's stepping and cross-level ones) runs on one engine
+/// (fuzz/CampaignEngine.h) and shares the config and result fields below.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SLDB_FUZZ_CAMPAIGN_H
@@ -27,12 +31,45 @@
 
 namespace sldb {
 
-/// Campaign parameters.
-struct CampaignConfig {
+/// Parameters every campaign takes.  Every build runs on the oracle
+/// options' default fuel (LockstepOptions::Fuel, 50M VM steps).
+struct CampaignBaseConfig {
   std::uint32_t Seed = 1;  ///< First seed; program i uses Seed + i.
   unsigned Count = 200;    ///< Number of generated programs.
   GenOptions Gen;
 
+  /// Shrink each failing program to a minimal reproducer (greedy
+  /// statement deletion preserving the violation kind).
+  bool Shrink = true;
+
+  /// Write reproducers (source + violation report) into FailureDir.
+  bool WriteFailures = false;
+  std::string FailureDir = "fuzz-failures";
+
+  /// Worker threads fanning the campaign's units across a work-stealing
+  /// pool (support/ThreadPool.h).  0 means all hardware cores.  The
+  /// report is byte-identical for every value: unit results land in
+  /// index-keyed slots and are merged in seed-major order after the pool
+  /// drains.
+  unsigned Jobs = 1;
+
+  /// Distributed campaigns (`--shard i/k`): run only the i-th of k
+  /// contiguous slices of the seed range.  Concatenating the k shard
+  /// reports in shard order reproduces the unsharded campaign.
+  unsigned ShardIndex = 0;
+  unsigned ShardCount = 1;
+
+  /// Capture each unit's trace events (support/Trace.h) and merge them
+  /// into the result's Trace in seed-major unit order with the unit
+  /// ordinal as the tid — the merged event *sequence* is identical for
+  /// every Jobs value (timestamps remain wall clock).  Only effective
+  /// while Trace::enabled(); isolated (forked) units lose their events
+  /// to the fork, like the coverage stats.
+  bool CollectTrace = false;
+};
+
+/// Differential campaign parameters.
+struct CampaignConfig : CampaignBaseConfig {
   /// Run each program twice: PromoteVars on (Figure 5(b)) and off
   /// (Figure 5(a)).  Off still exercises hoist/dead reach, on adds the
   /// residence tables.
@@ -49,50 +86,15 @@ struct CampaignConfig {
   /// campaign refuses with a ConfigError otherwise.
   std::string Level;
 
-  /// Shrink each failing program to a minimal reproducer (greedy
-  /// statement deletion preserving the violation kind).
-  bool Shrink = true;
-
-  /// Write reproducers (source + violation report) into FailureDir.
-  bool WriteFailures = false;
-  std::string FailureDir = "fuzz-failures";
-
-  unsigned MaxStops = 4000; ///< Per-run observation cap.
-
   /// Run every (seed, mode) check in a forked child under a wall-clock
   /// watchdog (fuzz/Isolation.h): a seed that crashes or hangs the
-  /// compiler is recorded, reduced, and archived instead of killing the
-  /// campaign.  Trades the in-process coverage accounting (stops /
-  /// observations / pass firings) of passing runs for containment.
+  /// compiler is recorded, reduced, and archived (into `fuzz-crashes`)
+  /// instead of killing the campaign.  Trades the in-process coverage
+  /// accounting (stops / observations / pass firings) of passing runs
+  /// for containment.  Composes with Jobs: each worker forks its own
+  /// watchdogged child.
   bool Isolate = false;
   unsigned TimeoutMs = 20'000; ///< Watchdog budget per isolated run.
-
-  /// Where crash/hang reproducers are archived (isolated mode, with
-  /// WriteFailures).
-  std::string CrashDir = "fuzz-crashes";
-
-  /// Worker threads fanning the campaign's (seed, mode) units across a
-  /// work-stealing pool (support/ThreadPool.h).  0 means all hardware
-  /// cores.  The report is byte-identical for every value: unit results
-  /// land in index-keyed slots and are merged in (seed, mode) order
-  /// after the pool drains.  Isolated mode composes: each worker forks
-  /// its own watchdogged child, so `--jobs N --isolate` is a pool of N
-  /// concurrent children.
-  unsigned Jobs = 1;
-
-  /// Distributed campaigns (`--shard i/k`): run only the i-th of k
-  /// contiguous slices of the seed range.  Concatenating the k shard
-  /// reports in shard order reproduces the unsharded campaign.
-  unsigned ShardIndex = 0;
-  unsigned ShardCount = 1;
-
-  /// Capture each unit's trace events (support/Trace.h) and merge them
-  /// into CampaignResult::Trace in seed-major unit order with the unit
-  /// ordinal as the tid — the merged event *sequence* is identical for
-  /// every Jobs value (timestamps remain wall clock).  Only effective
-  /// while Trace::enabled(); isolated (forked) units lose their events
-  /// to the fork, like the coverage stats.
-  bool CollectTrace = false;
 };
 
 /// One failing program.
@@ -112,9 +114,17 @@ struct CampaignFailure {
   /// Fault point armed for the run (inject campaigns; empty otherwise).
   std::string FaultName;
 
-  /// Pipeline level of the run (cross-level campaigns; empty for the
-  /// default lockstep configuration).
+  /// Pipeline level of the run (level and cross-level campaigns; empty
+  /// for the default lockstep configuration).
   std::string Level;
+
+  /// Oracle that found it ("diff", "inject", "step" or "crosslevel");
+  /// the reproducer's command re-judges under the same oracle.
+  std::string Oracle;
+
+  /// Generated with GenOptions::Alias (inject reproducers regenerate the
+  /// program from its seed, so they must ask for the same grammar).
+  bool Alias = false;
 };
 
 /// How much of the optimizer the corpus actually exercised.
@@ -133,13 +143,16 @@ struct CampaignCoverage {
 
   /// Total times a pass with the given name fired, across all slots.
   unsigned fired(const std::string &PassName) const;
+
+  /// Adds another corpus's counts slot by slot.
+  void add(const CampaignCoverage &O);
 };
 
 /// Per-worker campaign statistics (diagnostic only — wall-clock based
 /// and therefore nondeterministic; never part of the campaign report).
 struct CampaignWorkerStats {
   unsigned Worker = 0;
-  unsigned Units = 0;         ///< (seed, mode) / (seed, fault) checks run.
+  unsigned Units = 0;         ///< Units run (a (seed, mode) check, ...).
   unsigned Steals = 0;        ///< Units taken from a sibling's queue.
   unsigned InitialQueue = 0;  ///< Starting queue depth.
   std::uint64_t BusyUs = 0;
@@ -151,18 +164,14 @@ struct CampaignWorkerStats {
   }
 };
 
-/// Aggregate campaign outcome.
-struct CampaignResult {
-  unsigned Programs = 0;      ///< Generated.
-  unsigned Runs = 0;          ///< Lockstep executions (<= 2x programs).
-  unsigned FailedCompiles = 0;///< Generator bugs: must stay zero.
-  std::uint64_t Stops = 0;    ///< Paired statement-boundary stops.
-  std::uint64_t Observations = 0; ///< Variable observations judged.
+/// Outcome fields every campaign reports.
+struct CampaignBaseResult {
+  unsigned Programs = 0; ///< Seeds with at least one unit run.
   std::vector<CampaignFailure> Failures;
-  CampaignCoverage Coverage;
 
   /// Non-empty when the campaign refused to run (seed-range overflow,
-  /// bad shard spec).  Nothing else in the result is meaningful then.
+  /// bad shard spec, unknown or unjudgeable level).  Nothing else in the
+  /// result is meaningful then.
   std::string ConfigError;
 
   /// Units fast-drained because an interrupt (SIGINT/SIGTERM, see
@@ -177,6 +186,15 @@ struct CampaignResult {
   /// Captured trace events in seed-major unit order (CollectTrace);
   /// tid = 1-based unit ordinal.
   std::vector<TraceEvent> Trace;
+};
+
+/// Aggregate differential-campaign outcome.
+struct CampaignResult : CampaignBaseResult {
+  unsigned Runs = 0;          ///< Lockstep executions (<= 2x programs).
+  unsigned FailedCompiles = 0;///< Generator bugs: must stay zero.
+  std::uint64_t Stops = 0;    ///< Paired statement-boundary stops.
+  std::uint64_t Observations = 0; ///< Variable observations judged.
+  CampaignCoverage Coverage;
 
   bool sound() const {
     return Failures.empty() && FailedCompiles == 0 && ConfigError.empty();
@@ -186,6 +204,11 @@ struct CampaignResult {
 /// Runs a campaign.
 CampaignResult runCampaign(const CampaignConfig &C);
 
+/// Deterministic report of a differential campaign, as sldb-fuzz prints
+/// it: run and coverage totals, per-pass firings, then the verdict and
+/// one line per failure.
+std::string renderCampaignReport(const CampaignResult &R);
+
 /// Fault-injection campaign parameters (`sldb-fuzz --inject`): every
 /// seed is checked once per *defended* FaultInjector point, with the
 /// fault armed for the optimized build only (the oracle build compiles
@@ -194,54 +217,30 @@ CampaignResult runCampaign(const CampaignConfig &C);
 /// and behavioral divergence from an injected VM trap are all acceptable
 /// — but process crashes, hangs, and the three *unsound* violation kinds
 /// (UnsoundCurrent, WrongRecovery, MissedUninitialized) never are.
-struct InjectCampaignConfig {
-  std::uint32_t Seed = 1;
-  unsigned Count = 200;
-  GenOptions Gen;
+/// Units are (seed, fault-point) pairs; every record (crash, hang or
+/// unsound run) is written to FailureDir, `fuzz-crashes` by default.
+struct InjectCampaignConfig : CampaignBaseConfig {
+  InjectCampaignConfig() { FailureDir = "fuzz-crashes"; }
+
   bool Promote = true;      ///< Codegen configuration for the runs.
 
   /// Non-empty: arm every fault under this named pipeline level instead
   /// of the default lockstep set (CampaignConfig::Level contract — must
   /// resolve and be judgeable, with the level's own promotion).
   std::string Level;
-  unsigned MaxStops = 4000;
-  std::uint64_t Fuel = 50'000'000;
 
   bool Isolate = true;      ///< Fork + watchdog per run (the default).
   unsigned TimeoutMs = 20'000;
-
-  bool Shrink = true;       ///< Reduce unsound/crashing seeds.
-  bool WriteFailures = false;
-  std::string CrashDir = "fuzz-crashes";
-
-  /// Pool / sharding controls, with the same determinism contract as
-  /// CampaignConfig: units here are (seed, fault-point) pairs, merged
-  /// in seed-major order.
-  unsigned Jobs = 1;
-  unsigned ShardIndex = 0;
-  unsigned ShardCount = 1;
-
-  /// As CampaignConfig::CollectTrace, over (seed, fault) units.
-  bool CollectTrace = false;
 };
 
 /// Aggregate inject-campaign outcome.
-struct InjectCampaignResult {
-  unsigned Programs = 0;
+struct InjectCampaignResult : CampaignBaseResult {
   unsigned Runs = 0;           ///< seed x fault-point checks executed.
   unsigned CompileErrors = 0;  ///< Runs refused by the hardened pipeline.
   unsigned DegradedRuns = 0;   ///< Runs with only conservative findings.
   unsigned Crashes = 0;        ///< Child processes killed by a signal.
   unsigned Hangs = 0;          ///< Watchdog expirations.
   unsigned UnsoundRuns = 0;    ///< Runs with an unsound violation.
-  std::vector<CampaignFailure> Failures; ///< Crash/hang/unsound records.
-
-  std::string ConfigError;     ///< As CampaignResult::ConfigError.
-  unsigned SkippedUnits = 0;   ///< As CampaignResult::SkippedUnits.
-  std::vector<CampaignWorkerStats> Workers;
-
-  /// As CampaignResult::Trace, in (seed, fault) unit order.
-  std::vector<TraceEvent> Trace;
 
   /// The acceptance bar: no crash, no hang, no unsound verdict under
   /// any injected fault.
@@ -253,6 +252,11 @@ struct InjectCampaignResult {
 
 /// Runs the fault-injection campaign over all defended fault points.
 InjectCampaignResult runInjectCampaign(const InjectCampaignConfig &C);
+
+/// Deterministic report of an inject campaign; \p Isolated names how the
+/// runs were executed.
+std::string renderInjectCampaignReport(const InjectCampaignResult &R,
+                                       bool Isolated);
 
 /// True for the violation kinds that remain failures under fault
 /// injection (a conservative or divergent finding is the degradation
@@ -268,7 +272,8 @@ std::vector<Violation> checkProgram(const std::string &Src, bool Promote,
                                     const OptOptions *Opts = nullptr);
 
 /// Renders a failure as the on-disk reproducer format: the violation
-/// report as comments, then the (reduced, when available) source.
+/// report as comments, the command that re-judges it under its oracle,
+/// then the (reduced, when available) source.
 std::string renderFailure(const CampaignFailure &F);
 
 } // namespace sldb

@@ -4,92 +4,18 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Same parallel execution model as Campaign.cpp: independent units —
-// (seed, promote-mode) for the stepping campaign, one seed for the
-// cross-level campaign — write their outcomes into slots indexed by
-// canonical seed-major order, and a single-threaded merge walks the
-// slots in that order.  Reports are byte-identical for any --jobs value.
+// The stepping and cross-level oracles on the campaign engine
+// (fuzz/CampaignEngine.h): units are (seed, promote-mode) for the
+// stepping campaign and one seed for the cross-level campaign.
 //
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/QualityCampaign.h"
 
 #include "eval/Levels.h"
-#include "fuzz/Reduce.h"
-#include "support/Interrupt.h"
-#include "support/Sharder.h"
-#include "support/Stats.h"
-#include "support/ThreadPool.h"
-
-#include <filesystem>
-#include <fstream>
-#include <limits>
-#include <set>
+#include "fuzz/CampaignEngine.h"
 
 using namespace sldb;
-
-namespace {
-
-/// Config validation, identical contract to Campaign.cpp's: the seed
-/// range must not wrap and the shard spec must be in range.
-std::string configError(std::uint32_t Seed, unsigned Count,
-                        unsigned ShardIndex, unsigned ShardCount) {
-  const std::uint64_t Last =
-      static_cast<std::uint64_t>(Seed) + (Count ? Count - 1 : 0);
-  if (Last > std::numeric_limits<std::uint32_t>::max())
-    return "seed range overflows 32 bits: --seed " + std::to_string(Seed) +
-           " --count " + std::to_string(Count) + " reaches seed " +
-           std::to_string(Last) +
-           " > 4294967295; later seeds would wrap and re-run earlier "
-           "programs (double-counting coverage) — split the range or "
-           "lower --seed/--count";
-  if (ShardCount == 0)
-    return "shard count must be >= 1";
-  if (ShardIndex >= ShardCount)
-    return "shard index " + std::to_string(ShardIndex) +
-           " out of range for " + std::to_string(ShardCount) + " shard(s)";
-  return "";
-}
-
-/// Merge-time reproducer writer (as Campaign.cpp): the stem encodes
-/// (seed, mode, level); numeric suffixes keep unexpected collisions.
-std::string writeReproducerDeduped(const CampaignFailure &F,
-                                   const std::string &Dir,
-                                   std::set<std::string> &UsedPaths) {
-  std::error_code EC;
-  std::filesystem::create_directories(Dir, EC);
-  std::string Stem = Dir + "/seed-" + std::to_string(F.Seed) +
-                     (F.Level.empty() ? "" : "-" + F.Level) +
-                     (F.Promote ? "-promote" : "-frame");
-  std::string Path = Stem + ".minic";
-  for (unsigned N = 2; !UsedPaths.insert(Path).second; ++N)
-    Path = Stem + "-" + std::to_string(N) + ".minic";
-  std::ofstream Out(Path);
-  Out << renderFailure(F);
-  return Path;
-}
-
-std::vector<CampaignWorkerStats>
-toCampaignStats(const std::vector<WorkerStats> &WS,
-                const std::function<std::uint32_t(std::size_t)> &SeedOfUnit) {
-  std::vector<CampaignWorkerStats> Out;
-  Out.reserve(WS.size());
-  for (const WorkerStats &S : WS) {
-    CampaignWorkerStats C;
-    C.Worker = S.Worker;
-    C.Units = S.Tasks;
-    C.Steals = S.Steals;
-    C.InitialQueue = S.InitialQueue;
-    C.BusyUs = S.BusyUs;
-    C.SlowestUs = S.SlowestUs;
-    if (S.SlowestIndex != SIZE_MAX)
-      C.SlowestSeed = SeedOfUnit(S.SlowestIndex);
-    Out.push_back(C);
-  }
-  return Out;
-}
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // Stepping campaign
@@ -105,67 +31,32 @@ std::vector<Violation> sldb::checkStepProgram(const std::string &Src,
   O.Promote = Promote;
   O.MaxEvents = MaxEvents;
   StepResult R = runStepLockstep(Src, O);
-  if (!R.Compiled)
-    return {{ViolationKind::LockstepDiverged, InvalidFunc, InvalidStmt, "",
-             "does not compile: " + R.CompileError}};
-  return checkStepping(R);
+  return R.Compiled ? checkStepping(R)
+                    : std::vector<Violation>{notCompiled(R.CompileError)};
 }
 
 namespace {
 
-/// Shrink predicate for stepping failures: still a violation of the
-/// original kind (statement ids may move under the shrinker).
-bool stepKindStillFails(const std::string &Candidate, bool Promote,
-                        ViolationKind Kind, unsigned MaxEvents,
-                        const OptOptions *Opts = nullptr) {
-  for (const Violation &V :
-       checkStepProgram(Candidate, Promote, MaxEvents, Opts))
-    if (V.Kind == Kind &&
-        V.Detail.rfind("does not compile", 0) == std::string::npos)
-      return true;
-  return false;
-}
-
 /// One (seed, mode) stepping unit's outcome.
-struct StepOutcome {
-  bool Skipped = false; ///< Fast-drained after an interrupt.
-  bool Ran = false;
+struct StepOutcome : UnitOutcome {
   bool CompileFail = false;
   bool Capped = false;
-  bool HasFailure = false;
   std::uint64_t Stmts = 0;
-  CampaignFailure F;
 };
 
 StepOutcome runStepUnit(const StepCampaignConfig &C, std::uint32_t Seed,
-                        bool Promote) {
-  Stats::counter("campaign.units").add();
+                        bool Promote, const OptOptions *Opts) {
   StepOutcome O;
   std::string Src = generateProgram(Seed, C.Gen);
-
-  // Validated by runStepCampaign before any unit runs.
-  const LevelSpec *Spec = C.Level.empty() ? nullptr : findLevel(C.Level);
-  const OptOptions *Opts = Spec ? &Spec->Opts : nullptr;
-
   StepOracleOptions SO;
   if (Opts)
     SO.Opts = *Opts;
   SO.Promote = Promote;
-  SO.MaxEvents = C.MaxEvents;
-  SO.Fuel = C.Fuel;
   StepResult R = runStepLockstep(Src, SO);
-  O.Ran = true;
-
   if (!R.Compiled) {
     O.CompileFail = true;
-    O.F.Seed = Seed;
-    O.F.Promote = Promote;
-    O.F.Source = Src;
-    O.F.Level = C.Level;
-    O.F.Violations = {{ViolationKind::LockstepDiverged, InvalidFunc,
-                       InvalidStmt, "",
-                       "generated program does not compile: " +
-                           R.CompileError}};
+    O.Failures.push_back(
+        compileFailure(Seed, Promote, Src, C.Level, R.CompileError));
     return O;
   }
   O.Capped = R.Capped;
@@ -173,108 +64,42 @@ StepOutcome runStepUnit(const StepCampaignConfig &C, std::uint32_t Seed,
   Stats::histogram("step.visit_rows").record(R.Visits.size());
 
   std::vector<Violation> Vs = checkStepping(R);
-  if (Vs.empty())
-    return O;
-
-  O.F.Seed = Seed;
-  O.F.Promote = Promote;
-  O.F.Source = Src;
-  O.F.Level = C.Level;
-  O.F.Violations = std::move(Vs);
-  if (C.Shrink) {
-    ViolationKind Kind = O.F.Violations.front().Kind;
-    O.F.Reduced = reduceProgram(
-        Src,
-        [&](const std::string &Cand) {
-          return stepKindStillFails(Cand, Promote, Kind, C.MaxEvents, Opts);
-        },
-        /*MaxChecks=*/400);
-  }
-  O.HasFailure = true;
+  if (!Vs.empty())
+    O.Failures.push_back(makeFailure(
+        Seed, Promote, Src, C.Level, std::move(Vs), C.Shrink,
+        [&](const std::string &S) {
+          return checkStepProgram(S, Promote, SO.MaxEvents, Opts);
+        }));
   return O;
 }
 
 } // namespace
 
-StepCampaignResult sldb::runStepCampaign(const StepCampaignConfig &Cfg) {
+StepCampaignResult sldb::runStepCampaign(const StepCampaignConfig &C) {
   StepCampaignResult R;
-  R.ConfigError =
-      configError(Cfg.Seed, Cfg.Count, Cfg.ShardIndex, Cfg.ShardCount);
+  const LevelSpec *Spec = checkConfig(C, C.Level, R.ConfigError);
   if (!R.ConfigError.empty())
     return R;
 
   // Level campaigns collapse to one mode with the level's own settings.
-  StepCampaignConfig C = Cfg;
-  if (!C.Level.empty()) {
-    const LevelSpec *Spec = findLevel(C.Level);
-    if (!Spec) {
-      R.ConfigError = "unknown pipeline level: " + C.Level;
-      return R;
-    }
-    if (!judgeable(*Spec)) {
-      R.ConfigError = "pipeline level '" + C.Level +
-                      "' duplicates or splices statements and cannot be "
-                      "judged by the lockstep oracle";
-      return R;
-    }
-    C.BothPromoteModes = false;
-    C.Promote = Spec->Promote;
-  }
-
-  const ShardRange Shard =
-      Sharder::slice(C.Count, C.ShardIndex, C.ShardCount);
-  const unsigned Modes = C.BothPromoteModes ? 2 : 1;
-  const std::size_t NumUnits = Shard.size() * Modes;
-
-  auto SeedOfUnit = [&](std::size_t U) {
-    return static_cast<std::uint32_t>(C.Seed + Shard.Begin + U / Modes);
-  };
-  auto PromoteOfUnit = [&](std::size_t U) {
-    return C.BothPromoteModes ? (U % Modes) == 0 : C.Promote;
-  };
-
-  std::vector<StepOutcome> Out(NumUnits);
-  ThreadPool Pool(C.Jobs ? C.Jobs : ThreadPool::hardwareJobs());
-  std::vector<WorkerStats> WS =
-      Pool.parallelFor(NumUnits, [&](std::size_t U, unsigned) {
-        if (interruptRequested()) {
-          Out[U].Skipped = true;
-          return;
-        }
-        Out[U] = runStepUnit(C, SeedOfUnit(U), PromoteOfUnit(U));
-      });
-  R.Workers = toCampaignStats(WS, SeedOfUnit);
-
-  std::set<std::string> UsedPaths;
-  for (std::size_t SI = 0; SI < Shard.size(); ++SI) {
-    bool SeedRan = false;
-    for (unsigned M = 0; M < Modes; ++M)
-      SeedRan |= !Out[SI * Modes + M].Skipped;
-    if (SeedRan)
-      ++R.Programs;
-    for (unsigned M = 0; M < Modes; ++M) {
-      StepOutcome &O = Out[SI * Modes + M];
-      if (O.Skipped) {
-        ++R.SkippedUnits;
-        continue;
-      }
-      if (O.Ran)
+  const bool Both = C.BothPromoteModes && !Spec;
+  const bool Promote = Spec ? Spec->Promote : C.Promote;
+  runUnits<StepOutcome>(
+      C, R, {"step", Both ? 2u : 1u},
+      [&](std::uint32_t Seed, unsigned K) {
+        return runStepUnit(C, Seed, Both ? K == 0 : Promote,
+                           Spec ? &Spec->Opts : nullptr);
+      },
+      [&](StepOutcome &O) {
         ++R.Runs;
-      if (O.CompileFail) {
-        ++R.FailedCompiles;
-        R.Failures.push_back(std::move(O.F));
-        break; // The other mode cannot compile either.
-      }
-      if (O.Capped)
-        ++R.CappedRuns;
-      R.StmtsChecked += O.Stmts;
-      if (O.HasFailure) {
-        if (C.WriteFailures)
-          O.F.Path = writeReproducerDeduped(O.F, C.FailureDir, UsedPaths);
-        R.Failures.push_back(std::move(O.F));
-      }
-    }
-  }
+        if (O.CompileFail) {
+          ++R.FailedCompiles;
+          return false; // The other mode cannot compile either.
+        }
+        R.CappedRuns += O.Capped;
+        R.StmtsChecked += O.Stmts;
+        return true;
+      });
   return R;
 }
 
@@ -289,7 +114,13 @@ std::string sldb::renderStepCampaignReport(const StepCampaignResult &R) {
   S += "failed compiles:" + std::string(" ") +
        std::to_string(R.FailedCompiles) + "\n";
   S += "failures:       " + std::to_string(R.Failures.size()) + "\n";
-  return S;
+  return S + renderVerdict(R, R.sound(),
+                           "stepping:       OK (no phantom or vanished "
+                           "statement boundaries, behavior matched)",
+                           "stepping:       " +
+                               std::to_string(R.Failures.size()) +
+                               " FAILING run(s)",
+                           promoteHead);
 }
 
 //===----------------------------------------------------------------------===//
@@ -354,51 +185,27 @@ void accumulateConservatism(ConservatismCounts &CC,
     }
 }
 
-/// Lockstep judgment of one program at one level (shrink predicate).
-std::vector<Violation> levelCheck(const std::string &Src,
-                                  const LevelSpec &Spec, unsigned MaxStops,
-                                  std::uint64_t Fuel) {
-  LockstepOptions LO;
-  LO.Opts = Spec.Opts;
-  LO.Promote = Spec.Promote;
-  LO.MaxStops = MaxStops;
-  LO.Fuel = Fuel;
-  LockstepResult LR = runLockstep(Src, LO);
-  if (!LR.Compiled)
-    return {{ViolationKind::LockstepDiverged, InvalidFunc, InvalidStmt, "",
-             "does not compile: " + LR.CompileError}};
-  return checkSoundness(LR);
-}
+/// The cross-level oracle's lockstep runs stop after this many paired
+/// stops (the report's conservatism counts depend on it).
+constexpr unsigned CrossLevelMaxStops = 1000;
 
 /// One seed's cross-level unit outcome.
-struct XLOutcome {
-  bool Skipped = false; ///< Fast-drained after an interrupt.
+struct XLOutcome : UnitOutcome {
   bool CompileFail = false;
   unsigned LockstepRuns = 0;
   unsigned UnsoundRuns = 0;
   std::vector<CoverageCounts> Levels;         ///< All levels.
   std::vector<ConservatismCounts> Cons;       ///< Judgeable levels.
   std::vector<JudgedRegression> Regs;
-  std::vector<CampaignFailure> Failures;
 };
 
 XLOutcome runXLUnit(const CrossLevelCampaignConfig &C, std::uint32_t Seed) {
-  Stats::counter("campaign.units").add();
   XLOutcome O;
   std::string Src = generateProgram(Seed, C.Gen);
-  std::string Name = "seed-" + std::to_string(Seed);
-
-  ProgramSweep PS = sweepProgram(Name, Src);
+  ProgramSweep PS = sweepProgram("seed-" + std::to_string(Seed), Src);
   if (!PS.Compiled) {
     O.CompileFail = true;
-    CampaignFailure F;
-    F.Seed = Seed;
-    F.Source = Src;
-    F.Violations = {{ViolationKind::LockstepDiverged, InvalidFunc,
-                     InvalidStmt, "",
-                     "generated program does not compile: " +
-                         PS.CompileError}};
-    O.Failures.push_back(std::move(F));
+    O.Failures.push_back(compileFailure(Seed, true, Src, "", PS.CompileError));
     return O;
   }
   O.Levels = std::move(PS.Levels);
@@ -415,24 +222,18 @@ XLOutcome runXLUnit(const CrossLevelCampaignConfig &C, std::uint32_t Seed) {
     LockstepOptions LO;
     LO.Opts = Spec.Opts;
     LO.Promote = Spec.Promote;
-    LO.MaxStops = C.MaxStops;
-    LO.Fuel = C.Fuel;
+    LO.MaxStops = CrossLevelMaxStops;
     LockstepResult LR = runLockstep(Src, LO);
     ++O.LockstepRuns;
     if (!LR.Compiled) {
       // The sweep compiled this program; a level refusing it now is a
       // pipeline bug worth surfacing as an unsound run.
       ++O.UnsoundRuns;
-      CampaignFailure F;
-      F.Seed = Seed;
-      F.Promote = Spec.Promote;
-      F.Source = Src;
-      F.Level = Spec.Name;
-      F.Violations = {{ViolationKind::LockstepDiverged, InvalidFunc,
-                       InvalidStmt, "",
-                       "compiles in the sweep but not under lockstep: " +
-                           LR.CompileError}};
-      O.Failures.push_back(std::move(F));
+      O.Failures.push_back(makeFailure(
+          Seed, Spec.Promote, Src, Spec.Name,
+          {{ViolationKind::LockstepDiverged, InvalidFunc, InvalidStmt, "",
+            "compiles in the sweep but not under lockstep: " +
+                LR.CompileError}}));
       continue;
     }
 
@@ -446,27 +247,12 @@ XLOutcome runXLUnit(const CrossLevelCampaignConfig &C, std::uint32_t Seed) {
     if (LevelViolations[L].empty())
       continue;
     ++O.UnsoundRuns;
-    CampaignFailure F;
-    F.Seed = Seed;
-    F.Promote = Spec.Promote;
-    F.Source = Src;
-    F.Level = Spec.Name;
-    F.Violations = LevelViolations[L];
-    if (C.Shrink) {
-      ViolationKind Kind = F.Violations.front().Kind;
-      F.Reduced = reduceProgram(
-          Src,
-          [&](const std::string &Cand) {
-            for (const Violation &V :
-                 levelCheck(Cand, Spec, C.MaxStops, C.Fuel))
-              if (V.Kind == Kind && V.Detail.rfind("does not compile", 0) ==
-                                        std::string::npos)
-                return true;
-            return false;
-          },
-          /*MaxChecks=*/400);
-    }
-    O.Failures.push_back(std::move(F));
+    O.Failures.push_back(makeFailure(
+        Seed, Spec.Promote, Src, Spec.Name, LevelViolations[L], C.Shrink,
+        [&](const std::string &S) {
+          return checkProgram(S, Spec.Promote, CrossLevelMaxStops,
+                              &Spec.Opts);
+        }));
   }
 
   // Judge the sweep's candidates against the ground truth at each
@@ -497,7 +283,7 @@ XLOutcome runXLUnit(const CrossLevelCampaignConfig &C, std::uint32_t Seed) {
 CrossLevelCampaignResult
 sldb::runCrossLevelCampaign(const CrossLevelCampaignConfig &C) {
   CrossLevelCampaignResult R;
-  R.ConfigError = configError(C.Seed, C.Count, C.ShardIndex, C.ShardCount);
+  checkConfig(C, "", R.ConfigError);
   if (!R.ConfigError.empty())
     return R;
 
@@ -512,58 +298,30 @@ sldb::runCrossLevelCampaign(const CrossLevelCampaignConfig &C) {
     }
   }
 
-  const ShardRange Shard =
-      Sharder::slice(C.Count, C.ShardIndex, C.ShardCount);
-  const std::size_t NumUnits = Shard.size();
-  auto SeedOfUnit = [&](std::size_t U) {
-    return static_cast<std::uint32_t>(C.Seed + Shard.Begin + U);
-  };
-
-  std::vector<XLOutcome> Out(NumUnits);
-  ThreadPool Pool(C.Jobs ? C.Jobs : ThreadPool::hardwareJobs());
-  std::vector<WorkerStats> WS =
-      Pool.parallelFor(NumUnits, [&](std::size_t U, unsigned) {
-        if (interruptRequested()) {
-          Out[U].Skipped = true;
-          return;
+  runUnits<XLOutcome>(
+      C, R, {"crosslevel"},
+      [&](std::uint32_t Seed, unsigned) { return runXLUnit(C, Seed); },
+      [&](XLOutcome &O) {
+        R.LockstepRuns += O.LockstepRuns;
+        R.UnsoundRuns += O.UnsoundRuns;
+        R.CompileErrors += O.CompileFail;
+        for (std::size_t L = 0; L < O.Levels.size() && L < R.Levels.size();
+             ++L)
+          R.Levels[L].add(O.Levels[L]);
+        // Match by label: a level whose lockstep build failed produced
+        // no conservatism row for this seed, so indices may not align.
+        for (const ConservatismCounts &CC : O.Cons)
+          for (ConservatismCounts &Row : R.Conservatism)
+            if (Row.Level == CC.Level) {
+              Row.add(CC);
+              break;
+            }
+        for (JudgedRegression &J : O.Regs) {
+          R.Unexplained += J.J == JudgedRegression::Judgment::Unexplained;
+          R.Regressions.push_back(std::move(J));
         }
-        Out[U] = runXLUnit(C, SeedOfUnit(U));
+        return true;
       });
-  R.Workers = toCampaignStats(WS, SeedOfUnit);
-
-  std::set<std::string> UsedPaths;
-  for (std::size_t U = 0; U < NumUnits; ++U) {
-    XLOutcome &O = Out[U];
-    if (O.Skipped) {
-      ++R.SkippedUnits;
-      continue;
-    }
-    ++R.Programs;
-    R.LockstepRuns += O.LockstepRuns;
-    R.UnsoundRuns += O.UnsoundRuns;
-    if (O.CompileFail)
-      ++R.CompileErrors;
-    for (std::size_t L = 0; L < O.Levels.size() && L < R.Levels.size(); ++L)
-      R.Levels[L].add(O.Levels[L]);
-    // Match by label: a level whose lockstep build failed produced no
-    // conservatism row for this seed, so indices may not align.
-    for (const ConservatismCounts &CC : O.Cons)
-      for (ConservatismCounts &Row : R.Conservatism)
-        if (Row.Level == CC.Level) {
-          Row.add(CC);
-          break;
-        }
-    for (JudgedRegression &J : O.Regs) {
-      if (J.J == JudgedRegression::Judgment::Unexplained)
-        ++R.Unexplained;
-      R.Regressions.push_back(std::move(J));
-    }
-    for (CampaignFailure &F : O.Failures) {
-      if (C.WriteFailures)
-        F.Path = writeReproducerDeduped(F, C.FailureDir, UsedPaths);
-      R.Failures.push_back(std::move(F));
-    }
-  }
   return R;
 }
 
@@ -595,5 +353,15 @@ sldb::renderCrossLevelCampaignReport(const CrossLevelCampaignResult &R) {
        std::to_string(R.Unexplained) + " unexplained\n";
   for (const JudgedRegression &J : R.Regressions)
     S += "  [" + std::string(judgmentName(J.J)) + "] " + J.R.str() + "\n";
-  return S;
+  return S + renderVerdict(
+                 R, R.sound(),
+                 "cross-level:    OK (no unexplained availability "
+                 "regression, every level sound)",
+                 "cross-level:    FAIL (" + std::to_string(R.Unexplained) +
+                     " unexplained regression(s), " +
+                     std::to_string(R.UnsoundRuns) + " unsound run(s))",
+                 [](const CampaignFailure &F) {
+                   return "level " + F.Level + ": " +
+                          F.Violations.front().str();
+                 });
 }

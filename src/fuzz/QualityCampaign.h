@@ -22,9 +22,8 @@
 ///    *unexplained* — the tier-1 failure), and the measured conservatism
 ///    rate per level (Measure.h ConservatismCounts).
 ///
-/// Both runners follow Campaign.cpp's determinism contract: independent
-/// units in index-keyed slots, merged in seed-major order — reports are
-/// byte-identical for any --jobs value.
+/// Both run on the campaign engine (fuzz/CampaignEngine.h) with its
+/// determinism contract: reports are byte-identical for any --jobs value.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,11 +43,9 @@ namespace sldb {
 // Stepping campaign
 //===----------------------------------------------------------------------===//
 
-struct StepCampaignConfig {
-  std::uint32_t Seed = 1; ///< First seed; program i uses Seed + i.
-  unsigned Count = 200;
-  GenOptions Gen;
-
+/// Stepping campaign parameters.  Each run steps at most 20000
+/// statement-boundary events per build (StepOracleOptions::MaxEvents).
+struct StepCampaignConfig : CampaignBaseConfig {
   /// Run each program twice (promote / frame), as the diff campaign.
   bool BothPromoteModes = true;
   bool Promote = true; ///< Mode for single-mode campaigns.
@@ -57,31 +54,13 @@ struct StepCampaignConfig {
   /// contract — must resolve and be judgeable, one mode, the level's
   /// own promotion).
   std::string Level;
-
-  bool Shrink = true;
-  bool WriteFailures = false;
-  std::string FailureDir = "fuzz-failures";
-
-  unsigned MaxEvents = 20000; ///< Per-build stop-event cap.
-  std::uint64_t Fuel = 50'000'000;
-
-  /// Pool / shard controls (Campaign.h determinism contract).
-  unsigned Jobs = 1;
-  unsigned ShardIndex = 0;
-  unsigned ShardCount = 1;
 };
 
-struct StepCampaignResult {
-  unsigned Programs = 0;
+struct StepCampaignResult : CampaignBaseResult {
   unsigned Runs = 0;           ///< Stepping executions (<= 2x programs).
   unsigned FailedCompiles = 0; ///< Generator bugs: must stay zero.
   unsigned CappedRuns = 0;     ///< Runs exempted from the multiset checks.
   std::uint64_t StmtsChecked = 0; ///< Visit rows judged.
-  std::vector<CampaignFailure> Failures;
-
-  std::string ConfigError;
-  unsigned SkippedUnits = 0; ///< As CampaignResult::SkippedUnits.
-  std::vector<CampaignWorkerStats> Workers;
 
   bool sound() const {
     return Failures.empty() && FailedCompiles == 0 && ConfigError.empty();
@@ -97,7 +76,8 @@ std::vector<Violation> checkStepProgram(const std::string &Src, bool Promote,
                                         unsigned MaxEvents = 20000,
                                         const OptOptions *Opts = nullptr);
 
-/// Deterministic campaign summary (failures render via renderFailure).
+/// Deterministic campaign report: run totals, then the verdict and one
+/// line per failure.
 std::string renderStepCampaignReport(const StepCampaignResult &R);
 
 //===----------------------------------------------------------------------===//
@@ -117,25 +97,11 @@ struct JudgedRegression {
 
 const char *judgmentName(JudgedRegression::Judgment J);
 
-struct CrossLevelCampaignConfig {
-  std::uint32_t Seed = 1;
-  unsigned Count = 200;
-  GenOptions Gen;
+/// Cross-level campaign parameters: one unit per seed, with a lockstep
+/// run of at most 1000 paired stops at every judgeable level.
+struct CrossLevelCampaignConfig : CampaignBaseConfig {};
 
-  bool Shrink = true;
-  bool WriteFailures = false;
-  std::string FailureDir = "fuzz-failures";
-
-  unsigned MaxStops = 1000; ///< Per-lockstep-run observation cap.
-  std::uint64_t Fuel = 50'000'000;
-
-  unsigned Jobs = 1;
-  unsigned ShardIndex = 0;
-  unsigned ShardCount = 1;
-};
-
-struct CrossLevelCampaignResult {
-  unsigned Programs = 0;
+struct CrossLevelCampaignResult : CampaignBaseResult {
   unsigned CompileErrors = 0; ///< Generator bugs: must stay zero.
   unsigned LockstepRuns = 0;  ///< Judgeable-level ground-truth runs.
   unsigned UnsoundRuns = 0;   ///< Runs with any soundness violation.
@@ -149,13 +115,6 @@ struct CrossLevelCampaignResult {
   /// All candidates with judgments, in (seed, point) order.
   std::vector<JudgedRegression> Regressions;
 
-  /// Unsound lockstep runs, shrunk/archived like diff-campaign failures.
-  std::vector<CampaignFailure> Failures;
-
-  std::string ConfigError;
-  unsigned SkippedUnits = 0; ///< As CampaignResult::SkippedUnits.
-  std::vector<CampaignWorkerStats> Workers;
-
   bool sound() const {
     return Unexplained == 0 && UnsoundRuns == 0 && CompileErrors == 0 &&
            ConfigError.empty();
@@ -166,7 +125,8 @@ CrossLevelCampaignResult
 runCrossLevelCampaign(const CrossLevelCampaignConfig &C);
 
 /// Deterministic campaign report: the level quality table, the
-/// conservatism table, and one judged line per regression candidate.
+/// conservatism table, one judged line per regression candidate, then
+/// the verdict and one line per unsound run.
 std::string
 renderCrossLevelCampaignReport(const CrossLevelCampaignResult &R);
 

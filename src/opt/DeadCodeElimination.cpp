@@ -77,7 +77,13 @@ namespace {
 /// rule).  A recovery naming an undefined temporary would lower to a
 /// read of a register nothing writes; drop it so the marker degrades to
 /// plain "dead, value unknown" — conservative, never wrong.
-void clearDanglingRecoveries(IRFunction &F) {
+///
+/// A temporary can have several defs (global CSE reuses one temp for
+/// every occurrence of an expression), so deleting *one* of them is
+/// enough to make the recovery lie: the marker would then read the value
+/// of a surviving def on paths where the deleted one was the reaching
+/// def.  \p Erased marks every temporary that lost a def in this run.
+void clearDanglingRecoveries(IRFunction &F, const std::vector<bool> &Erased) {
   std::vector<bool> Defined(F.NextTemp, false);
   for (const BasicBlock *BB : F.Blocks)
     for (const Instr &I : BB->Insts)
@@ -86,7 +92,8 @@ void clearDanglingRecoveries(IRFunction &F) {
   for (BasicBlock *BB : F.Blocks)
     for (Instr &I : BB->Insts)
       if (I.Op == Opcode::DeadMarker && I.Recovery.isTemp() &&
-          (I.Recovery.Id >= F.NextTemp || !Defined[I.Recovery.Id])) {
+          (I.Recovery.Id >= F.NextTemp || !Defined[I.Recovery.Id] ||
+           Erased[I.Recovery.Id])) {
         I.Recovery = Value();
         I.RecoveryScale = 1;
         I.RecoveryIsIV = false;
@@ -99,22 +106,24 @@ public:
 
   PassResult run(IRFunction &F, IRModule &M, AnalysisManager &AM) override {
     bool Any = false;
+    std::vector<bool> Erased(F.NextTemp, false);
     // Deleting one assignment can kill the uses feeding another; iterate
     // to a fixed point.  Each round erases instructions in place (never
     // terminators), so the block graph — and with it the CFG-shape
     // caches — survives; only the instruction-level results go stale.
-    while (runOnce(F, M, AM)) {
+    while (runOnce(F, M, AM, Erased)) {
       Any = true;
       AM.invalidate(F, PreservedAnalyses::cfgShape());
     }
     if (Any)
-      clearDanglingRecoveries(F);
+      clearDanglingRecoveries(F, Erased);
     return {Any ? PreservedAnalyses::cfgShape() : PreservedAnalyses::all(),
             Any};
   }
 
 private:
-  bool runOnce(IRFunction &F, IRModule &M, AnalysisManager &AM) {
+  bool runOnce(IRFunction &F, IRModule &M, AnalysisManager &AM,
+               std::vector<bool> &Erased) {
     (void)M;
     CFGContext &CFG = AM.getResult<CFGContext>(F);
     ValueIndex &VI = AM.getResult<ValueIndex>(F);
@@ -168,6 +177,8 @@ private:
             demoteUnsoundAvailMarkers(CFG, B, std::next(It), ElimVar);
         } else {
           // Temps and compiler-inserted copies vanish without a trace.
+          if (I.Dest.isTemp() && I.Dest.Id < F.NextTemp)
+            Erased[I.Dest.Id] = true;
           It = BB->Insts.erase(It);
           if (ElimVar != InvalidVar)
             demoteUnsoundAvailMarkers(CFG, B, It, ElimVar);

@@ -84,6 +84,31 @@ TEST(ParallelCampaign, ReportIdenticalAcrossJobCounts) {
   }
 }
 
+TEST(ParallelCampaign, IsolatedPoolAgreesWithInProcessRun) {
+  // Two workers each forking watchdogged children: the isolation layer
+  // must agree with the in-process run on what ran and what failed
+  // (stop, observation and coverage counts are lost to the fork by
+  // design).
+  CampaignConfig C = smallCampaign();
+  CampaignResult InProcess = runCampaign(C);
+  C.Isolate = true;
+  C.Jobs = 2;
+  CampaignResult Isolated = runCampaign(C);
+  ASSERT_TRUE(Isolated.ConfigError.empty()) << Isolated.ConfigError;
+  EXPECT_EQ(Isolated.Programs, InProcess.Programs);
+  EXPECT_EQ(Isolated.Runs, InProcess.Runs);
+  ASSERT_EQ(Isolated.Failures.size(), InProcess.Failures.size());
+  for (std::size_t I = 0; I < Isolated.Failures.size(); ++I) {
+    const CampaignFailure &A = Isolated.Failures[I];
+    const CampaignFailure &B = InProcess.Failures[I];
+    EXPECT_EQ(A.Seed, B.Seed);
+    EXPECT_EQ(A.Promote, B.Promote);
+    ASSERT_EQ(A.Violations.size(), B.Violations.size());
+    for (std::size_t V = 0; V < A.Violations.size(); ++V)
+      EXPECT_EQ(A.Violations[V].str(), B.Violations[V].str());
+  }
+}
+
 TEST(ParallelCampaign, InjectReportIdenticalAcrossJobCounts) {
   InjectCampaignConfig C;
   C.Seed = 3;

@@ -9,7 +9,6 @@
 #include "support/Diagnostics.h"
 #include "support/Sharder.h"
 #include "support/Stats.h"
-#include "support/StringInterner.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
@@ -140,18 +139,6 @@ TEST(BitVector, RandomizedAgainstStdSet) {
   EXPECT_EQ(BV.count(), Ref.size());
   for (unsigned I = 0; I < 512; ++I)
     EXPECT_EQ(BV.test(I), Ref.count(I) != 0) << I;
-}
-
-TEST(StringInterner, InternDedupes) {
-  StringInterner SI;
-  Symbol A = SI.intern("alpha");
-  Symbol B = SI.intern("beta");
-  Symbol A2 = SI.intern("alpha");
-  EXPECT_EQ(A, A2);
-  EXPECT_NE(A, B);
-  EXPECT_EQ(SI.str(A), "alpha");
-  EXPECT_EQ(SI.str(B), "beta");
-  EXPECT_EQ(SI.size(), 2u);
 }
 
 TEST(Diagnostics, CollectsAndFormats) {

@@ -4,8 +4,9 @@
 #
 #   check_trace_schema.sh <sldbc> <sldb-fuzz> <input.mc>
 #
-# Generates a compile+debug trace and a merged campaign trace into a
-# temporary directory and checks, for each document:
+# Generates a compile+debug trace and two merged campaign traces (the
+# differential and the stepping oracle) into a temporary directory and
+# checks, for each document:
 #
 #   * top-level shape: {"traceEvents": [...], "displayTimeUnit": ...};
 #   * per event: required keys (name, cat, ph, ts, pid, tid), ph is one
@@ -38,6 +39,11 @@ trap 'rm -rf "$TMP"' EXIT
 #    deterministic seed-major merge actually has something to merge).
 "$SLDB_FUZZ" --seed 5 --count 6 --jobs 2 --no-write \
   --trace-json "$TMP/campaign.json" >/dev/null
+
+# 3. The same through the stepping oracle: every oracle runs on one
+#    campaign engine, so every campaign writes a trace.
+"$SLDB_FUZZ" --oracle=step --seed 5 --count 4 --jobs 2 --no-write \
+  --trace-json "$TMP/step.json" >/dev/null
 
 validate() {
   python3 - "$1" <<'PYEOF'
@@ -101,3 +107,4 @@ PYEOF
 
 validate "$TMP/compile.json"
 validate "$TMP/campaign.json"
+validate "$TMP/step.json"
