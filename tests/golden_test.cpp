@@ -13,20 +13,33 @@
 /// diff.  Regenerate deliberately (see tests/golden/README note in
 /// DESIGN.md §7) only when an *optimization* change is intended.
 ///
+/// The back-end digest pins what the register allocator, the scheduler
+/// and the residence/recovery tables produce, at every pipeline level,
+/// so a rewrite of the back end's inner loops must stay byte-identical.
+///
 //===----------------------------------------------------------------------===//
 
 #include "codegen/ISel.h"
+#include "eval/Levels.h"
 #include "eval/Programs.h"
 #include "fuzz/Campaign.h"
+#include "fuzz/ProgramGen.h"
 #include "ir/IRGen.h"
 #include "ir/IRPrinter.h"
+#include "ir/Interp.h"
 #include "opt/Pass.h"
+#include "vm/Machine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 using namespace sldb;
 
@@ -122,6 +135,131 @@ TEST(Golden, ArenaRefactorCampaignDigest200) {
   EXPECT_EQ(Dig.str(), readGolden("campaign_digest_200.txt"))
       << "200-seed campaign digest changed: the arena/instruction-pool "
          "refactor altered optimizer decisions or debugger verdicts";
+}
+
+/// 64-bit FNV-1a, fed field by field.
+struct Fnv1a {
+  std::uint64_t H = 0xcbf29ce484222325ull;
+  void bytes(const void *P, std::size_t N) {
+    const auto *B = static_cast<const unsigned char *>(P);
+    for (std::size_t I = 0; I < N; ++I) {
+      H ^= B[I];
+      H *= 0x100000001b3ull;
+    }
+  }
+  void str(const std::string &S) { bytes(S.data(), S.size()); }
+  void num(std::int64_t V) { str(std::to_string(V) + ";"); }
+  void bits(const BitVector &BV) {
+    num(BV.size());
+    for (unsigned I : BV)
+      num(I);
+  }
+};
+
+/// Folds everything the back end produces for \p MF into \p H: the code,
+/// the frame, the statement map and the three debug tables, each table
+/// in key order (the maps are unordered).
+void hashFunction(Fnv1a &H, const MachineFunction &MF,
+                  const ProgramInfo *Info) {
+  H.str(printMachineFunction(MF, Info));
+  H.num(MF.FrameSize);
+  for (std::int32_t A : MF.StmtAddr)
+    H.num(A);
+  std::vector<VarId> Vars;
+  for (const auto &[V, S] : MF.Storage)
+    Vars.push_back(V);
+  std::sort(Vars.begin(), Vars.end());
+  for (VarId V : Vars) {
+    const VarStorage &S = MF.Storage.at(V);
+    H.num(V);
+    H.num(static_cast<int>(S.K));
+    H.num(static_cast<int>(S.R.Cls));
+    H.num(S.R.N);
+    H.num(S.Frame);
+    H.num(static_cast<std::int64_t>(S.GlobalAddr));
+  }
+  Vars.clear();
+  for (const auto &[V, BV] : MF.ResidentAt)
+    Vars.push_back(V);
+  std::sort(Vars.begin(), Vars.end());
+  for (VarId V : Vars) {
+    H.num(V);
+    H.bits(MF.ResidentAt.at(V));
+  }
+  std::vector<std::uint32_t> Markers;
+  for (const auto &[A, BV] : MF.RecoveryValidAt)
+    Markers.push_back(A);
+  std::sort(Markers.begin(), Markers.end());
+  for (std::uint32_t A : Markers) {
+    H.num(A);
+    H.bits(MF.RecoveryValidAt.at(A));
+  }
+}
+
+// Back-end identity: one FNV-1a line per (program, level) over every
+// function's machine code, frame size, statement map, storage, residence
+// and recovery-validity tables, with scheduling on and off folded into
+// the one hash.  Every build must also run to the unoptimized IR's
+// output and exit value.  Inputs: the eight eval programs plus
+// generated programs 1-60 (aliasing grammar on even seeds).
+TEST(Golden, BackendDigest) {
+  std::vector<std::pair<std::string, std::string>> Programs;
+  for (const BenchProgram &P : benchmarkPrograms())
+    Programs.emplace_back(P.Name, P.Source);
+  for (std::uint32_t Seed = 1; Seed <= 60; ++Seed) {
+    GenOptions GO;
+    GO.Alias = Seed % 2 == 0;
+    GO.TopStmts = 10 + Seed % 21;
+    Programs.emplace_back("gen" + std::to_string(Seed),
+                          generateProgram(Seed, GO));
+  }
+
+  std::ostringstream Dig;
+  for (const auto &[Name, Src] : Programs) {
+    DiagnosticEngine Diags;
+    auto Ref = compileToIR(Src, Diags);
+    ASSERT_TRUE(Ref) << Name << ": " << Diags.str();
+    ExecResult Oracle = interpretIR(*Ref);
+    ASSERT_FALSE(Oracle.Trapped) << Name << ": " << Oracle.TrapMsg;
+    for (const LevelSpec &Spec : pipelineLevels()) {
+      SCOPED_TRACE(Name + " at " + Spec.Name);
+      auto M = compileToIR(Src, Diags);
+      ASSERT_TRUE(M);
+      ASSERT_TRUE(runPipelineEx(*M, Spec.Opts, PipelineConfig()).ok());
+      Fnv1a H;
+      for (bool Sched : {true, false}) {
+        CodegenOptions CG;
+        CG.PromoteVars = Spec.Promote;
+        CG.Schedule = Sched;
+        Expected<MachineModule> MM = compileToMachineE(*M, CG);
+        ASSERT_TRUE(MM) << MM.status().str();
+        for (const MachineFunction &MF : MM->Funcs)
+          hashFunction(H, MF, MM->Info);
+        Machine VM(*MM);
+        EXPECT_EQ(VM.run(), StopReason::Exited)
+            << "sched=" << Sched << ": " << VM.trapMessage();
+        EXPECT_EQ(VM.outputText(), Oracle.outputText()) << "sched=" << Sched;
+        EXPECT_EQ(VM.exitValue(), Oracle.ExitValue) << "sched=" << Sched;
+      }
+      char Hex[17];
+      std::snprintf(Hex, sizeof Hex, "%016llx",
+                    static_cast<unsigned long long>(H.H));
+      Dig << Name << " " << Spec.Name << " " << Hex << "\n";
+    }
+  }
+
+  const std::string Path = goldenPath("backend_digest.txt");
+  const char *Update = std::getenv("SLDB_UPDATE_GOLDENS");
+  if (Update && *Update && std::string(Update) != "0") {
+    std::ofstream Out(Path, std::ios::binary);
+    ASSERT_TRUE(Out) << "cannot write " << Path;
+    Out << Dig.str();
+    return;
+  }
+  EXPECT_EQ(Dig.str(), readGolden("backend_digest.txt"))
+      << "back-end output changed: machine code, frame, statement map, "
+         "storage, residence or recovery validity differs from the "
+         "checked-in digest";
 }
 
 } // namespace
