@@ -305,6 +305,21 @@ TEST(FuzzDiff, SharedTempRecoveryRegressionSeedsStaySound) {
   }
 }
 
+TEST(FuzzDiff, SpillRoundsProgramIsSound) {
+  // tests/inputs/spill_rounds_2.mc spills over several allocation
+  // rounds; reused spill-temp numbers once made the optimized build print
+  // wrong values and the debugger show them as current.
+  std::ifstream In(std::string(SLDB_INPUT_DIR) + "/spill_rounds_2.mc");
+  ASSERT_TRUE(In);
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  for (bool Promote : {true, false}) {
+    std::vector<Violation> Vs = checkProgram(Buf.str(), Promote);
+    EXPECT_TRUE(Vs.empty()) << "promote " << Promote << ": "
+                            << (Vs.empty() ? "" : Vs.front().str());
+  }
+}
+
 TEST(FuzzDiff, ReproduceLineNamesTheOraclesCommand) {
   auto ReproduceLine = [](const CampaignFailure &F) {
     std::string S = renderFailure(F);
