@@ -105,9 +105,17 @@ else
 
   # Arena/batch slice: compile the checked-in corpus in one process.
   # --batch resets the module arena between files, so ASan catches any
-  # use-after-reset or slab-lifetime bug in the IR memory model.
+  # use-after-reset or slab-lifetime bug in the IR memory model.  The
+  # corpus includes the spill_rounds programs, whose allocation spills
+  # over several rounds.
   UBSAN_OPTIONS=halt_on_error=1 \
     "$BUILD/tools/sldbc" --batch "$ROOT/tests/inputs"
+
+  # Back end under the oracle: both builds of a multi-round spilling
+  # program and both debuggers, judged with the diff oracle (exits 1 on
+  # any violation).
+  UBSAN_OPTIONS=halt_on_error=1 \
+    "$BUILD/tools/sldb-fuzz" --repro "$ROOT/tests/inputs/spill_rounds_2.mc"
 
   # Quality-oracle slices: the stepping oracle drives the new
   # single-instruction stepping path, and the cross-level sweep runs the
