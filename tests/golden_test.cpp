@@ -16,10 +16,14 @@
 /// The back-end digest pins what the register allocator, the scheduler
 /// and the residence/recovery tables produce, at every pipeline level,
 /// so a rewrite of the back end's inner loops must stay byte-identical.
+/// The classifier digest pins every verdict and path fact the classifier
+/// explains over the same corpus, so a rewrite of its data flow must
+/// stay byte-identical too.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "codegen/ISel.h"
+#include "core/Classifier.h"
 #include "eval/Levels.h"
 #include "eval/Programs.h"
 #include "fuzz/Campaign.h"
@@ -196,13 +200,9 @@ void hashFunction(Fnv1a &H, const MachineFunction &MF,
   }
 }
 
-// Back-end identity: one FNV-1a line per (program, level) over every
-// function's machine code, frame size, statement map, storage, residence
-// and recovery-validity tables, with scheduling on and off folded into
-// the one hash.  Every build must also run to the unoptimized IR's
-// output and exit value.  Inputs: the eight eval programs plus
-// generated programs 1-60 (aliasing grammar on even seeds).
-TEST(Golden, BackendDigest) {
+/// The digest corpus: the eight eval programs plus generated programs
+/// 1-60 (aliasing grammar on even seeds).
+std::vector<std::pair<std::string, std::string>> digestCorpus() {
   std::vector<std::pair<std::string, std::string>> Programs;
   for (const BenchProgram &P : benchmarkPrograms())
     Programs.emplace_back(P.Name, P.Source);
@@ -213,9 +213,41 @@ TEST(Golden, BackendDigest) {
     Programs.emplace_back("gen" + std::to_string(Seed),
                           generateProgram(Seed, GO));
   }
+  return Programs;
+}
 
-  std::ostringstream Dig;
-  for (const auto &[Name, Src] : Programs) {
+/// One digest line: "<program> <level> <hash>".
+std::string digestLine(const std::string &Name, const LevelSpec &Spec,
+                       const Fnv1a &H) {
+  char Hex[17];
+  std::snprintf(Hex, sizeof Hex, "%016llx",
+                static_cast<unsigned long long>(H.H));
+  return Name + " " + Spec.Name + " " + Hex + "\n";
+}
+
+/// Compares \p Dig with golden \p Name, or rewrites the golden when
+/// SLDB_UPDATE_GOLDENS is set.
+void checkDigest(const std::string &Dig, const std::string &Name,
+                 const char *Changed) {
+  const std::string Path = goldenPath(Name);
+  const char *Update = std::getenv("SLDB_UPDATE_GOLDENS");
+  if (Update && *Update && std::string(Update) != "0") {
+    std::ofstream Out(Path, std::ios::binary);
+    ASSERT_TRUE(Out) << "cannot write " << Path;
+    Out << Dig;
+    return;
+  }
+  EXPECT_EQ(Dig, readGolden(Name)) << Changed;
+}
+
+// Back-end identity: one FNV-1a line per (program, level) over every
+// function's machine code, frame size, statement map, storage, residence
+// and recovery-validity tables, with scheduling on and off folded into
+// the one hash.  Every build must also run to the unoptimized IR's
+// output and exit value.
+TEST(Golden, BackendDigest) {
+  std::string Dig;
+  for (const auto &[Name, Src] : digestCorpus()) {
     DiagnosticEngine Diags;
     auto Ref = compileToIR(Src, Diags);
     ASSERT_TRUE(Ref) << Name << ": " << Diags.str();
@@ -241,25 +273,83 @@ TEST(Golden, BackendDigest) {
         EXPECT_EQ(VM.outputText(), Oracle.outputText()) << "sched=" << Sched;
         EXPECT_EQ(VM.exitValue(), Oracle.ExitValue) << "sched=" << Sched;
       }
-      char Hex[17];
-      std::snprintf(Hex, sizeof Hex, "%016llx",
-                    static_cast<unsigned long long>(H.H));
-      Dig << Name << " " << Spec.Name << " " << Hex << "\n";
+      Dig += digestLine(Name, Spec, H);
     }
   }
+  checkDigest(Dig, "backend_digest.txt",
+              "back-end output changed: machine code, frame, statement map, "
+              "storage, residence or recovery validity differs from the "
+              "checked-in digest");
+}
 
-  const std::string Path = goldenPath("backend_digest.txt");
-  const char *Update = std::getenv("SLDB_UPDATE_GOLDENS");
-  if (Update && *Update && std::string(Update) != "0") {
-    std::ofstream Out(Path, std::ios::binary);
-    ASSERT_TRUE(Out) << "cannot write " << Path;
-    Out << Dig.str();
-    return;
+/// Folds the verdict and every path fact of \p E into \p H (the rendered
+/// strings other than the rule are left out: explain goldens pin them).
+void hashExplanation(Fnv1a &H, const Explanation &E) {
+  const Classification &C = E.Result;
+  const MRecovery &R = C.Recovery;
+  for (std::int64_t V :
+       {std::int64_t(C.Kind), std::int64_t(C.Cause),
+        std::int64_t(C.CulpritStmt), std::int64_t(C.Recoverable),
+        std::int64_t(R.K), R.Imm, std::int64_t(R.R.Cls),
+        std::int64_t(R.R.N), std::int64_t(R.Frame), R.Scale,
+        std::int64_t(R.IsIV), std::int64_t(R.SrcVreg.Cls),
+        std::int64_t(R.SrcVreg.N), std::int64_t(R.SrcVar),
+        std::int64_t(C.Degraded), std::int64_t(E.InitTracked),
+        std::int64_t(E.InitReached)})
+    H.num(V);
+  H.bytes(&R.FImm, sizeof R.FImm);
+  for (const Explanation::HoistFact &F : E.Hoists)
+    for (std::int64_t V : {std::int64_t(F.Key), std::int64_t(F.SomePath),
+                           std::int64_t(F.AllPath)})
+      H.num(V);
+  H.str("|");
+  for (const Explanation::DeadFact &F : E.Deads)
+    for (std::int64_t V :
+         {std::int64_t(F.Marker), std::int64_t(F.MarkerAddr),
+          std::int64_t(F.SomePath), std::int64_t(F.AllPath),
+          std::int64_t(F.RecoveryValidHere)})
+      H.num(V);
+  H.num(E.RecoveryAttempted);
+  H.num(E.Resident);
+  H.str(E.Rule);
+}
+
+// Classifier identity: one FNV-1a line per (program, level) over the
+// explanation of every local and global of every function at every
+// address, the past-the-end one included, with scheduling on and off
+// folded into the one hash.
+TEST(Golden, ClassifierDigest) {
+  std::string Dig;
+  for (const auto &[Name, Src] : digestCorpus()) {
+    DiagnosticEngine Diags;
+    for (const LevelSpec &Spec : pipelineLevels()) {
+      SCOPED_TRACE(Name + " at " + Spec.Name);
+      auto M = compileToIR(Src, Diags);
+      ASSERT_TRUE(M) << Diags.str();
+      ASSERT_TRUE(runPipelineEx(*M, Spec.Opts, PipelineConfig()).ok());
+      Fnv1a H;
+      for (bool Sched : {true, false}) {
+        CodegenOptions CG;
+        CG.PromoteVars = Spec.Promote;
+        CG.Schedule = Sched;
+        Expected<MachineModule> MM = compileToMachineE(*M, CG);
+        ASSERT_TRUE(MM) << MM.status().str();
+        const ProgramInfo &Info = *MM->Info;
+        for (const MachineFunction &MF : MM->Funcs) {
+          Classifier C(MF, Info);
+          std::vector<VarId> Vars = Info.func(MF.Id).Locals;
+          Vars.insert(Vars.end(), Info.Globals.begin(), Info.Globals.end());
+          for (std::uint32_t A = 0; A <= MF.numInstrs(); ++A)
+            for (VarId V : Vars)
+              hashExplanation(H, C.explain(A, V));
+        }
+      }
+      Dig += digestLine(Name, Spec, H);
+    }
   }
-  EXPECT_EQ(Dig.str(), readGolden("backend_digest.txt"))
-      << "back-end output changed: machine code, frame, statement map, "
-         "storage, residence or recovery validity differs from the "
-         "checked-in digest";
+  checkDigest(Dig, "classifier_digest.txt",
+              "classifier output changed: a verdict, recovery, or init, "
+              "hoist or dead path fact differs from the checked-in digest");
 }
 
 } // namespace
