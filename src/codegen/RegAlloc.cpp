@@ -6,7 +6,7 @@
 
 #include "codegen/RegAlloc.h"
 
-#include "analysis/Dataflow.h"
+#include "codegen/MachineFlow.h"
 
 #include <algorithm>
 #include <bit>
@@ -764,90 +764,6 @@ private:
   std::vector<unsigned> Start, Facts;
 };
 
-/// One decision of the final code about a debug-table fact: the
-/// instruction at Addr makes the fact hold (Set) or not, whatever held
-/// before.
-struct Decision {
-  std::uint32_t Addr;
-  unsigned Fact;
-  bool Set;
-};
-
-/// Solves the forward all-paths problem over the final code of \p MF
-/// whose transfer is \p Log (decisions in address order; an instruction
-/// keeps every fact it does not decide) and returns, per fact, the
-/// addresses where it holds.
-std::vector<BitVector> solveForwardMust(const MachineFunction &MF,
-                                        unsigned Universe,
-                                        const std::vector<Decision> &Log,
-                                        std::uint32_t Total) {
-  const unsigned NB = static_cast<unsigned>(MF.Blocks.size());
-  std::vector<std::vector<unsigned>> Preds(NB), Succs(NB);
-  std::vector<unsigned> Exits;
-  for (unsigned B = 0; B < NB; ++B) {
-    Succs[B].assign(MF.Blocks[B].Succs.begin(), MF.Blocks[B].Succs.end());
-    Preds[B].assign(MF.Blocks[B].Preds.begin(), MF.Blocks[B].Preds.end());
-    if (!MF.Blocks[B].Insts.empty() &&
-        MF.Blocks[B].Insts.back().Op == MOp::RET)
-      Exits.push_back(B);
-  }
-  auto EndOf = [&](unsigned B) {
-    return MF.BlockAddr[B] + MF.Blocks[B].Insts.size();
-  };
-
-  DataflowProblem P;
-  P.Dir = FlowDir::Forward;
-  P.Meet = FlowMeet::Intersect;
-  P.Universe = Universe;
-  P.Gen.assign(NB, BitVector(Universe));
-  P.Kill.assign(NB, BitVector(Universe));
-  P.Boundary = BitVector(Universe);
-  // Each decision is a constant set or reset, so Gen = facts set last in
-  // the block and Kill = facts reset last: Out = (In - Kill) | Gen
-  // reproduces the per-instruction walk.
-  std::size_t E = 0;
-  for (unsigned B = 0; B < NB; ++B)
-    for (; E < Log.size() && Log[E].Addr < EndOf(B); ++E) {
-      const Decision &X = Log[E];
-      if (X.Set) {
-        P.Gen[B].set(X.Fact);
-        P.Kill[B].reset(X.Fact);
-      } else {
-        P.Gen[B].reset(X.Fact);
-        P.Kill[B].set(X.Fact);
-      }
-    }
-  DataflowResult R = solveDataflowGeneric(NB, Preds, Succs, Exits, P);
-
-  // Follow each block's state from its entry solution through its
-  // decisions and record every run of addresses where a fact holds.
-  std::vector<BitVector> At(Universe, BitVector(Total));
-  std::vector<std::uint32_t> RunStart(Universe);
-  auto EndRun = [&](unsigned F, std::uint32_t End) {
-    for (std::uint32_t A = RunStart[F]; A < End; ++A)
-      At[F].set(A);
-  };
-  E = 0;
-  for (unsigned B = 0; B < NB; ++B) {
-    BitVector &State = R.In[B];
-    for (unsigned F : State)
-      RunStart[F] = MF.BlockAddr[B];
-    for (; E < Log.size() && Log[E].Addr < EndOf(B); ++E) {
-      const Decision &X = Log[E];
-      if (X.Set && !State.test(X.Fact)) {
-        State.set(X.Fact);
-        RunStart[X.Fact] = X.Addr + 1;
-      } else if (!X.Set && State.test(X.Fact)) {
-        State.reset(X.Fact);
-        EndRun(X.Fact, X.Addr + 1);
-      }
-    }
-    for (unsigned F : State)
-      EndRun(F, EndOf(B));
-  }
-  return At;
-}
-
 } // namespace
 
 void Allocator::computeDebugTables() {
@@ -991,8 +907,10 @@ void Allocator::computeDebugTables() {
         Log.push_back({Addr, NextPlain++, true});
       ++Addr;
     }
-  std::vector<BitVector> At = solveForwardMust(
-      MF, static_cast<unsigned>(Facts.size()), Log, Total);
+  std::vector<BitVector> At =
+      MachineFlow(MF, static_cast<unsigned>(Facts.size()), std::move(Log),
+                  FlowMeet::Intersect)
+          .expand();
 
   for (unsigned Idx = 0; Idx < RegVars.size(); ++Idx)
     MF.ResidentAt[RegVars[Idx]] = std::move(At[Idx]);

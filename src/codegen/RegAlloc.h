@@ -23,11 +23,12 @@
 /// (physical registers, selection vregs, spill temps) and keeps the
 /// interference graph as a flat bit matrix; every decision is ordered by
 /// register number, so the numbering never shows in the output.  The
-/// debug tables come from one forward all-paths bit-vector solve over the
-/// final code with one bit per fact — residence of a register-homed
-/// variable, ownership of a recovery register by its source vreg, and
-/// validity of a plain recovery marker — each fact indexed by its
-/// physical register, so a def touches only its own register's bits.
+/// debug tables are one forward all-paths problem over the final code,
+/// stated as a codegen/MachineFlow.h decision log with one bit per fact —
+/// residence of a register-homed variable, ownership of a recovery
+/// register by its source vreg, and validity of a plain recovery marker —
+/// each fact indexed by its physical register, so a def decides only its
+/// own register's bits.
 ///
 //===----------------------------------------------------------------------===//
 

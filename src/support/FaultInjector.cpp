@@ -10,7 +10,6 @@ namespace sldb {
 
 thread_local FaultId FaultInjector::Cur = FaultId::None;
 thread_local FaultId FaultInjector::Suspended = FaultId::None;
-thread_local std::uint64_t FaultInjector::Gen = 0;
 thread_local std::uint64_t FaultInjector::Rng = 0;
 
 const std::vector<FaultPoint> &FaultInjector::points() {
@@ -56,13 +55,11 @@ void FaultInjector::arm(FaultId Id, std::uint32_t Seed) {
   // splitmix64-style scramble so nearby seeds give unrelated streams.
   Rng = (static_cast<std::uint64_t>(Seed) << 17) ^ 0x9e3779b97f4a7c15ull ^
         (static_cast<std::uint64_t>(Id) << 40);
-  ++Gen;
 }
 
 void FaultInjector::disarm() {
   Cur = FaultId::None;
   Suspended = FaultId::None;
-  ++Gen;
 }
 
 std::uint32_t FaultInjector::rand() {
@@ -75,7 +72,6 @@ void FaultInjector::suspend() {
     return;
   Suspended = Cur;
   Cur = FaultId::None;
-  ++Gen;
 }
 
 void FaultInjector::resume() {
@@ -83,7 +79,6 @@ void FaultInjector::resume() {
     return;
   Cur = Suspended;
   Suspended = FaultId::None;
-  ++Gen;
 }
 
 } // namespace sldb

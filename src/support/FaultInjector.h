@@ -29,8 +29,8 @@
 /// nothing is armed beyond a TLS load and an enum compare.
 ///
 /// Thread-ownership rule (parallel campaigns): all armed-fault state —
-/// the current fault, the suspended fault, the PRNG stream, and the
-/// generation counter — is `thread_local`.  The thread that arms a fault
+/// the current fault, the suspended fault and the PRNG stream — is
+/// `thread_local`.  The thread that arms a fault
 /// owns it: only that thread sees `armed()` return true, only that
 /// thread's `suspend()/resume()` window affects it, and the compile/run
 /// work for a (seed, fault) unit must therefore stay on the arming
@@ -97,12 +97,6 @@ public:
   /// Next value of the armed fault's PRNG stream (victim selection).
   static std::uint32_t rand();
 
-  /// Monotonic per-thread counter bumped by every arm/disarm/suspend/
-  /// resume; caches keyed on classifier-visible fault state use it as
-  /// their tag.  (Classifier instances are thread-confined, so a
-  /// per-thread counter tags them correctly.)
-  static std::uint64_t generation() { return Gen; }
-
   /// Temporarily disarms on the calling thread (e.g. while compiling the
   /// oracle build in lockstep, which must stay pristine); resume()
   /// restores.  A suspend window never touches other threads' faults.
@@ -112,7 +106,6 @@ public:
 private:
   static thread_local FaultId Cur;
   static thread_local FaultId Suspended;
-  static thread_local std::uint64_t Gen;
   static thread_local std::uint64_t Rng;
 };
 
