@@ -22,67 +22,6 @@ using namespace sldb;
 
 namespace {
 
-/// Folds the integer operation \p Op over \p A, \p B; returns false if the
-/// fold is not possible (division by zero stays as a runtime trap).
-bool foldInt(Opcode Op, std::int64_t A, std::int64_t B, std::int64_t &Out) {
-  switch (Op) {
-  case Opcode::Add:
-    Out = intarith::add(A, B);
-    return true;
-  case Opcode::Sub:
-    Out = intarith::sub(A, B);
-    return true;
-  case Opcode::Mul:
-    Out = intarith::mul(A, B);
-    return true;
-  case Opcode::Div:
-    if (B == 0)
-      return false;
-    Out = A / B;
-    return true;
-  case Opcode::Rem:
-    if (B == 0)
-      return false;
-    Out = A % B;
-    return true;
-  case Opcode::And:
-    Out = A & B;
-    return true;
-  case Opcode::Or:
-    Out = A | B;
-    return true;
-  case Opcode::Xor:
-    Out = A ^ B;
-    return true;
-  case Opcode::Shl:
-    Out = A << (B & 63);
-    return true;
-  case Opcode::Shr:
-    Out = A >> (B & 63);
-    return true;
-  case Opcode::CmpEQ:
-    Out = A == B;
-    return true;
-  case Opcode::CmpNE:
-    Out = A != B;
-    return true;
-  case Opcode::CmpLT:
-    Out = A < B;
-    return true;
-  case Opcode::CmpLE:
-    Out = A <= B;
-    return true;
-  case Opcode::CmpGT:
-    Out = A > B;
-    return true;
-  case Opcode::CmpGE:
-    Out = A >= B;
-    return true;
-  default:
-    return false;
-  }
-}
-
 bool foldDouble(Opcode Op, double A, double B, double &DOut,
                 std::int64_t &IOut, bool &IsCmp) {
   IsCmp = false;
@@ -158,7 +97,7 @@ private:
       const Value &A = I.Ops[0], &B = I.Ops[1];
       if (A.isConstInt() && B.isConstInt()) {
         std::int64_t Out;
-        if (foldInt(I.Op, A.IntVal, B.IntVal, Out)) {
+        if (intarith::fold(I.Op, A.IntVal, B.IntVal, Out)) {
           becomeCopy(I, Value::constInt(Out));
           return true;
         }
@@ -178,16 +117,14 @@ private:
       return simplifyAlgebraic(I);
     }
     // Unary folding.
-    if (I.Op == Opcode::Neg && I.Ops[0].isConstInt()) {
-      becomeCopy(I, Value::constInt(intarith::neg(I.Ops[0].IntVal)));
+    std::int64_t Out;
+    if (I.Ops.size() == 1 && I.Ops[0].isConstInt() &&
+        intarith::fold(I.Op, I.Ops[0].IntVal, Out)) {
+      becomeCopy(I, Value::constInt(Out));
       return true;
     }
     if (I.Op == Opcode::Neg && I.Ops[0].isConstDouble()) {
       becomeCopy(I, Value::constDouble(-I.Ops[0].DblVal));
-      return true;
-    }
-    if (I.Op == Opcode::Not && I.Ops[0].isConstInt()) {
-      becomeCopy(I, Value::constInt(~I.Ops[0].IntVal));
       return true;
     }
     if (I.Op == Opcode::CastItoD && I.Ops[0].isConstInt()) {

@@ -31,67 +31,6 @@ using namespace sldb;
 
 namespace {
 
-/// Same integer fold semantics as LocalSimplify (division by zero stays
-/// a runtime trap; shifts mask to 63).
-bool foldInt(Opcode Op, std::int64_t A, std::int64_t B, std::int64_t &Out) {
-  switch (Op) {
-  case Opcode::Add:
-    Out = intarith::add(A, B);
-    return true;
-  case Opcode::Sub:
-    Out = intarith::sub(A, B);
-    return true;
-  case Opcode::Mul:
-    Out = intarith::mul(A, B);
-    return true;
-  case Opcode::Div:
-    if (B == 0)
-      return false;
-    Out = A / B;
-    return true;
-  case Opcode::Rem:
-    if (B == 0)
-      return false;
-    Out = A % B;
-    return true;
-  case Opcode::And:
-    Out = A & B;
-    return true;
-  case Opcode::Or:
-    Out = A | B;
-    return true;
-  case Opcode::Xor:
-    Out = A ^ B;
-    return true;
-  case Opcode::Shl:
-    Out = A << (B & 63);
-    return true;
-  case Opcode::Shr:
-    Out = A >> (B & 63);
-    return true;
-  case Opcode::CmpEQ:
-    Out = A == B;
-    return true;
-  case Opcode::CmpNE:
-    Out = A != B;
-    return true;
-  case Opcode::CmpLT:
-    Out = A < B;
-    return true;
-  case Opcode::CmpLE:
-    Out = A <= B;
-    return true;
-  case Opcode::CmpGT:
-    Out = A > B;
-    return true;
-  case Opcode::CmpGE:
-    Out = A >= B;
-    return true;
-  default:
-    return false;
-  }
-}
-
 /// Bounds one run like the pipeline's propagation clusters.
 constexpr unsigned MaxRounds = 4;
 
@@ -114,22 +53,18 @@ public:
         for (Instr &I : CFG.block(B)->Insts) {
           if (!I.Dest.isTemp() || !DU.singleDef(I.Dest.Id))
             continue;
-          if (isBinaryOp(I.Op) && I.Ops[0].isConstInt() &&
-              I.Ops[1].isConstInt()) {
-            std::int64_t Out;
-            if (foldInt(I.Op, I.Ops[0].IntVal, I.Ops[1].IntVal, Out)) {
-              I.Op = Opcode::Copy;
-              I.Ops.clear();
-              I.Ops.push_back(Value::constInt(Out));
-              Changed = true;
-            }
-          } else if (I.Op == Opcode::Neg && I.Ops[0].isConstInt()) {
+          std::int64_t Out;
+          const bool Folded =
+              isBinaryOp(I.Op)
+                  ? I.Ops[0].isConstInt() && I.Ops[1].isConstInt() &&
+                        intarith::fold(I.Op, I.Ops[0].IntVal,
+                                       I.Ops[1].IntVal, Out)
+                  : I.Ops.size() == 1 && I.Ops[0].isConstInt() &&
+                        intarith::fold(I.Op, I.Ops[0].IntVal, Out);
+          if (Folded) {
             I.Op = Opcode::Copy;
-            I.Ops[0] = Value::constInt(intarith::neg(I.Ops[0].IntVal));
-            Changed = true;
-          } else if (I.Op == Opcode::Not && I.Ops[0].isConstInt()) {
-            I.Op = Opcode::Copy;
-            I.Ops[0] = Value::constInt(!I.Ops[0].IntVal);
+            I.Ops.clear();
+            I.Ops.push_back(Value::constInt(Out));
             Changed = true;
           }
         }
