@@ -6,6 +6,8 @@
 
 #include "core/Debugger.h"
 
+#include "ir/IntArith.h"
+
 using namespace sldb;
 
 Debugger::Debugger(const MachineModule &MM, std::uint64_t MaxSteps)
@@ -131,7 +133,7 @@ bool Debugger::readRecovery(const MRecovery &R, std::int64_t &I, double &D,
       D = VM.readFpReg(R.R.N);
       IsDouble = true;
     } else {
-      I = VM.readIntReg(R.R.N) / (R.Scale == 0 ? 1 : R.Scale);
+      I = intarith::div(VM.readIntReg(R.R.N), R.Scale == 0 ? 1 : R.Scale);
       IsDouble = false;
     }
     return true;
@@ -146,7 +148,7 @@ bool Debugger::readRecovery(const MRecovery &R, std::int64_t &I, double &D,
       return true;
     }
     std::size_t Addr = VM.framePointer() + static_cast<std::size_t>(R.Frame);
-    I = VM.readMemInt(Addr) / (R.Scale == 0 ? 1 : R.Scale);
+    I = intarith::div(VM.readMemInt(Addr), R.Scale == 0 ? 1 : R.Scale);
     IsDouble = false;
     return true;
   }

@@ -274,14 +274,14 @@ void Interpreter::execute(const Instr &I, Frame &Fr, bool &Advanced) {
         trap("integer division by zero");
         return;
       }
-      Z = X / Y;
+      Z = intarith::div(X, Y);
       break;
     case Opcode::Rem:
       if (Y == 0) {
         trap("integer remainder by zero");
         return;
       }
-      Z = X % Y;
+      Z = intarith::rem(X, Y);
       break;
     default:
       break;

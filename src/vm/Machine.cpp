@@ -166,19 +166,29 @@ void Machine::exec(const MInstr &I) {
   case MOp::MUL:
     *RD = intarith::mul(RS0(), RS1());
     break;
+  // One divisor test on the fast path: as unsigned, divisor + 1 <= 1
+  // picks out 0 and -1, the two divisors the host cannot divide by.
   case MOp::DIV:
-    if (RS1() == 0) {
-      trap("integer division by zero");
-      return;
+    if (static_cast<std::uint64_t>(RS1()) + 1 <= 1) {
+      if (RS1() == 0) {
+        trap("integer division by zero");
+        return;
+      }
+      *RD = intarith::div(RS0(), RS1());
+    } else {
+      *RD = RS0() / RS1();
     }
-    *RD = RS0() / RS1();
     break;
   case MOp::REM:
-    if (RS1() == 0) {
-      trap("integer remainder by zero");
-      return;
+    if (static_cast<std::uint64_t>(RS1()) + 1 <= 1) {
+      if (RS1() == 0) {
+        trap("integer remainder by zero");
+        return;
+      }
+      *RD = intarith::rem(RS0(), RS1());
+    } else {
+      *RD = RS0() % RS1();
     }
-    *RD = RS0() % RS1();
     break;
   case MOp::AND:
     *RD = RS0() & RS1();

@@ -54,9 +54,11 @@ std::vector<std::string> crashCorpus() {
 
 /// Runs sldbc on \p File, returns the raw wait status (-1 on spawn
 /// failure).  Output is discarded; only the exit discipline matters.
+/// The shell execs sldbc, so a signal that kills it shows in the status
+/// instead of becoming the shell's exit code 128 + signal.
 int runSldbc(const std::string &File, const std::string &ExtraArgs) {
-  std::string Cmd = std::string("'") + SLDB_SLDBC_PATH + "' " + ExtraArgs +
-                    " '" + File + "' > /dev/null 2>&1";
+  std::string Cmd = std::string("exec '") + SLDB_SLDBC_PATH + "' " +
+                    ExtraArgs + " '" + File + "' > /dev/null 2>&1";
   return std::system(Cmd.c_str());
 }
 
