@@ -50,40 +50,50 @@ bool sldb::instrMayReadVar(const Instr &I, const VarInfo &V) {
 ValueIndex::ValueIndex(const IRFunction &F, const ProgramInfo &Info) {
   VarIdx.assign(Info.Vars.size(), ~0u);
   TempIdx.assign(F.NextTemp, ~0u);
+  // One walk.  Variables take the low indices (isVarIndex() answers by
+  // range) and are numbered as they appear; temps are numbered in order
+  // of appearance from 0 and shifted past the variables afterwards.
+  unsigned NumTemps = 0;
   auto AddVar = [&](VarId Id) {
     if (Id == InvalidVar || VarIdx[Id] != ~0u)
       return;
-    if (!Info.var(Id).isScalar())
+    const VarInfo &V = Info.var(Id);
+    if (!V.isScalar())
       return;
-    VarIdx[Id] = Count++;
+    VarIdx[Id] = static_cast<unsigned>(Vars.size());
     Vars.push_back(Id);
+    if (!V.isPromotable()) // Address-taken or global.
+      MemVars.push_back(Id);
   };
-  // First pass: collect variables (they occupy the low indices so
-  // isVarIndex() can answer by range).
+  auto AddTemp = [&](TempId Id) {
+    if (TempIdx[Id] == ~0u)
+      TempIdx[Id] = NumTemps++;
+  };
   for (VarId P : F.Params)
     AddVar(P);
   for (const auto &B : F.Blocks)
     for (const Instr &I : B->Insts) {
       if (I.Dest.isVar())
         AddVar(I.Dest.Id);
+      else if (I.Dest.isTemp())
+        AddTemp(I.Dest.Id);
       for (const Value &V : I.Ops)
         if (V.isVar())
           AddVar(V.Id);
+        else if (V.isTemp())
+          AddTemp(V.Id);
       if (I.MarkVar != InvalidVar)
         AddVar(I.MarkVar);
       if (I.Recovery.isVar())
         AddVar(I.Recovery.Id);
+      else if (I.Recovery.isTemp())
+        AddTemp(I.Recovery.Id);
     }
   // Globals referenced nowhere still matter for scope queries; callers
-  // handle those separately.  Second pass: temps.
-  for (const auto &B : F.Blocks)
-    for (const Instr &I : B->Insts) {
-      if (I.Dest.isTemp() && TempIdx[I.Dest.Id] == ~0u)
-        TempIdx[I.Dest.Id] = Count++;
-      for (const Value &V : I.Ops)
-        if (V.isTemp() && TempIdx[V.Id] == ~0u)
-          TempIdx[V.Id] = Count++;
-      if (I.Recovery.isTemp() && TempIdx[I.Recovery.Id] == ~0u)
-        TempIdx[I.Recovery.Id] = Count++;
-    }
+  // handle those separately.
+  const unsigned NumVars = static_cast<unsigned>(Vars.size());
+  for (unsigned &Idx : TempIdx)
+    if (Idx != ~0u)
+      Idx += NumVars;
+  Count = NumVars + NumTemps;
 }

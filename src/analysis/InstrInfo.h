@@ -83,8 +83,15 @@ public:
     return ~0u;
   }
 
-  /// All tracked variables (for iterating may-def sets).
+  /// All tracked variables.
   const std::vector<VarId> &trackedVars() const { return Vars; }
+
+  /// The tracked variables a Store, Load, Call or Ret may touch other
+  /// than by name: the address-taken scalars and the globals, in
+  /// trackedVars() order.  No other variable can satisfy
+  /// instrMayClobberVar/instrMayReadVar or their AliasInfo refinements,
+  /// so the may-def/may-use loops iterate only these.
+  const std::vector<VarId> &memoryVars() const { return MemVars; }
 
   /// Reverse lookup: returns true + fills \p V if index \p Idx is a var.
   bool isVarIndex(unsigned Idx, VarId &V) const {
@@ -102,6 +109,7 @@ private:
   std::vector<unsigned> VarIdx;
   std::vector<unsigned> TempIdx;
   std::vector<VarId> Vars;
+  std::vector<VarId> MemVars;
   unsigned Count = 0;
 };
 

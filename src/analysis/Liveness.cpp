@@ -20,7 +20,7 @@ void Liveness::transfer(const Instr &I, BitVector &Live) const {
   });
   // May-uses (loads/calls reading address-taken or global scalars).
   if (I.Op == Opcode::Load || I.Op == Opcode::Call || I.Op == Opcode::Ret) {
-    for (VarId V : VI.trackedVars())
+    for (VarId V : VI.memoryVars())
       if (AI.mayRead(I, V))
         Live.set(VI.varIndex(V));
   }
@@ -30,43 +30,28 @@ void Liveness::transfer(const Instr &I, BitVector &Live) const {
 
 Liveness::Liveness(const CFGContext &CFG, const ValueIndex &VI,
                    const ProgramInfo &Info, const AliasInfo &AI)
-    : CFG(CFG), VI(VI), Info(Info), AI(AI) {
+    : CFG(CFG), VI(VI), AI(AI) {
   DataflowProblem P;
   P.Dir = FlowDir::Backward;
   P.Meet = FlowMeet::Union;
   P.init(CFG, VI.size());
 
   // Globals are live at function exits (the caller may read them).
-  for (VarId V : VI.trackedVars())
+  for (VarId V : VI.memoryVars())
     if (Info.var(V).Storage == StorageKind::Global)
       P.Boundary.set(VI.varIndex(V));
 
   for (unsigned B = 0; B < CFG.numBlocks(); ++B) {
     // Compute Gen (upward-exposed uses) and Kill (defs) by a backward
     // walk so that Out - Kill + Gen == In for the whole block.
-    BitVector Gen(VI.size()), Kill(VI.size());
+    BitVector &Gen = P.Gen[B], &Kill = P.Kill[B];
     const BasicBlock *BB = CFG.block(B);
     for (auto It = BB->Insts.rbegin(); It != BB->Insts.rend(); ++It) {
-      const Instr &I = *It;
-      unsigned DestIdx = VI.valueIndex(I.Dest);
-      if (DestIdx != ~0u) {
-        Gen.reset(DestIdx);
+      unsigned DestIdx = VI.valueIndex(It->Dest);
+      if (DestIdx != ~0u)
         Kill.set(DestIdx);
-      }
-      forEachUse(I, [&](const Value &U) {
-        unsigned Idx = VI.valueIndex(U);
-        if (Idx != ~0u)
-          Gen.set(Idx);
-      });
-      if (I.Op == Opcode::Load || I.Op == Opcode::Call ||
-          I.Op == Opcode::Ret) {
-        for (VarId V : VI.trackedVars())
-          if (AI.mayRead(I, V))
-            Gen.set(VI.varIndex(V));
-      }
+      transfer(*It, Gen);
     }
-    P.Gen[B] = std::move(Gen);
-    P.Kill[B] = std::move(Kill);
   }
   R = solveDataflow(CFG, P);
 }

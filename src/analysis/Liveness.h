@@ -48,7 +48,6 @@ public:
 private:
   const CFGContext &CFG;
   const ValueIndex &VI;
-  const ProgramInfo &Info;
   const AliasInfo &AI;
   DataflowResult R;
 };

@@ -9,26 +9,24 @@
 using namespace sldb;
 
 ReachingDefs::ReachingDefs(const CFGContext &CFG, const ValueIndex &VI,
-                           const ProgramInfo &Info, const AliasInfo &AI)
-    : VI(VI), Info(Info), AI(AI) {
-  // Enumerate real definition sites.
-  for (unsigned B = 0; B < CFG.numBlocks(); ++B)
+                           const ProgramInfo &, const AliasInfo &AI)
+    : VI(VI), AI(AI) {
+  const unsigned NV = VI.size(), NB = CFG.numBlocks();
+  // Count each value's real definitions, then lay the ranges out: value
+  // v's real definitions, then its unknown definition.
+  DefStart.assign(NV + 1, 0);
+  for (unsigned B = 0; B < NB; ++B)
     for (const Instr &I : CFG.block(B)->Insts) {
-      unsigned DIdx = VI.valueIndex(I.Dest);
-      if (DIdx == ~0u)
-        continue;
-      DefOfInstr[&I] = static_cast<unsigned>(Defs.size());
-      Defs.push_back({&I, B, DIdx});
+      unsigned V = VI.valueIndex(I.Dest);
+      if (V != ~0u)
+        ++DefStart[V + 1];
     }
-  UnknownBase = static_cast<unsigned>(Defs.size());
-  // One pseudo unknown-def per tracked value.
-  for (unsigned V = 0; V < VI.size(); ++V)
-    Defs.push_back({nullptr, 0, V});
-
-  const unsigned Universe = static_cast<unsigned>(Defs.size());
-  DefsOf.assign(VI.size(), BitVector(Universe));
-  for (unsigned D = 0; D < Universe; ++D)
-    DefsOf[Defs[D].ValueIdx].set(D);
+  for (unsigned V = 0; V < NV; ++V)
+    DefStart[V + 1] += DefStart[V] + 1;
+  const unsigned Universe = DefStart[NV];
+  Defs.resize(Universe);
+  DefOfInstr.assign(CFG.function().Pool.idBound(), ~0u);
+  std::vector<unsigned> Next(DefStart.begin(), DefStart.end() - 1);
 
   DataflowProblem P;
   P.Dir = FlowDir::Forward;
@@ -37,47 +35,50 @@ ReachingDefs::ReachingDefs(const CFGContext &CFG, const ValueIndex &VI,
 
   // At entry, every value has an unknown definition (parameters, globals,
   // zero-initialized locals).
-  for (unsigned V = 0; V < VI.size(); ++V)
+  for (unsigned V = 0; V < NV; ++V) {
+    Defs[unknownDef(V)] = {nullptr, V};
     P.Boundary.set(unknownDef(V));
+  }
 
-  for (unsigned B = 0; B < CFG.numBlocks(); ++B) {
-    BitVector Reach(Universe); // Gen accumulates; Kill likewise.
-    BitVector Gen(Universe), Kill(Universe);
-    for (const Instr &I : CFG.block(B)->Insts) {
-      // Clobbers: calls/stores may redefine address-taken/global scalars.
-      if (I.Op == Opcode::Store || I.Op == Opcode::Call) {
-        for (VarId V : VI.trackedVars())
-          if (AI.mayClobber(I, V)) {
-            unsigned VIdx = VI.varIndex(V);
-            // Unknown def: kill nothing (weak update), gen unknown bit.
-            Gen.set(unknownDef(VIdx));
-          }
-      }
-      unsigned D = defIndexOf(&I);
-      if (D == ~0u)
+  // Number the real definitions in instruction order while building each
+  // block's gen/kill in place.
+  for (unsigned B = 0; B < NB; ++B) {
+    BitVector &Gen = P.Gen[B], &Kill = P.Kill[B];
+    const BasicBlock *BB = CFG.block(B);
+    for (auto It = BB->Insts.begin(), E = BB->Insts.end(); It != E; ++It) {
+      const Instr &I = *It;
+      // Unknown def: kill nothing (weak update), gen the unknown bit.
+      genClobbers(I, Gen);
+      unsigned V = VI.valueIndex(I.Dest);
+      if (V == ~0u)
         continue;
-      unsigned VIdx = Defs[D].ValueIdx;
-      Gen.subtract(DefsOf[VIdx]);
-      Kill |= DefsOf[VIdx];
+      unsigned D = Next[V]++;
+      Defs[D] = {&I, V};
+      DefOfInstr[It.id()] = D;
+      Gen.reset(defsBegin(V), defsEnd(V));
+      Kill.set(defsBegin(V), defsEnd(V));
       Gen.set(D);
     }
-    P.Gen[B] = std::move(Gen);
-    P.Kill[B] = std::move(Kill);
-    (void)Reach;
   }
   R = solveDataflow(CFG, P);
 }
 
-void ReachingDefs::transfer(const Instr &I, BitVector &Reach) const {
-  if (I.Op == Opcode::Store || I.Op == Opcode::Call) {
-    for (VarId V : VI.trackedVars())
-      if (AI.mayClobber(I, V))
-        Reach.set(unknownDef(VI.varIndex(V)));
-  }
-  auto It = DefOfInstr.find(&I);
-  if (It == DefOfInstr.end())
+void ReachingDefs::genClobbers(const Instr &I, BitVector &Set) const {
+  // Clobbers: calls/stores may redefine address-taken/global scalars.
+  if (I.Op != Opcode::Store && I.Op != Opcode::Call)
     return;
-  unsigned VIdx = Defs[It->second].ValueIdx;
-  Reach.subtract(DefsOf[VIdx]);
-  Reach.set(It->second);
+  for (VarId V : VI.memoryVars())
+    if (AI.mayClobber(I, V))
+      Set.set(unknownDef(VI.varIndex(V)));
+}
+
+void ReachingDefs::transfer(InstrId Id, const Instr &I,
+                            BitVector &Reach) const {
+  genClobbers(I, Reach);
+  unsigned D = defIndexOf(Id);
+  if (D == ~0u)
+    return;
+  unsigned V = Defs[D].ValueIdx;
+  Reach.reset(defsBegin(V), defsEnd(V));
+  Reach.set(D);
 }

@@ -11,14 +11,13 @@ using namespace sldb;
 SsaDefUse::SsaDefUse(const CFGContext &CFG) {
   const IRFunction &F = CFG.function();
   Defs.resize(F.NextTemp);
-  Uses.resize(F.NextTemp);
-  ExternalUses.assign(F.NextTemp, 0);
+  Uses.assign(F.NextTemp, 0);
   InstrBlock.assign(F.Pool.idBound(), ~0u);
   InstrOrdinal.assign(F.Pool.idBound(), 0);
 
-  auto NoteUse = [&](const Value &V, InstrId Id) {
+  auto NoteUse = [&](const Value &V) {
     if (V.isTemp() && V.Id < Uses.size())
-      Uses[V.Id].push_back(Id);
+      ++Uses[V.Id];
   };
 
   for (unsigned BI = 0, N = CFG.numBlocks(); BI < N; ++BI) {
@@ -39,12 +38,11 @@ SsaDefUse::SsaDefUse(const CFGContext &CFG) {
       // uniformly is safe; marker operand lists are empty, their temp
       // reference is the recovery value below.
       for (const Value &V : I.Ops)
-        NoteUse(V, Id);
+        NoteUse(V);
       if (I.Op == Opcode::DeadMarker)
-        NoteUse(I.Recovery, Id);
+        NoteUse(I.Recovery);
     }
   }
   for (const IRFunction::SRRecord &R : F.SRRecords)
-    if (R.Temp.isTemp() && R.Temp.Id < ExternalUses.size())
-      ++ExternalUses[R.Temp.Id];
+    NoteUse(R.Temp);
 }

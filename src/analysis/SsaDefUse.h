@@ -5,13 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Sparse def-use chains for compiler temporaries, the substrate of the
-/// SSA-form passes (GVN, sparse propagation, phi coalescing).  For every
-/// temp the analysis records its defining instructions and every
-/// instruction that reads it — including reads the dense use iterator
-/// deliberately skips: a DeadMarker's recovery value and the function's
-/// strength-reduction records both keep a temp alive for the *debugger*,
-/// and an SSA pass that rewrites or deletes the def must know.
+/// Temp def-use facts, the substrate of the SSA-form passes (GVN, sparse
+/// propagation, phi coalescing).  For every temp the analysis records
+/// its defining instructions and counts its uses — including reads the
+/// dense use iterator deliberately skips: a DeadMarker's recovery value
+/// and the function's strength-reduction records both keep a temp alive
+/// for the *debugger*, and an SSA pass that rewrites or deletes the def
+/// must know.  It keeps no use lists: every client asks only how many
+/// uses a temp has.
 ///
 /// Only temps with exactly one def are in SSA form; pre-existing temps
 /// can be multi-def (loop peeling/unrolling clones them), and the SSA
@@ -28,8 +29,8 @@
 
 namespace sldb {
 
-/// Def-use chains over the function's temps, addressed by InstrId (valid
-/// until the next mutation invalidates the analysis).
+/// Def sites and use counts of the function's temps, addressed by
+/// InstrId (valid until the next mutation invalidates the analysis).
 class SsaDefUse {
 public:
   explicit SsaDefUse(const CFGContext &CFG);
@@ -48,21 +49,10 @@ public:
   InstrId defOf(TempId T) const { return Defs[T].Def; }
   unsigned defBlockOf(TempId T) const { return Defs[T].Block; }
 
-  /// Instruction ids reading temp \p T (operands, phi incomings, and
-  /// DeadMarker recovery values), one entry per reading instruction
-  /// occurrence.
-  const std::vector<InstrId> &usesOf(TempId T) const {
-    static const std::vector<InstrId> Empty;
-    return T < Uses.size() ? Uses[T] : Empty;
-  }
-
-  /// Total use count of \p T, counting non-instruction references
-  /// (SRRecords) on top of usesOf().
-  unsigned numUses(TempId T) const {
-    return T < Uses.size()
-               ? static_cast<unsigned>(Uses[T].size()) + ExternalUses[T]
-               : 0;
-  }
+  /// Total use count of \p T: one per operand occurrence, phi incoming
+  /// and DeadMarker recovery value, plus one per SRRecord naming it (0
+  /// for out-of-range temps).
+  unsigned numUses(TempId T) const { return T < Uses.size() ? Uses[T] : 0; }
 
   /// Dense CFG index of the block holding instruction \p Id at analysis
   /// time; ~0u for pool ids not linked into any block.
@@ -83,10 +73,9 @@ private:
     unsigned Block = ~0u;
   };
   std::vector<DefInfo> Defs;
-  std::vector<std::vector<InstrId>> Uses;
-  std::vector<unsigned> ExternalUses;  ///< SRRecord references.
-  std::vector<unsigned> InstrBlock;    ///< Pool id -> dense block index.
-  std::vector<unsigned> InstrOrdinal;  ///< Pool id -> position in block.
+  std::vector<unsigned> Uses;         ///< Temp -> use count.
+  std::vector<unsigned> InstrBlock;   ///< Pool id -> dense block index.
+  std::vector<unsigned> InstrOrdinal; ///< Pool id -> position in block.
 };
 
 } // namespace sldb

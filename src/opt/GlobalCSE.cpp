@@ -71,24 +71,6 @@ bool exprKeyOf(const Instr &I, ExprKey &Key) {
   return false;
 }
 
-/// Returns true if \p I invalidates \p Key (redefines an operand).
-bool killsKey(const Instr &I, const ExprKey &Key, const AliasInfo &AI) {
-  auto Killed = [&](const Value &V) {
-    if (!V.isVar())
-      return false;
-    if (I.Dest.isVar() && I.Dest.Id == V.Id)
-      return true;
-    return AI.mayClobber(I, V.Id);
-  };
-  return Killed(Key.A) || Killed(Key.B);
-}
-
-/// Only var-defining instructions and memory writers can kill any key;
-/// everything else skips the per-key loop.
-bool mayKillAnyKey(const Instr &I) {
-  return I.Dest.isVar() || I.Op == Opcode::Store || I.Op == Opcode::Call;
-}
-
 class GlobalCSE : public Pass {
 public:
   const char *name() const override { return "redundancy-elimination(cse)"; }
@@ -97,19 +79,57 @@ public:
     CFGContext &CFG = AM.getResult<CFGContext>(F);
     AliasInfo &AI = AM.getResult<AliasInfo>(F);
 
-    // Enumerate expression keys.
+    // Enumerate expression keys, naming each instruction's key once.
     std::map<ExprKey, unsigned> KeyIds;
     std::vector<ExprKey> Keys;
-    for (unsigned B = 0; B < CFG.numBlocks(); ++B)
-      for (const Instr &I : CFG.block(B)->Insts) {
+    std::vector<unsigned> KeyOfInstr(F.Pool.idBound(), ~0u);
+    for (unsigned B = 0; B < CFG.numBlocks(); ++B) {
+      const BasicBlock *BB = CFG.block(B);
+      for (auto It = BB->Insts.begin(), E = BB->Insts.end(); It != E; ++It) {
         ExprKey K;
-        if (exprKeyOf(I, K) && !KeyIds.count(K)) {
-          KeyIds[K] = static_cast<unsigned>(Keys.size());
+        if (!exprKeyOf(*It, K))
+          continue;
+        auto [Pos, New] =
+            KeyIds.try_emplace(K, static_cast<unsigned>(Keys.size()));
+        if (New)
           Keys.push_back(K);
-        }
+        KeyOfInstr[It.id()] = Pos->second;
       }
+    }
     if (Keys.empty())
       return PassResult::unchanged();
+    auto KeyOf = [&](InstrId Id) {
+      return Id < KeyOfInstr.size() ? KeyOfInstr[Id] : ~0u;
+    };
+
+    // Keys by operand variable: a definition of v, or a store or call
+    // that may clobber v, kills exactly the keys reading v.  Only
+    // address-taken scalars and globals can be clobbered, so memory
+    // writers test just the operand variables of that kind.
+    std::vector<std::vector<unsigned>> KeysByVar(M.Info->Vars.size());
+    std::vector<VarId> MemoryOperands;
+    auto AddOperand = [&](VarId V, unsigned KI) {
+      if (KeysByVar[V].empty() && !M.Info->var(V).isPromotable())
+        MemoryOperands.push_back(V);
+      KeysByVar[V].push_back(KI);
+    };
+    for (unsigned KI = 0; KI < Keys.size(); ++KI) {
+      const ExprKey &K = Keys[KI];
+      if (K.A.isVar())
+        AddOperand(K.A.Id, KI);
+      if (K.B.isVar() && !(K.A.isVar() && K.B.Id == K.A.Id))
+        AddOperand(K.B.Id, KI);
+    }
+    auto ForEachKilled = [&](const Instr &I, auto &&Fn) {
+      if (I.Dest.isVar())
+        for (unsigned KI : KeysByVar[I.Dest.Id])
+          Fn(KI);
+      if (I.Op == Opcode::Store || I.Op == Opcode::Call)
+        for (VarId V : MemoryOperands)
+          if (AI.mayClobber(I, V))
+            for (unsigned KI : KeysByVar[V])
+              Fn(KI);
+    };
 
     // Available expressions (forward, intersect).
     DataflowProblem P;
@@ -119,22 +139,20 @@ public:
     for (unsigned B = 0; B < CFG.numBlocks(); ++B) {
       BitVector &Gen = P.Gen[B];
       BitVector &Kill = P.Kill[B];
-      for (const Instr &I : CFG.block(B)->Insts) {
+      const BasicBlock *BB = CFG.block(B);
+      for (auto It = BB->Insts.begin(), E = BB->Insts.end(); It != E; ++It) {
         // The computation reads its operands before the destination is
         // written: gen first, then apply kills (which may revoke the gen,
         // e.g. `x = x + 1` does not leave `x + 1` available).
-        ExprKey K;
-        if (exprKeyOf(I, K)) {
-          unsigned Id = KeyIds[K];
+        unsigned Id = KeyOf(It.id());
+        if (Id != ~0u) {
           Gen.set(Id);
           Kill.reset(Id);
         }
-        if (mayKillAnyKey(I))
-          for (unsigned KI = 0; KI < Keys.size(); ++KI)
-            if (killsKey(I, Keys[KI], AI)) {
-              Gen.reset(KI);
-              Kill.set(KI);
-            }
+        ForEachKilled(*It, [&](unsigned KI) {
+          Gen.reset(KI);
+          Kill.set(KI);
+        });
       }
     }
     DataflowResult AV = solveDataflow(CFG, P);
@@ -143,22 +161,21 @@ public:
     // instruction.
     std::vector<bool> NeedsProvider(Keys.size(), false);
     std::vector<std::pair<Instr *, unsigned>> Redundant;
+    std::vector<char> IsRedundant(KeyOfInstr.size(), 0);
     for (unsigned B = 0; B < CFG.numBlocks(); ++B) {
       BitVector Avail = AV.In[B];
-      for (Instr &I : CFG.block(B)->Insts) {
-        ExprKey K;
-        bool HasKey = exprKeyOf(I, K);
-        unsigned Id = HasKey ? KeyIds[K] : 0;
-        if (HasKey && Avail.test(Id)) {
-          Redundant.emplace_back(&I, Id);
-          NeedsProvider[Id] = true;
-        }
-        if (HasKey)
+      BasicBlock *BB = CFG.block(B);
+      for (auto It = BB->Insts.begin(), E = BB->Insts.end(); It != E; ++It) {
+        unsigned Id = KeyOf(It.id());
+        if (Id != ~0u) {
+          if (Avail.test(Id)) {
+            Redundant.emplace_back(&*It, Id);
+            IsRedundant[It.id()] = 1;
+            NeedsProvider[Id] = true;
+          }
           Avail.set(Id);
-        if (mayKillAnyKey(I))
-          for (unsigned KI = 0; KI < Keys.size(); ++KI)
-            if (killsKey(I, Keys[KI], AI))
-              Avail.reset(KI);
+        }
+        ForEachKilled(*It, [&](unsigned KI) { Avail.reset(KI); });
       }
     }
     if (Redundant.empty())
@@ -172,24 +189,14 @@ public:
       if (NeedsProvider[K])
         KeyTemp[K] = F.newTemp(Keys[K].Ty);
 
-    std::vector<const Instr *> RedundantSet;
-    for (auto &[I, Id] : Redundant)
-      RedundantSet.push_back(I);
-    auto IsRedundant = [&](const Instr *I) {
-      for (const Instr *R : RedundantSet)
-        if (R == I)
-          return true;
-      return false;
-    };
-
+    // Instructions inserted below are never visited (each goes in
+    // before the walk's current position), so every id read here names
+    // an instruction keyed above.
     for (unsigned B = 0; B < CFG.numBlocks(); ++B) {
       BasicBlock *BB = CFG.block(B);
       for (auto It = BB->Insts.begin(); It != BB->Insts.end(); ++It) {
-        ExprKey K;
-        if (!exprKeyOf(*It, K))
-          continue;
-        unsigned Id = KeyIds[K];
-        if (!NeedsProvider[Id] || IsRedundant(&*It))
+        unsigned Id = KeyOf(It.id());
+        if (Id == ~0u || !NeedsProvider[Id] || IsRedundant[It.id()])
           continue;
         // Provider rewrite: t = e (keeps position), X = copy t (keeps the
         // source-assignment identity and annotations).

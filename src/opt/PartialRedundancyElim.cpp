@@ -28,8 +28,8 @@
 
 #include "analysis/Dataflow.h"
 
-#include <map>
-#include <unordered_map>
+#include <optional>
+#include <tuple>
 #include <vector>
 
 using namespace sldb;
@@ -81,12 +81,13 @@ bool occurrenceKey(const Instr &I, const ProgramInfo &Info, HoistKey &Key) {
 /// instruction instead of once per (instruction, key) pair — the kill
 /// loops below are the quadratic core of the pass.
 struct KillFacts {
-  bool IsOcc = false;
-  HoistKey Mine{};
+  unsigned Own = ~0u;       ///< Key id of the occurrence; ~0u if none.
   VarId DestV = InvalidVar; ///< Var destination, if any.
   bool CanClobber = false;  ///< Store/Call: may write through memory.
   bool MayRead = false;     ///< Load/Call/Ret: may read through memory.
   VarId Use0 = InvalidVar, Use1 = InvalidVar; ///< Var operands read.
+
+  bool isOcc() const { return Own != ~0u; }
 
   /// True when the instruction cannot kill *any* key (\p ForAnt also
   /// counts anticipability's read-kills), letting callers skip the
@@ -100,45 +101,21 @@ struct KillFacts {
   }
 };
 
-KillFacts killFactsOf(const Instr &I, const ProgramInfo &Info) {
-  KillFacts F;
-  F.IsOcc = occurrenceKey(I, Info, F.Mine);
-  if (I.Dest.isVar())
-    F.DestV = I.Dest.Id;
-  F.CanClobber = I.Op == Opcode::Store || I.Op == Opcode::Call;
-  F.MayRead =
-      I.Op == Opcode::Load || I.Op == Opcode::Call || I.Op == Opcode::Ret;
-  unsigned Cnt = 0;
-  forEachUse(I, [&](const Value &V) {
-    if (!V.isVar())
-      return;
-    if (Cnt == 0)
-      F.Use0 = V.Id;
-    else
-      F.Use1 = V.Id;
-    ++Cnt;
-  });
-  return F;
+/// Key identity: the strict weak order the pass's keys were always
+/// compared under.  Two keys are the same key when neither orders
+/// before the other.
+bool keyLess(const HoistKey &L, const HoistKey &R) {
+  auto ValKey = [](const Value &V) {
+    return std::tuple(static_cast<int>(V.K), V.Id, V.IntVal, V.DblVal);
+  };
+  return std::tuple(L.V, static_cast<int>(L.Op), static_cast<int>(L.Ty),
+                    ValKey(L.A), ValKey(L.B)) <
+         std::tuple(R.V, static_cast<int>(R.Op), static_cast<int>(R.Ty),
+                    ValKey(R.A), ValKey(R.B));
 }
 
-/// Availability kill: \p I destroys the *value* relation "V == a op b"
-/// by redefining V or an operand.  Reads of V do not kill availability.
-bool killsAvail(const Instr &I, const KillFacts &F, const HoistKey &Key,
-                const AliasInfo &AI) {
-  if (F.IsOcc && F.Mine == Key)
-    return false;
-  auto DefinesOrClobbers = [&](VarId V) {
-    if (F.DestV == V)
-      return true;
-    return F.CanClobber && AI.mayClobber(I, V);
-  };
-  if (DefinesOrClobbers(Key.V))
-    return true;
-  if (Key.A.isVar() && DefinesOrClobbers(Key.A.Id))
-    return true;
-  if (Key.B.isVar() && DefinesOrClobbers(Key.B.Id))
-    return true;
-  return false;
+bool sameKey(const HoistKey &L, const HoistKey &R) {
+  return !keyLess(L, R) && !keyLess(R, L);
 }
 
 // Anticipability kills are availability kills plus reads of V — a read
@@ -146,85 +123,169 @@ bool killsAvail(const Instr &I, const KillFacts &F, const HoistKey &Key,
 // premature value at runtime, not merely in the debugger).  KeyIndex
 // below enumerates both kinds per instruction.
 
-/// Variable-indexed kill lists.  A plain definition of variable v kills
-/// exactly the keys whose value relation mentions v (ByAnyVar); a *read*
-/// of v additionally ant-kills the keys whose destination is v
-/// (ByDestVar).  Only Store/Call clobbers and memory reads still need a
-/// full per-key scan — those are alias-dependent and rare, so the common
-/// def-kill case drops from O(U) per instruction to the handful of keys
-/// actually touching the defined variable.
-struct KeyIndex {
-  std::unordered_map<VarId, std::vector<unsigned>> ByAnyVar;
-  std::unordered_map<VarId, std::vector<unsigned>> ByDestVar;
+/// The function's keys in first-occurrence order, each instruction's
+/// kill facts by InstrId, and VarId-indexed kill lists.  A plain
+/// definition of variable v kills exactly the keys whose value relation
+/// mentions v (ByAnyVar); a *read* of v additionally ant-kills the keys
+/// whose destination is v (ByDestVar, which also finds a key's id when
+/// enumerating).  A store, call, load or return reaches a variable other
+/// than by name only if it is address-taken or global, so memory
+/// accesses test just the key variables of that kind (MemVars) instead
+/// of scanning every key.
+class KeyIndex {
+public:
+  std::vector<HoistKey> Keys;
 
-  explicit KeyIndex(const std::vector<HoistKey> &Keys) {
-    for (unsigned KI = 0; KI < Keys.size(); ++KI) {
-      const HoistKey &K = Keys[KI];
-      ByAnyVar[K.V].push_back(KI);
-      ByDestVar[K.V].push_back(KI);
-      // occurrenceKey guarantees operands differ from the destination.
-      if (K.A.isVar())
-        ByAnyVar[K.A.Id].push_back(KI);
-      if (K.B.isVar() && !(K.A.isVar() && K.B.Id == K.A.Id))
-        ByAnyVar[K.B.Id].push_back(KI);
+  KeyIndex(const CFGContext &CFG, const ProgramInfo &Info)
+      : Info(Info), ByAnyVar(Info.Vars.size()), ByDestVar(Info.Vars.size()),
+        Facts(CFG.function().Pool.idBound()) {
+    for (unsigned B = 0; B < CFG.numBlocks(); ++B) {
+      const BasicBlock *BB = CFG.block(B);
+      for (auto It = BB->Insts.begin(), E = BB->Insts.end(); It != E; ++It) {
+        const Instr &I = *It;
+        KillFacts &F = Facts[It.id()];
+        HoistKey K;
+        if (occurrenceKey(I, Info, K))
+          F.Own = intern(K);
+        if (I.Dest.isVar())
+          F.DestV = I.Dest.Id;
+        F.CanClobber = I.Op == Opcode::Store || I.Op == Opcode::Call;
+        F.MayRead = I.Op == Opcode::Load || I.Op == Opcode::Call ||
+                    I.Op == Opcode::Ret;
+        unsigned Cnt = 0;
+        forEachUse(I, [&](const Value &V) {
+          if (!V.isVar())
+            return;
+          if (Cnt == 0)
+            F.Use0 = V.Id;
+          else
+            F.Use1 = V.Id;
+          ++Cnt;
+        });
+      }
     }
   }
 
-  /// Invokes \p Fn for every key availability-killed by \p I, matching
-  /// killsAvail() key-for-key (Fn may fire twice for a key; callers do
-  /// idempotent bit clears).  \p Own is the instruction's own key id (or
-  /// ~0u) — an occurrence never kills its own key.
+  unsigned size() const { return static_cast<unsigned>(Keys.size()); }
+
+  /// Facts of the instruction with pool id \p Id at construction.
+  const KillFacts &facts(InstrId Id) const {
+    static const KillFacts None;
+    return Id < Facts.size() ? Facts[Id] : None;
+  }
+
+  /// Keys assigning variable \p V.
+  const std::vector<unsigned> &keysOfDest(VarId V) const {
+    return ByDestVar[V];
+  }
+
+  /// Invokes \p Fn for every key availability-killed by \p I — one that
+  /// \p I redefines or clobbers V or an operand of, destroying the
+  /// *value* relation "V == a op b" (Fn may fire twice for a key; callers
+  /// do idempotent bit clears).  Reads of V do not kill availability.
+  /// An occurrence never kills its own key.
   template <typename Fn>
-  void forEachAvailKill(const Instr &I, const KillFacts &F, unsigned Own,
-                        const std::vector<HoistKey> &Keys,
+  void forEachAvailKill(const Instr &I, const KillFacts &F,
                         const AliasInfo &AI, Fn &&Callback) const {
-    if (F.DestV != InvalidVar) {
-      auto It = ByAnyVar.find(F.DestV);
-      if (It != ByAnyVar.end())
-        for (unsigned KI : It->second)
-          if (KI != Own)
-            Callback(KI);
-    }
-    if (F.CanClobber)
-      for (unsigned KI = 0; KI < Keys.size(); ++KI)
-        if (KI != Own && killsAvail(I, F, Keys[KI], AI))
+    auto Kills = [&](const std::vector<unsigned> &Bucket) {
+      for (unsigned KI : Bucket)
+        if (KI != F.Own)
           Callback(KI);
+    };
+    if (F.DestV != InvalidVar)
+      Kills(ByAnyVar[F.DestV]);
+    if (F.CanClobber)
+      for (VarId V : MemVars)
+        if (AI.mayClobber(I, V))
+          Kills(ByAnyVar[V]);
   }
 
-  /// The kills killsAnt() adds beyond killsAvail(): reads of a key's
+  /// The kills anticipability adds beyond availability: reads of a key's
   /// destination variable, either through memory or as a direct operand.
   template <typename Fn>
-  void forEachAntOnlyKill(const Instr &I, const KillFacts &F, unsigned Own,
-                          const std::vector<HoistKey> &Keys,
+  void forEachAntOnlyKill(const Instr &I, const KillFacts &F,
                           const AliasInfo &AI, Fn &&Callback) const {
-    if (F.MayRead)
-      for (unsigned KI = 0; KI < Keys.size(); ++KI)
-        if (KI != Own && AI.mayRead(I, Keys[KI].V))
-          Callback(KI);
     auto UseKills = [&](VarId V) {
-      if (V == InvalidVar)
-        return;
-      auto It = ByDestVar.find(V);
-      if (It != ByDestVar.end())
-        for (unsigned KI : It->second)
-          if (KI != Own)
-            Callback(KI);
+      for (unsigned KI : ByDestVar[V])
+        if (KI != F.Own)
+          Callback(KI);
     };
-    UseKills(F.Use0);
-    if (F.Use1 != F.Use0)
+    if (F.MayRead)
+      for (VarId V : MemVars)
+        if (AI.mayRead(I, V))
+          UseKills(V);
+    if (F.Use0 != InvalidVar)
+      UseKills(F.Use0);
+    if (F.Use1 != InvalidVar && F.Use1 != F.Use0)
       UseKills(F.Use1);
   }
+
+private:
+  /// Returns the id of \p K, adding it as a new key if no key so far is
+  /// the same.
+  unsigned intern(const HoistKey &K) {
+    for (unsigned KI : ByDestVar[K.V])
+      if (sameKey(Keys[KI], K))
+        return KI;
+    unsigned KI = size();
+    Keys.push_back(K);
+    ByDestVar[K.V].push_back(KI);
+    addAnyVar(K.V, KI);
+    // occurrenceKey guarantees operands differ from the destination.
+    if (K.A.isVar())
+      addAnyVar(K.A.Id, KI);
+    if (K.B.isVar() && !(K.A.isVar() && K.B.Id == K.A.Id))
+      addAnyVar(K.B.Id, KI);
+    return KI;
+  }
+
+  void addAnyVar(VarId V, unsigned KI) {
+    if (ByAnyVar[V].empty() && !Info.var(V).isPromotable())
+      MemVars.push_back(V);
+    ByAnyVar[V].push_back(KI);
+  }
+
+  const ProgramInfo &Info;
+  std::vector<std::vector<unsigned>> ByAnyVar, ByDestVar;
+  std::vector<VarId> MemVars; ///< Address-taken or global key variables.
+  std::vector<KillFacts> Facts;
 };
 
-struct KeyOrder {
-  bool operator()(const HoistKey &L, const HoistKey &R) const {
-    auto ValKey = [](const Value &V) {
-      return std::tuple(static_cast<int>(V.K), V.Id, V.IntVal, V.DblVal);
-    };
-    return std::tuple(L.V, static_cast<int>(L.Op), static_cast<int>(L.Ty),
-                      ValKey(L.A), ValKey(L.B)) <
-           std::tuple(R.V, static_cast<int>(R.Op), static_cast<int>(R.Ty),
-                      ValKey(R.A), ValKey(R.B));
+/// The keys of the code as it stands, their availability problem
+/// (forward, intersect) and its solution AVIN/AVOUT.  The gen set is
+/// COMP (occurrences not value-killed later in the block) and the kill
+/// set the keys the block does not leave available, both written in
+/// place.
+struct Availability {
+  KeyIndex KX;
+  DataflowProblem Problem;
+  DataflowResult AV;
+
+  Availability(const CFGContext &CFG, const ProgramInfo &Info,
+               const AliasInfo &AI)
+      : KX(CFG, Info) {
+    if (KX.size() == 0)
+      return;
+    Problem.Dir = FlowDir::Forward;
+    Problem.Meet = FlowMeet::Intersect;
+    Problem.init(CFG, KX.size());
+    for (unsigned B = 0; B < CFG.numBlocks(); ++B) {
+      BitVector &Comp = Problem.Gen[B], &Kill = Problem.Kill[B];
+      const BasicBlock *BB = CFG.block(B);
+      for (auto It = BB->Insts.begin(), E = BB->Insts.end(); It != E; ++It) {
+        const KillFacts &KF = KX.facts(It.id());
+        if (KF.isOcc())
+          Comp.set(KF.Own);
+        if (KF.inert(/*ForAnt=*/false))
+          continue;
+        KX.forEachAvailKill(*It, KF, AI, [&](unsigned KI) {
+          Kill.set(KI);
+          Comp.reset(KI);
+        });
+      }
+      Kill.subtract(Comp);
+    }
+    AV = solveDataflow(CFG, Problem);
   }
 };
 
@@ -238,111 +299,82 @@ public:
     // Both phases rewrite instructions in place (insertions go before
     // existing terminators), so the cached CFG context stays valid
     // across them — the manager shares one build where the pass
-    // previously built two.
-    bool Changed = runMorelRenvoise(F, M, AM);
-    Changed |= eliminateAvailable(F, M, AM);
+    // previously built two.  When hoisting leaves the code alone, the
+    // second phase reuses the first one's keys and availability.
+    std::optional<Availability> Av;
+    bool Changed = runMorelRenvoise(F, M, AM, Av);
+    if (Changed)
+      Av.reset();
+    Changed |= eliminateAvailable(F, M, AM, Av);
     return {Changed ? PreservedAnalyses::cfgShape() : PreservedAnalyses::all(),
             Changed};
   }
 
 private:
-  bool runMorelRenvoise(IRFunction &F, IRModule &M, AnalysisManager &AM) {
+  bool runMorelRenvoise(IRFunction &F, IRModule &M, AnalysisManager &AM,
+                        std::optional<Availability> &Av) {
     CFGContext &CFG = AM.getResult<CFGContext>(F);
     AliasInfo &AI = AM.getResult<AliasInfo>(F);
-    const ProgramInfo &Info = *M.Info;
     const unsigned N = CFG.numBlocks();
 
-    // Enumerate keys.
-    std::map<HoistKey, unsigned, KeyOrder> KeyIds;
-    std::vector<HoistKey> Keys;
-    for (unsigned B = 0; B < N; ++B)
-      for (const Instr &I : CFG.block(B)->Insts) {
-        HoistKey K;
-        if (occurrenceKey(I, Info, K) && !KeyIds.count(K)) {
-          KeyIds[K] = static_cast<unsigned>(Keys.size());
-          Keys.push_back(K);
-        }
-      }
-    if (Keys.empty())
+    // AVIN/AVOUT (forward, intersect) use the weaker value kill.
+    Av.emplace(CFG, *M.Info, AI);
+    const KeyIndex &KX = Av->KX;
+    if (KX.size() == 0)
       return false;
-    const unsigned U = static_cast<unsigned>(Keys.size());
+    const unsigned U = KX.size();
+    const std::vector<HoistKey> &Keys = KX.Keys;
+    const DataflowResult &AV = Av->AV;
 
-    // Local predicates.  ANTLOC/TRANSP use the anticipability kill (reads
-    // of V block hoisting); COMP/availability use the weaker value kill.
-    std::vector<BitVector> Antloc(N, BitVector(U)), Comp(N, BitVector(U)),
-        Transp(N, BitVector(U, true)), TranspAv(N, BitVector(U, true));
-    const KeyIndex KX(Keys);
-    for (unsigned B = 0; B < N; ++B) {
-      BitVector AntKilledAbove(U);
-      for (const Instr &I : CFG.block(B)->Insts) {
-        const KillFacts KF = killFactsOf(I, Info);
-        unsigned Id = KF.IsOcc ? KeyIds[KF.Mine] : ~0u;
-        if (KF.IsOcc && !AntKilledAbove.test(Id))
-          Antloc[B].set(Id);
-        if (KF.IsOcc)
-          Comp[B].set(Id);
-        if (KF.inert(/*ForAnt=*/true))
-          continue;
-        // An availability kill is also an anticipability kill.
-        KX.forEachAvailKill(I, KF, Id, Keys, AI, [&](unsigned KI) {
-          AntKilledAbove.set(KI);
-          Transp[B].reset(KI);
-          TranspAv[B].reset(KI);
-          Comp[B].reset(KI);
-        });
-        KX.forEachAntOnlyKill(I, KF, Id, Keys, AI, [&](unsigned KI) {
-          AntKilledAbove.set(KI);
-          Transp[B].reset(KI);
-        });
-      }
-    }
+    // PAVIN/PAVOUT (forward, union) over the same gen/kill sets; nothing
+    // reads the availability problem after this.
+    Av->Problem.Meet = FlowMeet::Union;
+    DataflowResult PAV = solveDataflow(CFG, Av->Problem);
 
-    // AVIN/AVOUT (forward, intersect).
-    DataflowProblem AvP;
-    AvP.Dir = FlowDir::Forward;
-    AvP.Meet = FlowMeet::Intersect;
-    AvP.init(CFG, U);
-    for (unsigned B = 0; B < N; ++B) {
-      AvP.Gen[B] = Comp[B];
-      AvP.Kill[B] = TranspAv[B];
-      AvP.Kill[B].flip();
-      AvP.Kill[B].subtract(Comp[B]);
-    }
-    DataflowResult AV = solveDataflow(CFG, AvP);
-
-    // PAVIN/PAVOUT (forward, union).
-    DataflowProblem PavP = AvP;
-    PavP.Meet = FlowMeet::Union;
-    DataflowResult PAV = solveDataflow(CFG, PavP);
-
-    // ANTIN/ANTOUT (backward, intersect).
+    // ANTIN/ANTOUT (backward, intersect).  ANTLOC/TRANSP use the
+    // anticipability kill (reads of V block hoisting); ANTLOC is the
+    // gen set, written in place.
     DataflowProblem AntP;
     AntP.Dir = FlowDir::Backward;
     AntP.Meet = FlowMeet::Intersect;
     AntP.init(CFG, U);
+    std::vector<BitVector> Transp(N, BitVector(U, true));
     for (unsigned B = 0; B < N; ++B) {
-      AntP.Gen[B] = Antloc[B];
+      BitVector &Antloc = AntP.Gen[B];
+      BitVector AntKilledAbove(U);
+      const BasicBlock *BB = CFG.block(B);
+      for (auto It = BB->Insts.begin(), E = BB->Insts.end(); It != E; ++It) {
+        const KillFacts &KF = KX.facts(It.id());
+        if (KF.isOcc() && !AntKilledAbove.test(KF.Own))
+          Antloc.set(KF.Own);
+        if (KF.inert(/*ForAnt=*/true))
+          continue;
+        // An availability kill is also an anticipability kill.
+        auto Kill = [&](unsigned KI) {
+          AntKilledAbove.set(KI);
+          Transp[B].reset(KI);
+        };
+        KX.forEachAvailKill(*It, KF, AI, Kill);
+        KX.forEachAntOnlyKill(*It, KF, AI, Kill);
+      }
       AntP.Kill[B] = Transp[B];
       AntP.Kill[B].flip();
-      AntP.Kill[B].subtract(Antloc[B]);
+      AntP.Kill[B].subtract(Antloc);
     }
     DataflowResult ANT = solveDataflow(CFG, AntP);
+    const std::vector<BitVector> &Antloc = AntP.Gen;
 
     // Insertion happens at the end of a block but *before* its
     // terminator; if the terminator itself reads a key's destination
     // variable (`condbr x, ...` / `ret x`), placement there is illegal.
     // Folding this into PPOUT keeps the placement system consistent.
     std::vector<BitVector> TermBlocked(N, BitVector(U));
-    for (unsigned B = 0; B < N; ++B) {
-      const Instr &T = CFG.block(B)->term();
-      for (const Value &UVal : instrUses(T))
-        if (UVal.isVar()) {
-          auto It = KX.ByDestVar.find(UVal.Id);
-          if (It != KX.ByDestVar.end())
-            for (unsigned KI : It->second)
-              TermBlocked[B].set(KI);
-        }
-    }
+    for (unsigned B = 0; B < N; ++B)
+      forEachUse(CFG.block(B)->term(), [&](const Value &UVal) {
+        if (UVal.isVar())
+          for (unsigned KI : KX.keysOfDest(UVal.Id))
+            TermBlocked[B].set(KI);
+      });
 
     // Morel-Renvoise placement-possible system (greatest fixed point).
     std::vector<BitVector> PPIn(N, BitVector(U, true)),
@@ -350,23 +382,21 @@ private:
     // Boundary conditions: nothing can be placed before the entry or
     // after an exit.
     PPIn[0] = BitVector(U);
-    for (unsigned E : CFG.exits())
+    std::vector<char> IsExit(N, 0);
+    for (unsigned E : CFG.exits()) {
       PPOut[E] = BitVector(U);
+      IsExit[E] = 1;
+    }
     bool Changed = true;
     while (Changed) {
       Changed = false;
       for (unsigned Step = 0; Step < N; ++Step) {
         unsigned B = N - 1 - Step;
         // PPOUT(B) = AND over succs of PPIN(S); exits stay empty.
-        bool IsExit = false;
-        for (unsigned E : CFG.exits())
-          IsExit |= E == B;
-        if (!IsExit) {
+        if (!IsExit[B]) {
           BitVector NewOut(U, !CFG.succs(B).empty());
           for (unsigned S : CFG.succs(B))
             NewOut &= PPIn[S];
-          if (CFG.succs(B).empty())
-            NewOut = BitVector(U);
           NewOut.subtract(TermBlocked[B]);
           if (NewOut != PPOut[B]) {
             PPOut[B] = std::move(NewOut);
@@ -406,17 +436,15 @@ private:
       if (Del.none())
         continue;
       BitVector Seen(U);
-      for (Instr &I : CFG.block(B)->Insts) {
-        HoistKey K;
-        if (!occurrenceKey(I, Info, K))
-          continue;
-        unsigned Id = KeyIds[K];
-        if (!Del.test(Id) || Seen.test(Id))
+      BasicBlock *BB = CFG.block(B);
+      for (auto It = BB->Insts.begin(), E = BB->Insts.end(); It != E; ++It) {
+        unsigned Id = KX.facts(It.id()).Own;
+        if (Id == ~0u || !Del.test(Id) || Seen.test(Id))
           continue;
         Seen.set(Id); // Only the upward-exposed occurrence is deleted.
-        Deletions[Id].push_back(&I);
+        Deletions[Id].push_back(&*It);
         if (KeyStmt[Id] == InvalidStmt)
-          KeyStmt[Id] = I.Stmt;
+          KeyStmt[Id] = It->Stmt;
       }
     }
 
@@ -474,54 +502,19 @@ private:
   /// path) is deleted outright — the paper's "E2 deleted because
   /// available" case, which needs no insertion.  Source-position
   /// occurrences leave an AvailMarker; bare hoisted instances vanish.
-  bool eliminateAvailable(IRFunction &F, IRModule &M, AnalysisManager &AM) {
+  bool eliminateAvailable(IRFunction &F, IRModule &M, AnalysisManager &AM,
+                          std::optional<Availability> &Av) {
     CFGContext &CFG = AM.getResult<CFGContext>(F);
     AliasInfo &AI = AM.getResult<AliasInfo>(F);
     const ProgramInfo &Info = *M.Info;
     const unsigned N = CFG.numBlocks();
 
-    std::map<HoistKey, unsigned, KeyOrder> KeyIds;
-    std::vector<HoistKey> Keys;
-    for (unsigned B = 0; B < N; ++B)
-      for (const Instr &I : CFG.block(B)->Insts) {
-        HoistKey K;
-        if (occurrenceKey(I, Info, K) && !KeyIds.count(K)) {
-          KeyIds[K] = static_cast<unsigned>(Keys.size());
-          Keys.push_back(K);
-        }
-      }
-    if (Keys.empty())
+    if (!Av)
+      Av.emplace(CFG, Info, AI);
+    const KeyIndex &KX = Av->KX;
+    if (KX.size() == 0)
       return false;
-    const unsigned U = static_cast<unsigned>(Keys.size());
-
-    const KeyIndex KX(Keys);
-    std::vector<BitVector> Comp(N, BitVector(U)),
-        TranspAv(N, BitVector(U, true));
-    for (unsigned B = 0; B < N; ++B)
-      for (const Instr &I : CFG.block(B)->Insts) {
-        const KillFacts KF = killFactsOf(I, Info);
-        unsigned Own = KF.IsOcc ? KeyIds[KF.Mine] : ~0u;
-        if (KF.IsOcc)
-          Comp[B].set(Own);
-        if (KF.inert(/*ForAnt=*/false))
-          continue;
-        KX.forEachAvailKill(I, KF, Own, Keys, AI, [&](unsigned KI) {
-          TranspAv[B].reset(KI);
-          Comp[B].reset(KI);
-        });
-      }
-
-    DataflowProblem AvP;
-    AvP.Dir = FlowDir::Forward;
-    AvP.Meet = FlowMeet::Intersect;
-    AvP.init(CFG, U);
-    for (unsigned B = 0; B < N; ++B) {
-      AvP.Gen[B] = Comp[B];
-      AvP.Kill[B] = TranspAv[B];
-      AvP.Kill[B].flip();
-      AvP.Kill[B].subtract(Comp[B]);
-    }
-    DataflowResult AV = solveDataflow(CFG, AvP);
+    const DataflowResult &AV = Av->AV;
 
     bool Changed = false;
     for (unsigned B = 0; B < N; ++B) {
@@ -529,29 +522,30 @@ private:
       BasicBlock *BB = CFG.block(B);
       for (auto It = BB->Insts.begin(); It != BB->Insts.end();) {
         Instr &I = *It;
-        const KillFacts KF = killFactsOf(I, Info);
-        unsigned Own = KF.IsOcc ? KeyIds[KF.Mine] : ~0u;
-        if (KF.IsOcc && Avail.test(Own)) {
+        const KillFacts &KF = KX.facts(It.id());
+        if (KF.isOcc() && Avail.test(KF.Own)) {
           Changed = true;
           if (I.IsHoisted && !I.IsSunk) {
             // A compiler-inserted instance: delete silently (paper §3).
             It = BB->Insts.erase(It);
             continue;
           }
+          HoistKey Mine;
+          occurrenceKey(I, Info, Mine);
           Instr Marker;
           Marker.Op = Opcode::AvailMarker;
-          Marker.MarkVar = KF.Mine.V;
+          Marker.MarkVar = Mine.V;
           Marker.MarkStmt = I.Stmt;
           Marker.Stmt = I.Stmt;
-          Marker.HoistKey = F.internHoistKey(KF.Mine);
+          Marker.HoistKey = F.internHoistKey(Mine);
           I = std::move(Marker);
           ++It;
           continue;
         }
-        if (KF.IsOcc)
-          Avail.set(Own);
+        if (KF.isOcc())
+          Avail.set(KF.Own);
         if (!KF.inert(/*ForAnt=*/false))
-          KX.forEachAvailKill(I, KF, Own, Keys, AI,
+          KX.forEachAvailKill(I, KF, AI,
                               [&](unsigned KI) { Avail.reset(KI); });
         ++It;
       }

@@ -17,8 +17,6 @@
 
 #include "opt/Pass.h"
 
-#include <unordered_map>
-
 using namespace sldb;
 
 namespace {
@@ -44,7 +42,9 @@ public:
 
     for (unsigned B = 0; B < CFG.numBlocks(); ++B) {
       BitVector Reach = RD.reachIn(B);
-      for (Instr &I : CFG.block(B)->Insts) {
+      BasicBlock *BB = CFG.block(B);
+      for (auto It = BB->Insts.begin(), E = BB->Insts.end(); It != E; ++It) {
+        Instr &I = *It;
         for (unsigned OpIdx = 0; OpIdx < I.Ops.size(); ++OpIdx) {
           Value &Op = I.Ops[OpIdx];
           if (!isRewritableOperand(I, OpIdx))
@@ -57,7 +57,7 @@ public:
             Changed = true;
           }
         }
-        RD.transfer(I, Reach);
+        RD.transfer(It.id(), I, Reach);
       }
     }
     // Operand rewrites leave the block graph alone but can shrink the
@@ -74,11 +74,10 @@ private:
     unsigned Idx = VI.valueIndex(Op);
     if (Idx == ~0u)
       return false;
-    // Iterate the (small) def set of the value filtered by Reach instead
-    // of materializing the intersection: this runs once per var operand.
-    const BitVector &Defs = RD.defsOfValue(Idx);
+    // Walk the value's definition range filtered by Reach: this runs
+    // once per var operand.
     bool HaveConst = false;
-    for (unsigned D : Defs) {
+    for (unsigned D = RD.defsBegin(Idx), E = RD.defsEnd(Idx); D != E; ++D) {
       if (!Reach.test(D))
         continue;
       if (RD.isUnknownDef(D))
@@ -122,15 +121,15 @@ public:
     // copy's own source operand, and the data-flow solution is only
     // valid for the sources it was computed with.
     struct CopyInfo {
-      const Instr *I;
       unsigned DestIdx, SrcIdx;
       Value Src;
-      VarId DestVar, SrcVar; ///< For clobber checks; InvalidVar for temps.
     };
     std::vector<CopyInfo> Copies;
-    std::unordered_map<const Instr *, unsigned> CopyIdx;
-    for (unsigned B = 0; B < CFG.numBlocks(); ++B)
-      for (const Instr &I : CFG.block(B)->Insts) {
+    std::vector<unsigned> CopyOfInstr(F.Pool.idBound(), ~0u);
+    for (unsigned B = 0; B < CFG.numBlocks(); ++B) {
+      const BasicBlock *BB = CFG.block(B);
+      for (auto It = BB->Insts.begin(), E = BB->Insts.end(); It != E; ++It) {
+        const Instr &I = *It;
         if (I.Op != Opcode::Copy ||
             (!I.Ops[0].isVar() && !I.Ops[0].isTemp()))
           continue;
@@ -138,54 +137,42 @@ public:
         unsigned SI = VI.valueIndex(I.Ops[0]);
         if (DI == ~0u || SI == ~0u || DI == SI)
           continue;
-        CopyIdx.emplace(&I, static_cast<unsigned>(Copies.size()));
-        Copies.push_back({&I, DI, SI, I.Ops[0],
-                          I.Dest.isVar() ? I.Dest.Id : InvalidVar,
-                          I.Ops[0].isVar() ? I.Ops[0].Id : InvalidVar});
+        CopyOfInstr[It.id()] = static_cast<unsigned>(Copies.size());
+        Copies.push_back({DI, SI, I.Ops[0]});
       }
+    }
     if (Copies.empty())
       return PassResult::unchanged();
     const unsigned U = static_cast<unsigned>(Copies.size());
 
     // Index the copies by the value whose definition kills them, so the
     // per-instruction kill scan touches only the affected copies instead
-    // of all U of them.  Clobber-capable instructions (Store/Call) still
-    // scan every copy — they are rare.
-    std::unordered_map<unsigned, std::vector<unsigned>> KilledByDef;
+    // of all U of them, and by destination in ascending copy id, for the
+    // first-available use rewrite below (same pick order as scanning all
+    // copies).  A store or call kills the copies of the address-taken
+    // and global variables it may clobber.
+    std::vector<std::vector<unsigned>> KilledByDef(VI.size()),
+        CopiesByDest(VI.size());
     for (unsigned C = 0; C < U; ++C) {
       KilledByDef[Copies[C].DestIdx].push_back(C);
-      if (Copies[C].SrcIdx != Copies[C].DestIdx)
-        KilledByDef[Copies[C].SrcIdx].push_back(C);
-    }
-    // Ascending copy ids per destination, for the first-available use
-    // rewrite below (same pick order as scanning all copies).
-    std::unordered_map<unsigned, std::vector<unsigned>> CopiesByDest;
-    for (unsigned C = 0; C < U; ++C)
+      KilledByDef[Copies[C].SrcIdx].push_back(C);
       CopiesByDest[Copies[C].DestIdx].push_back(C);
-    auto CanClobberAny = [](const Instr &I) {
-      return I.Op == Opcode::Store || I.Op == Opcode::Call;
-    };
+    }
     auto ForEachKilled = [&](const Instr &I, auto &&Fn) {
       unsigned DefIdx = VI.valueIndex(I.Dest);
-      if (DefIdx != ~0u) {
-        auto It = KilledByDef.find(DefIdx);
-        if (It != KilledByDef.end())
-          for (unsigned C : It->second)
-            Fn(C);
-      }
-      if (CanClobberAny(I))
-        for (unsigned C = 0; C < U; ++C) {
-          const CopyInfo &CI = Copies[C];
-          if ((CI.DestVar != InvalidVar && AI.mayClobber(I, CI.DestVar)) ||
-              (CI.SrcVar != InvalidVar && AI.mayClobber(I, CI.SrcVar)))
-            Fn(C);
+      if (DefIdx != ~0u)
+        for (unsigned C : KilledByDef[DefIdx])
+          Fn(C);
+      if (I.Op == Opcode::Store || I.Op == Opcode::Call)
+        for (VarId V : VI.memoryVars()) {
+          const std::vector<unsigned> &Killed = KilledByDef[VI.varIndex(V)];
+          if (!Killed.empty() && AI.mayClobber(I, V))
+            for (unsigned C : Killed)
+              Fn(C);
         }
     };
-    auto Transfer = [&](const Instr &I, BitVector &S) {
-      ForEachKilled(I, [&](unsigned C) { S.reset(C); });
-      auto It = CopyIdx.find(&I);
-      if (It != CopyIdx.end())
-        S.set(It->second); // Gen after kill: the copy redefines its dest.
+    auto CopyOf = [&](InstrId Id) {
+      return Id < CopyOfInstr.size() ? CopyOfInstr[Id] : ~0u;
     };
 
     DataflowProblem P;
@@ -193,27 +180,28 @@ public:
     P.Meet = FlowMeet::Intersect;
     P.init(CFG, U);
     for (unsigned B = 0; B < CFG.numBlocks(); ++B) {
-      BitVector Gen(U), Kill(U);
-      for (const Instr &I : CFG.block(B)->Insts) {
-        ForEachKilled(I, [&](unsigned C) {
+      BitVector &Gen = P.Gen[B], &Kill = P.Kill[B];
+      const BasicBlock *BB = CFG.block(B);
+      for (auto It = BB->Insts.begin(), E = BB->Insts.end(); It != E; ++It) {
+        ForEachKilled(*It, [&](unsigned C) {
           Gen.reset(C);
           Kill.set(C);
         });
-        auto It = CopyIdx.find(&I);
-        if (It != CopyIdx.end()) {
-          Gen.set(It->second);
-          Kill.reset(It->second);
+        unsigned C = CopyOf(It.id());
+        if (C != ~0u) {
+          Gen.set(C);
+          Kill.reset(C);
         }
       }
-      P.Gen[B] = std::move(Gen);
-      P.Kill[B] = std::move(Kill);
     }
     DataflowResult R = solveDataflow(CFG, P);
 
     bool Changed = false;
     for (unsigned B = 0; B < CFG.numBlocks(); ++B) {
       BitVector Avail = R.In[B];
-      for (Instr &I : CFG.block(B)->Insts) {
+      BasicBlock *BB = CFG.block(B);
+      for (auto It = BB->Insts.begin(), E = BB->Insts.end(); It != E; ++It) {
+        Instr &I = *It;
         for (unsigned OpIdx = 0; OpIdx < I.Ops.size(); ++OpIdx) {
           Value &Op = I.Ops[OpIdx];
           if (!isRewritableOperand(I, OpIdx))
@@ -223,10 +211,7 @@ public:
           unsigned Idx = VI.valueIndex(Op);
           if (Idx == ~0u)
             continue;
-          auto CIt = CopiesByDest.find(Idx);
-          if (CIt == CopiesByDest.end())
-            continue;
-          for (unsigned C : CIt->second) {
+          for (unsigned C : CopiesByDest[Idx]) {
             if (!Avail.test(C))
               continue;
             Value Src = Copies[C].Src;
@@ -236,7 +221,10 @@ public:
             break;
           }
         }
-        Transfer(I, Avail);
+        ForEachKilled(I, [&](unsigned C) { Avail.reset(C); });
+        unsigned C = CopyOf(It.id());
+        if (C != ~0u)
+          Avail.set(C); // Gen after kill: the copy redefines its dest.
       }
     }
     return {Changed ? PreservedAnalyses::cfgShape() : PreservedAnalyses::all(),

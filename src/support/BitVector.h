@@ -101,6 +101,16 @@ public:
       W[I] = 0;
   }
 
+  /// Sets bits [\p Begin, \p End).
+  void set(unsigned Begin, unsigned End) {
+    forRange(Begin, End, [](Word &X, Word Mask) { X |= Mask; });
+  }
+
+  /// Clears bits [\p Begin, \p End).
+  void reset(unsigned Begin, unsigned End) {
+    forRange(Begin, End, [](Word &X, Word Mask) { X &= ~Mask; });
+  }
+
   /// Flips every bit (complement within the universe).
   void flip() {
     for (unsigned I = 0; I < NumWords; ++I)
@@ -230,6 +240,25 @@ public:
   SetBitIterator end() const { return SetBitIterator(*this, -1); }
 
 private:
+  /// Applies \p Fn(Word, Mask) to every word overlapping bits [\p Begin,
+  /// \p End), with Mask selecting the in-range bits of that word.
+  template <typename Fn> void forRange(unsigned Begin, unsigned End, Fn F) {
+    assert(Begin <= End && End <= NumBits && "bit range out of range");
+    if (Begin == End)
+      return;
+    unsigned First = Begin / WordBits, Last = (End - 1) / WordBits;
+    Word Lo = ~Word(0) << (Begin % WordBits);
+    Word Hi = ~Word(0) >> (WordBits - 1 - (End - 1) % WordBits);
+    if (First == Last) {
+      F(W[First], Lo & Hi);
+      return;
+    }
+    F(W[First], Lo);
+    for (unsigned I = First + 1; I < Last; ++I)
+      F(W[I], ~Word(0));
+    F(W[Last], Hi);
+  }
+
   /// Zeroes bits beyond NumBits in the last word.
   void clearUnusedBits() {
     if (NumBits % WordBits != 0 && NumWords != 0)

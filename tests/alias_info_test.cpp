@@ -211,6 +211,99 @@ TEST(AliasInfo, GlobalPointerAssignmentEscapes) {
 }
 
 //===----------------------------------------------------------------------===//
+// Temp answers the store rule depends on, and pointer-free functions
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// `helper` has no pointer-typed value; `main` takes the addresses of an
+/// int and a double.
+const char *IntAndDoublePointers = R"(
+  int helper(int a) { return a + 1; }
+  int main() {
+    int x = 1;
+    double d = 2.0;
+    int* p = &x;
+    double* q = &d;
+    *p = helper(3);
+    *q = 4.0;
+    int k = x + 5;
+    print(k);
+    printd(d);
+    return 0;
+  }
+)";
+
+/// A store of an int through \p Addr.
+Instr intStoreThrough(const Value &Addr) {
+  Instr St;
+  St.Op = Opcode::Store;
+  St.Ty = IRType::Int;
+  St.Ops = {Addr, Value::constInt(7)};
+  return St;
+}
+
+} // namespace
+
+TEST(AliasInfo, InRangeNonPointerTempAddressesNothing) {
+  auto M = compile(IntAndDoublePointers);
+  VarId X = findVar(*M, "x");
+  ASSERT_TRUE(M->Info->var(X).AddressTaken);
+  // In a function with pointers (main: the int call result) and in one
+  // without (helper: `a + 1`), an int temp gets a non-null empty set, so
+  // a store through it kills nothing — not even the address-taken int x
+  // the type rule would kill.
+  for (auto [Name, Op] : {std::pair("main", Opcode::Call),
+                          std::pair("helper", Opcode::Add)}) {
+    SCOPED_TRACE(Name);
+    IRFunction *F = M->findFunc(Name);
+    AliasInfo AI(*F, *M->Info);
+    const Instr *Def = findInstr(*F, Op);
+    ASSERT_NE(Def, nullptr);
+    ASSERT_TRUE(Def->Dest.isTemp());
+    ASSERT_LT(Def->Dest.Id, F->NextTemp);
+    const PointsToSet *PT = AI.pointsTo(Def->Dest);
+    ASSERT_NE(PT, nullptr);
+    EXPECT_FALSE(PT->Unknown);
+    EXPECT_TRUE(PT->Roots.empty());
+    EXPECT_FALSE(AI.mayClobber(intStoreThrough(Def->Dest), X));
+  }
+}
+
+TEST(AliasInfo, TempMintedAfterConstructionFallsBackToTypeRule) {
+  auto M = compile(IntAndDoublePointers);
+  IRFunction *F = M->findFunc("main");
+  AliasInfo AI(*F, *M->Info);
+  VarId X = findVar(*M, "x"), D = findVar(*M, "d");
+  Value Late = F->newTemp(IRType::Ptr);
+  EXPECT_EQ(AI.pointsTo(Late), nullptr);
+  // An untracked pointer may address any address-taken scalar of the
+  // stored type: the int store may write x, never the double d.
+  Instr St = intStoreThrough(Late);
+  EXPECT_TRUE(AI.mayClobber(St, X));
+  EXPECT_FALSE(AI.mayClobber(St, D));
+  Instr Ld;
+  Ld.Op = Opcode::Load;
+  Ld.Ty = IRType::Double;
+  Ld.Ops = {Late};
+  EXPECT_TRUE(AI.mayRead(Ld, D));
+  EXPECT_FALSE(AI.mayRead(Ld, X));
+}
+
+TEST(AliasInfo, PointerFreeFunctionTakesNoAddress) {
+  auto M = compile(IntAndDoublePointers);
+  AliasInfo Helper(*M->findFunc("helper"), *M->Info);
+  for (VarId V = 0; V < M->Info->Vars.size(); ++V) {
+    EXPECT_FALSE(Helper.addressTaken(V)) << M->Info->var(V).Name;
+    EXPECT_FALSE(Helper.escaped(V)) << M->Info->var(V).Name;
+  }
+  // main, which takes both addresses, reports them.
+  AliasInfo Main(*M->findFunc("main"), *M->Info);
+  EXPECT_TRUE(Main.addressTaken(findVar(*M, "x")));
+  EXPECT_TRUE(Main.addressTaken(findVar(*M, "d")));
+}
+
+//===----------------------------------------------------------------------===//
 // AnalysisManager integration
 //===----------------------------------------------------------------------===//
 

@@ -16,6 +16,8 @@
 
 #include "analysis/AliasInfo.h"
 #include "analysis/AnalysisManager.h"
+#include "analysis/SsaDefUse.h"
+#include "eval/Levels.h"
 #include "fuzz/ProgramGen.h"
 #include "ir/IRGen.h"
 #include "opt/Pass.h"
@@ -259,6 +261,54 @@ void checkCachedAgainstFresh(IRFunction &F, IRModule &M, AnalysisManager &AM,
       EXPECT_TRUE(RD->reachIn(B) == FreshRD.reachIn(B))
           << PassName << " reach-in of block " << B;
   }
+  if (const AliasInfo *AI = AM.getCached<AliasInfo>(F)) {
+    AliasInfo FreshAI(F, *M.Info);
+    const VarId NumVars = static_cast<VarId>(M.Info->Vars.size());
+    auto SamePT = [&](const Value &V) {
+      const PointsToSet *A = AI->pointsTo(V), *B = FreshAI.pointsTo(V);
+      ASSERT_EQ(A == nullptr, B == nullptr) << PassName;
+      if (A) {
+        EXPECT_EQ(A->Unknown, B->Unknown) << PassName;
+        EXPECT_EQ(A->Roots, B->Roots) << PassName;
+      }
+    };
+    for (VarId V = 0; V < NumVars; ++V) {
+      EXPECT_EQ(AI->addressTaken(V), FreshAI.addressTaken(V))
+          << PassName << " var " << V;
+      EXPECT_EQ(AI->escaped(V), FreshAI.escaped(V))
+          << PassName << " var " << V;
+      SamePT(Value::var(V, IRType::Ptr));
+    }
+    for (TempId T = 0; T <= F.NextTemp; ++T)
+      SamePT(Value::temp(T, IRType::Ptr));
+    for (const BasicBlock *B : F.Blocks)
+      for (const Instr &I : B->Insts)
+        for (VarId V = 0; V < NumVars; ++V) {
+          EXPECT_EQ(AI->mayClobber(I, V), FreshAI.mayClobber(I, V))
+              << PassName << " var " << V;
+          EXPECT_EQ(AI->mayRead(I, V), FreshAI.mayRead(I, V))
+              << PassName << " var " << V;
+        }
+  }
+  if (const SsaDefUse *DU = AM.getCached<SsaDefUse>(F)) {
+    SsaDefUse FreshDU(Fresh);
+    for (TempId T = 0; T <= F.NextTemp; ++T) {
+      ASSERT_EQ(DU->numDefs(T), FreshDU.numDefs(T)) << PassName << " t" << T;
+      EXPECT_EQ(DU->numUses(T), FreshDU.numUses(T)) << PassName << " t" << T;
+      if (DU->singleDef(T)) {
+        EXPECT_EQ(DU->defOf(T), FreshDU.defOf(T)) << PassName << " t" << T;
+        EXPECT_EQ(DU->defBlockOf(T), FreshDU.defBlockOf(T))
+            << PassName << " t" << T;
+      }
+    }
+    for (const BasicBlock *B : F.Blocks)
+      for (auto It = B->Insts.begin(); It != B->Insts.end(); ++It) {
+        EXPECT_EQ(DU->blockOfInstr(It.id()), FreshDU.blockOfInstr(It.id()))
+            << PassName << " instr " << It.id();
+        EXPECT_EQ(DU->ordinalOf(It.id()), FreshDU.ordinalOf(It.id()))
+            << PassName << " instr " << It.id();
+      }
+  }
 }
 
 TEST(AnalysisManagerProperty, CachedEqualsFreshAfterEveryPass) {
@@ -277,6 +327,31 @@ TEST(AnalysisManagerProperty, CachedEqualsFreshAfterEveryPass) {
       ADD_FAILURE() << "stale cached analysis for fuzz seed "
                     << 3000 + Seed;
       return;
+    }
+  }
+}
+
+TEST(AnalysisManagerProperty, CachedEqualsFreshOnAliasAndSsaPipelines) {
+  // The aliasing grammar gives AliasInfo pointers to track, and the SSA
+  // tier caches SsaDefUse across its passes.
+  const LevelSpec *O2Ssa = findLevel("O2ssa");
+  ASSERT_NE(O2Ssa, nullptr);
+  for (unsigned Seed = 0; Seed < 12; ++Seed) {
+    GenOptions G;
+    G.Alias = Seed % 2 == 0;
+    std::string Src = generateProgram(3000 + Seed, G);
+    for (const OptOptions &Opts : {OptOptions::all(), O2Ssa->Opts}) {
+      DiagnosticEngine Diags;
+      auto M = compileToIR(Src, Diags);
+      ASSERT_TRUE(M) << "seed " << 3000 + Seed << ": " << Diags.str();
+      PipelineConfig Config;
+      Config.AfterPass = checkCachedAgainstFresh;
+      runPipelineEx(*M, Opts, Config);
+      if (::testing::Test::HasFailure()) {
+        ADD_FAILURE() << "stale cached analysis for fuzz seed "
+                      << 3000 + Seed << (G.Alias ? " (alias)" : "");
+        return;
+      }
     }
   }
 }

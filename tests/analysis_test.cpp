@@ -232,19 +232,21 @@ TEST(ReachingDefs, SingleDefReachesUse) {
   // Walk the entry block: at the `y = x + 1` instruction, exactly one real
   // def of x reaches.
   BitVector Reach = RD.reachIn(0);
-  for (const Instr &I : F->entry()->Insts) {
+  BasicBlock *Entry = F->entry();
+  for (auto It = Entry->Insts.begin(); It != Entry->Insts.end(); ++It) {
+    const Instr &I = *It;
     if (I.Op == Opcode::Add && I.IsSourceAssign) {
-      BitVector DefsOfX = RD.defsOfValue(XIdx);
-      DefsOfX &= Reach;
       unsigned RealDefs = 0;
-      for (unsigned D : DefsOfX)
-        if (!RD.isUnknownDef(D))
+      for (unsigned D = RD.defsBegin(XIdx); D != RD.defsEnd(XIdx); ++D)
+        if (Reach.test(D) && !RD.isUnknownDef(D))
           ++RealDefs;
       EXPECT_EQ(RealDefs, 1u);
       // The unknown def of x must be killed by `x = 5`.
-      EXPECT_FALSE(DefsOfX.test(RD.unknownDef(XIdx)));
+      ASSERT_GE(RD.unknownDef(XIdx), RD.defsBegin(XIdx));
+      ASSERT_LT(RD.unknownDef(XIdx), RD.defsEnd(XIdx));
+      EXPECT_FALSE(Reach.test(RD.unknownDef(XIdx)));
     }
-    RD.transfer(I, Reach);
+    RD.transfer(It.id(), I, Reach);
   }
 }
 
@@ -267,11 +269,9 @@ TEST(ReachingDefs, TwoDefsMergeAtJoin) {
     if (CFG.preds(B).size() == 2)
       Join = B;
   ASSERT_NE(Join, ~0u);
-  BitVector DefsOfX = RD.defsOfValue(XIdx);
-  DefsOfX &= RD.reachIn(Join);
   unsigned RealDefs = 0;
-  for (unsigned D : DefsOfX)
-    if (!RD.isUnknownDef(D))
+  for (unsigned D = RD.defsBegin(XIdx); D != RD.defsEnd(XIdx); ++D)
+    if (RD.reachIn(Join).test(D) && !RD.isUnknownDef(D))
       ++RealDefs;
   EXPECT_EQ(RealDefs, 2u);
 }
@@ -294,14 +294,69 @@ TEST(ReachingDefs, CallClobbersAddressTaken) {
   // After the call, the unknown def of x must reach the return.
   BitVector Reach = RD.reachIn(0);
   bool SawCall = false;
-  for (const Instr &I : F->entry()->Insts) {
-    RD.transfer(I, Reach);
+  BasicBlock *Entry = F->entry();
+  for (auto It = Entry->Insts.begin(); It != Entry->Insts.end(); ++It) {
+    const Instr &I = *It;
+    RD.transfer(It.id(), I, Reach);
     if (I.Op == Opcode::Call)
       SawCall = true;
     if (SawCall && I.Op == Opcode::Call) {
       EXPECT_TRUE(Reach.test(RD.unknownDef(XIdx)));
     }
   }
+}
+
+TEST(ReachingDefs, DefinitionsGroupedByValueInInstructionOrder) {
+  auto M = compile(R"(
+    int main() {
+      int x = 1;
+      int y = 2;
+      if (y > 0) { x = 3; y = x; } else { x = 4; }
+      x = x + y;
+      return x;
+    }
+  )");
+  IRFunction *F = M->findFunc("main");
+  CFGContext CFG(*F);
+  ValueIndex VI(*F, *M->Info);
+  AliasInfo AI(*F, *M->Info);
+  ReachingDefs RD(CFG, VI, *M->Info, AI);
+
+  // The ranges tile the universe in value order, each ending in its
+  // value's unknown definition.
+  unsigned Next = 0;
+  for (unsigned V = 0; V < VI.size(); ++V) {
+    ASSERT_EQ(RD.defsBegin(V), Next) << "value " << V;
+    ASSERT_LT(RD.defsBegin(V), RD.defsEnd(V)) << "value " << V;
+    EXPECT_EQ(RD.unknownDef(V), RD.defsEnd(V) - 1) << "value " << V;
+    EXPECT_TRUE(RD.isUnknownDef(RD.unknownDef(V))) << "value " << V;
+    for (unsigned D = RD.defsBegin(V); D != RD.defsEnd(V); ++D)
+      EXPECT_EQ(RD.def(D).ValueIdx, V) << "def " << D;
+    Next = RD.defsEnd(V);
+  }
+  EXPECT_EQ(Next, RD.numDefs());
+
+  // x's real definitions come first, in CFG block and instruction order.
+  unsigned XIdx = varIdx(*M, VI, "x");
+  unsigned D = RD.defsBegin(XIdx);
+  unsigned RealDefs = 0;
+  for (unsigned B = 0; B < CFG.numBlocks(); ++B) {
+    BasicBlock *BB = CFG.block(B);
+    for (auto It = BB->Insts.begin(); It != BB->Insts.end(); ++It) {
+      if (VI.valueIndex(It->Dest) != XIdx) {
+        EXPECT_NE(RD.defIndexOf(It.id()), RD.unknownDef(XIdx));
+        continue;
+      }
+      ASSERT_LT(D, RD.unknownDef(XIdx));
+      EXPECT_EQ(RD.def(D).I, &*It);
+      EXPECT_EQ(RD.defIndexOf(It.id()), D);
+      EXPECT_FALSE(RD.isUnknownDef(D));
+      ++D;
+      ++RealDefs;
+    }
+  }
+  EXPECT_EQ(RealDefs, 4u);
+  EXPECT_EQ(D, RD.unknownDef(XIdx));
 }
 
 TEST(LoopInfo, FindsNaturalLoop) {

@@ -141,6 +141,28 @@ TEST(BitVector, RandomizedAgainstStdSet) {
     EXPECT_EQ(BV.test(I), Ref.count(I) != 0) << I;
 }
 
+TEST(BitVector, RangeSetResetMatchesBitLoop) {
+  // Ranges inside one word, across word boundaries, spanning whole words,
+  // empty, and touching the last bit of a partial last word.
+  std::mt19937 Rng(7);
+  for (unsigned N : {1u, 63u, 64u, 65u, 128u, 200u}) {
+    BitVector BV(N), Ref(N);
+    for (int Step = 0; Step < 400; ++Step) {
+      unsigned Begin = Rng() % (N + 1);
+      unsigned End = Begin + Rng() % (N + 1 - Begin);
+      bool Set = Rng() % 2;
+      if (Set)
+        BV.set(Begin, End);
+      else
+        BV.reset(Begin, End);
+      for (unsigned I = Begin; I < End; ++I)
+        Set ? Ref.set(I) : Ref.reset(I);
+      ASSERT_EQ(BV, Ref) << "size " << N << " range [" << Begin << ", "
+                         << End << ")";
+    }
+  }
+}
+
 TEST(Diagnostics, CollectsAndFormats) {
   DiagnosticEngine DE;
   EXPECT_FALSE(DE.hasErrors());
