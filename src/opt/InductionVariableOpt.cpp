@@ -23,6 +23,8 @@
 
 #include "opt/Pass.h"
 
+#include "ir/IntArith.h"
+
 using namespace sldb;
 
 namespace {
@@ -115,7 +117,9 @@ private:
         IV.IV = I.Dest;
         IV.Update = &I;
         IV.UpdateBlock = B;
-        IV.Step = I.Op == Opcode::Add ? I.Ops[1].IntVal : -I.Ops[1].IntVal;
+        // MiniC integers wrap, so the step is negated modulo 2^64 too.
+        IV.Step = I.Op == Opcode::Add ? I.Ops[1].IntVal
+                                      : intarith::neg(I.Ops[1].IntVal);
         IVs.push_back(IV);
       }
     return IVs;
@@ -171,7 +175,8 @@ private:
         Bump.Op = Opcode::Add;
         Bump.Ty = IRType::Int;
         Bump.Dest = S;
-        Bump.Ops = {S, Value::constInt(IV.Step * K)};
+        // s == IV * K holds modulo 2^64 with a wrapping bump.
+        Bump.Ops = {S, Value::constInt(intarith::mul(IV.Step, K))};
         Bump.Stmt = IV.Update->Stmt;
         BasicBlock *UB = CFG.block(IV.UpdateBlock);
         for (auto It = UB->Insts.begin(); It != UB->Insts.end(); ++It)
@@ -188,18 +193,25 @@ private:
 
       // Linear function test replacement: rewrite in-loop exit tests
       // `t = cmp IV, n` (n a constant; K > 0 keeps the direction) to
-      // compare the strength-reduced temp instead, freeing IV.
+      // compare the strength-reduced temp instead, freeing IV.  A test
+      // whose bound times K does not fit in an int stays on IV: the
+      // scaled bound would wrap and change the loop's exit.
       if (K > 0) {
         for (unsigned B : L.Blocks)
           for (Instr &I : CFG.block(B)->Insts) {
             if (!isCompareOp(I.Op))
               continue;
+            std::int64_t NK;
             if (I.Ops[0] == IV.IV && I.Ops[1].isConstInt()) {
-              I.Ops[0] = S;
-              I.Ops[1] = Value::constInt(I.Ops[1].IntVal * K);
+              if (!__builtin_mul_overflow(I.Ops[1].IntVal, K, &NK)) {
+                I.Ops[0] = S;
+                I.Ops[1] = Value::constInt(NK);
+              }
             } else if (I.Ops[1] == IV.IV && I.Ops[0].isConstInt()) {
-              I.Ops[1] = S;
-              I.Ops[0] = Value::constInt(I.Ops[0].IntVal * K);
+              if (!__builtin_mul_overflow(I.Ops[0].IntVal, K, &NK)) {
+                I.Ops[1] = S;
+                I.Ops[0] = Value::constInt(NK);
+              }
             }
           }
       }

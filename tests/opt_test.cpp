@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <random>
+#include <sstream>
 
 using namespace sldb;
 
@@ -739,6 +741,24 @@ TEST(PipelineDiff, BitwiseNotAndMinQuotient) {
             "-6\n-1\n-9223372036854775808\n0\n");
   differential(Src, findLevel("sparse")->Opts);
   differential(Src);
+}
+
+TEST(PipelineDiff, LftrBoundOverflowKeepsExitTest) {
+  // Strength reduction makes s == i * 2^62; replacing `i < 3` with
+  // `s < 3 * 2^62` would compare against a wrapped bound and exit after
+  // the first iteration.  Every level must print all three products
+  // (the last one wraps to INT64_MIN).
+  std::ifstream In(std::string(SLDB_INPUT_DIR) + "/lftr_overflow.mc");
+  ASSERT_TRUE(In) << "missing input lftr_overflow.mc";
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  const std::string Src = Buf.str();
+  EXPECT_EQ(interpretIR(*compile(Src)).outputText(),
+            "0\n4611686018427387904\n-9223372036854775808\n");
+  for (const LevelSpec &L : pipelineLevels()) {
+    SCOPED_TRACE(L.Name);
+    differential(Src, L.Opts);
+  }
 }
 
 //===----------------------------------------------------------------------===//
