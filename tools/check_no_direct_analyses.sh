@@ -20,7 +20,7 @@ cd "$ROOT"
 
 # Stack/heap construction of an analysis type: "CFGContext CFG(F)",
 # "auto X = CFGContext(...)", "make_unique<Dominators>", "new Liveness".
-TYPES='CFGContext|Dominators|PostDominators|LoopInfo|ValueIndex|Liveness|ReachingDefs|DomFrontiers|SsaDefUse'
+TYPES='CFGContext|Dominators|PostDominators|LoopInfo|ValueIndex|Liveness|ReachingDefs|DomFrontiers|SsaDefUse|AliasInfo'
 PATTERN="\b($TYPES)[[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]*\(|make_unique<[[:space:]]*($TYPES)[[:space:]]*>|new[[:space:]]+($TYPES)\b|=[[:space:]]*($TYPES)[[:space:]]*\("
 
 VIOLATIONS=$(grep -rEn "$PATTERN" src/opt src/core --include='*.cpp' --include='*.h' | grep -v '^\s*//' || true)
