@@ -15,9 +15,8 @@
 #ifndef SLDB_BENCH_BENCHUTIL_H
 #define SLDB_BENCH_BENCHUTIL_H
 
-#include "codegen/ISel.h"
+#include "eval/Compile.h"
 #include "ir/IRGen.h"
-#include "opt/Pass.h"
 
 #include "bench/BenchSnapshot.h"
 
@@ -38,6 +37,24 @@ inline std::unique_ptr<IRModule> compile(std::string_view Src) {
     std::abort();
   }
   return M;
+}
+
+/// Benchmark sources ship with the repository, so a compile failure is a
+/// bug: report the Status and abort.
+inline void check(const Status &S) {
+  if (!S.ok()) {
+    std::fprintf(stderr, "benchmark compile failed: %s\n", S.str().c_str());
+    std::abort();
+  }
+}
+
+/// Source to machine code through compileModule (failures as check()).
+inline CompiledModule build(std::string_view Src, const OptOptions &Opts,
+                            const CodegenOptions &CG = {},
+                            const PipelineConfig &Config = {}) {
+  Expected<CompiledModule> C = compileModule(Src, Opts, CG, nullptr, Config);
+  check(C.status());
+  return std::move(*C);
 }
 
 inline void rule(char C = '-', int Width = 72) {

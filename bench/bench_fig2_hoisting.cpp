@@ -33,21 +33,20 @@ const char *Fig2 = R"(
   }
 )";
 
-MachineModule buildFig2(std::unique_ptr<IRModule> &Keep) {
-  Keep = bench::compile(Fig2);
+OptOptions preOnly() {
   OptOptions O = OptOptions::none();
   O.PRE = true;
-  runPipeline(*Keep, O);
-  return compileToMachine(*Keep, CodegenOptions());
+  return O;
 }
+
+CompiledModule buildFig2() { return bench::build(Fig2, preOnly()); }
 
 } // namespace
 
 static void printFigure2() {
   std::printf("Figure 2: Example of code hoisting\n");
   bench::rule();
-  std::unique_ptr<IRModule> Keep;
-  MachineModule MM = buildFig2(Keep);
+  auto [IR, MM] = buildFig2();
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId X = InvalidVar;
@@ -81,17 +80,14 @@ static void printFigure2() {
 static void BM_PREOnFig2(benchmark::State &State) {
   for (auto _ : State) {
     auto M = bench::compile(Fig2);
-    OptOptions O = OptOptions::none();
-    O.PRE = true;
-    runPipeline(*M, O);
+    bench::check(runPipelineEx(*M, preOnly(), PipelineConfig()));
     benchmark::DoNotOptimize(M->Funcs.size());
   }
 }
 BENCHMARK(BM_PREOnFig2);
 
 static void BM_ClassifierConstruction(benchmark::State &State) {
-  std::unique_ptr<IRModule> Keep;
-  MachineModule MM = buildFig2(Keep);
+  auto [IR, MM] = buildFig2();
   for (auto _ : State) {
     Classifier C(MM.Funcs[0], *MM.Info);
     benchmark::DoNotOptimize(&C);
@@ -100,8 +96,7 @@ static void BM_ClassifierConstruction(benchmark::State &State) {
 BENCHMARK(BM_ClassifierConstruction);
 
 static void BM_SingleClassification(benchmark::State &State) {
-  std::unique_ptr<IRModule> Keep;
-  MachineModule MM = buildFig2(Keep);
+  auto [IR, MM] = buildFig2();
   Classifier C(MM.Funcs[0], *MM.Info);
   VarId X = 4; // x.
   for (auto _ : State) {

@@ -34,14 +34,15 @@ const char *Fig3 = R"(
   }
 )";
 
-MachineModule buildFig3(std::unique_ptr<IRModule> &Keep) {
-  Keep = bench::compile(Fig3);
+OptOptions pdeOnly() {
   OptOptions O = OptOptions::none();
   O.PDE = true;
-  runPipeline(*Keep, O);
-  CodegenOptions CG;
-  CG.PromoteVars = false; // Figure 5(a) configuration: all resident.
-  return compileToMachine(*Keep, CG);
+  return O;
+}
+
+CompiledModule buildFig3() {
+  // Figure 5(a) configuration: all resident.
+  return bench::build(Fig3, pdeOnly(), {.PromoteVars = false});
 }
 
 } // namespace
@@ -49,8 +50,7 @@ MachineModule buildFig3(std::unique_ptr<IRModule> &Keep) {
 static void printFigure3() {
   std::printf("Figure 3: Example of dead code elimination (sinking)\n");
   bench::rule();
-  std::unique_ptr<IRModule> Keep;
-  MachineModule MM = buildFig3(Keep);
+  auto [IR, MM] = buildFig3();
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId X = InvalidVar;
@@ -82,17 +82,14 @@ static void printFigure3() {
 static void BM_PDEOnFig3(benchmark::State &State) {
   for (auto _ : State) {
     auto M = bench::compile(Fig3);
-    OptOptions O = OptOptions::none();
-    O.PDE = true;
-    runPipeline(*M, O);
+    bench::check(runPipelineEx(*M, pdeOnly(), PipelineConfig()));
     benchmark::DoNotOptimize(M->Funcs.size());
   }
 }
 BENCHMARK(BM_PDEOnFig3);
 
 static void BM_DeadReachAnalysis(benchmark::State &State) {
-  std::unique_ptr<IRModule> Keep;
-  MachineModule MM = buildFig3(Keep);
+  auto [IR, MM] = buildFig3();
   for (auto _ : State) {
     Classifier C(MM.Funcs[0], *MM.Info);
     benchmark::DoNotOptimize(&C);

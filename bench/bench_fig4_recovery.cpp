@@ -36,9 +36,7 @@ static void printFigure4() {
   std::printf("Figure 4: Recovery of an eliminated variable from a CSE "
               "temporary\n");
   bench::rule();
-  auto M = bench::compile(Fig4);
-  runPipeline(*M, OptOptions::all());
-  MachineModule MM = compileToMachine(*M, CodegenOptions());
+  auto [IR, MM] = bench::build(Fig4, OptOptions::all());
   Debugger Dbg(MM);
   FuncId Main = MM.Info->findFunc("main");
   bool Set = Dbg.setBreakpointAtStmt(Main, 5); // print(a).
@@ -63,18 +61,14 @@ static void printFigure4() {
 
 static void BM_RecoveryPipeline(benchmark::State &State) {
   for (auto _ : State) {
-    auto M = bench::compile(Fig4);
-    runPipeline(*M, OptOptions::all());
-    MachineModule MM = compileToMachine(*M, CodegenOptions());
-    benchmark::DoNotOptimize(MM.Funcs.size());
+    CompiledModule C = bench::build(Fig4, OptOptions::all());
+    benchmark::DoNotOptimize(C.MM.Funcs.size());
   }
 }
 BENCHMARK(BM_RecoveryPipeline);
 
 static void BM_DebuggerQuery(benchmark::State &State) {
-  auto M = bench::compile(Fig4);
-  runPipeline(*M, OptOptions::all());
-  MachineModule MM = compileToMachine(*M, CodegenOptions());
+  auto [IR, MM] = bench::build(Fig4, OptOptions::all());
   Debugger Dbg(MM);
   Dbg.setBreakpointAtStmt(MM.Info->findFunc("main"), 5);
   Dbg.run();

@@ -28,17 +28,16 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchSnapshot.h"
-#include "codegen/ISel.h"
 #include "core/Classifier.h"
+#include "eval/Compile.h"
 #include "eval/Levels.h"
 #include "eval/Programs.h"
 #include "fuzz/Campaign.h"
-#include "ir/IRGen.h"
-#include "opt/Pass.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -53,6 +52,19 @@ using Clock = std::chrono::steady_clock;
 double msSince(Clock::time_point T0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - T0)
       .count();
+}
+
+/// Source to machine code through the driver.  The corpus always
+/// compiles, so a failure is a bug: report it and abort.
+CompiledModule build(std::string_view Src, const OptOptions &Opts,
+                     const PipelineConfig &Config = {}) {
+  Expected<CompiledModule> C = compileModule(Src, Opts, {}, nullptr, Config);
+  if (!C) {
+    std::fprintf(stderr, "benchmark compile failed: %s\n",
+                 C.status().str().c_str());
+    std::abort();
+  }
+  return std::move(*C);
 }
 
 /// The corpus the compile loop runs over: same generator seeds as the
@@ -89,11 +101,8 @@ double compileSweep(const std::vector<std::string> &Srcs,
   Funcs = 0;
   for (int Rep = 0; Rep < 3; ++Rep)
     for (const std::string &S : Srcs) {
-      DiagnosticEngine D;
-      auto M = compileToIR(S, D);
-      runPipelineEx(*M, Opts, Config);
-      MachineModule MM = compileToMachine(*M, CodegenOptions());
-      Funcs += static_cast<unsigned>(MM.Funcs.size());
+      CompiledModule C = build(S, Opts, Config);
+      Funcs += static_cast<unsigned>(C.MM.Funcs.size());
     }
   return msSince(T0);
 }
@@ -105,10 +114,7 @@ double querySweep(std::uint64_t &Queries) {
   Queries = 0;
   for (int Rep = 0; Rep < 3; ++Rep)
     for (const BenchProgram &P : benchmarkPrograms()) {
-      DiagnosticEngine D;
-      auto M = compileToIR(P.Source, D);
-      runPipeline(*M, OptOptions::all());
-      MachineModule MM = compileToMachine(*M, CodegenOptions());
+      auto [IR, MM] = build(P.Source, OptOptions::all());
       for (const MachineFunction &MF : MM.Funcs) {
         Classifier CL(MF, *MM.Info);
         const FuncInfo &FI = MM.Info->func(MF.Id);

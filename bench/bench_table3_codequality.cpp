@@ -52,9 +52,7 @@ static void printTable3() {
 static void BM_RunOptimized(benchmark::State &State) {
   const BenchProgram &P =
       benchmarkPrograms()[static_cast<std::size_t>(State.range(0))];
-  auto M = bench::compile(P.Source);
-  runPipeline(*M, OptOptions::all());
-  MachineModule MM = compileToMachine(*M, CodegenOptions());
+  auto [IR, MM] = bench::build(P.Source, OptOptions::all());
   for (auto _ : State) {
     Machine VM(MM);
     VM.run();
@@ -67,11 +65,8 @@ BENCHMARK(BM_RunOptimized)->DenseRange(0, 7);
 static void BM_RunUnoptimized(benchmark::State &State) {
   const BenchProgram &P =
       benchmarkPrograms()[static_cast<std::size_t>(State.range(0))];
-  auto M = bench::compile(P.Source);
-  CodegenOptions CG;
-  CG.PromoteVars = false;
-  CG.Schedule = false;
-  MachineModule MM = compileToMachine(*M, CG);
+  auto [IR, MM] = bench::build(P.Source, OptOptions::none(),
+                               {.PromoteVars = false, .Schedule = false});
   for (auto _ : State) {
     Machine VM(MM);
     VM.run();

@@ -12,11 +12,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "codegen/ISel.h"
 #include "core/Debugger.h"
+#include "eval/Compile.h"
 #include "eval/Programs.h"
-#include "ir/IRGen.h"
-#include "opt/Pass.h"
 
 #include <cstdio>
 
@@ -28,14 +26,13 @@ int main() {
               "pipeline + register allocation\n\n",
               Compress.Name, Compress.Description);
 
-  DiagnosticEngine Diags;
-  auto Module = compileToIR(Compress.Source, Diags);
-  if (!Module) {
-    std::fprintf(stderr, "compile error:\n%s", Diags.str().c_str());
+  Expected<CompiledModule> Build =
+      compileModule(Compress.Source, OptOptions::all(), CodegenOptions());
+  if (!Build) {
+    std::fprintf(stderr, "compile error: %s\n", Build.status().str().c_str());
     return 1;
   }
-  runPipeline(*Module, OptOptions::all());
-  MachineModule MM = compileToMachine(*Module, CodegenOptions());
+  const MachineModule &MM = Build->MM;
 
   Debugger Dbg(MM);
   FuncId CompressFn = MM.Info->findFunc("compress");

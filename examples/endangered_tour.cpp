@@ -11,35 +11,26 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "codegen/ISel.h"
 #include "core/Debugger.h"
-#include "ir/IRGen.h"
-#include "opt/Pass.h"
+#include "eval/Compile.h"
 
 #include <cstdio>
-#include <memory>
+#include <cstdlib>
 
 using namespace sldb;
 
 namespace {
 
-/// Pool keeping IRModules alive behind their MachineModules.
-std::vector<std::unique_ptr<IRModule>> Pool;
-
-MachineModule build(const char *Source, OptOptions Opts,
-                    bool Promote = true) {
-  DiagnosticEngine Diags;
-  auto Module = compileToIR(Source, Diags);
-  if (!Module) {
-    std::fprintf(stderr, "compile error:\n%s", Diags.str().c_str());
+/// Compiles one tour stop.  The result owns the optimized IR that the
+/// machine code borrows, so it must outlive the debugger.
+CompiledModule build(const char *Source, const OptOptions &Opts,
+                     bool Promote = true) {
+  Expected<CompiledModule> Build = compileModule(Source, Opts, {Promote});
+  if (!Build) {
+    std::fprintf(stderr, "compile error: %s\n", Build.status().str().c_str());
     std::abort();
   }
-  runPipeline(*Module, Opts);
-  CodegenOptions CG;
-  CG.PromoteVars = Promote;
-  MachineModule MM = compileToMachine(*Module, CG);
-  Pool.push_back(std::move(Module));
-  return MM;
+  return std::move(*Build);
 }
 
 void show(Debugger &Dbg, const char *Var) {
@@ -67,7 +58,7 @@ int main() {
   // ------------------------------------------------------------------
   banner("uninitialized: no assignment reaches the breakpoint");
   {
-    MachineModule MM = build(R"(
+    auto [IR, MM] = build(R"(
       int main() {
         int pending;
         int base = 10;        // s1: break here; pending not yet assigned
@@ -76,7 +67,7 @@ int main() {
         return 0;
       }
     )",
-                             OptOptions::none());
+                          OptOptions::none());
     Debugger Dbg(MM);
     Dbg.setBreakpointAtStmt(MM.Info->findFunc("main"), 1);
     Dbg.run();
@@ -88,7 +79,7 @@ int main() {
   {
     OptOptions O = OptOptions::none();
     O.PRE = true;
-    MachineModule MM = build(R"(
+    auto [IR, MM] = build(R"(
       int main() {
         int u = 7; int v = 3; int y = 2; int z = 4;
         int x = u - v;
@@ -98,7 +89,7 @@ int main() {
         return 0;
       }
     )",
-                             O);
+                          O);
     Debugger Dbg(MM);
     Dbg.setBreakpointAtStmt(MM.Info->findFunc("main"), 8);
     Dbg.run();
@@ -112,7 +103,7 @@ int main() {
   {
     OptOptions O = OptOptions::none();
     O.PDE = true;
-    MachineModule MM = build(R"(
+    auto [IR, MM] = build(R"(
       int main() {
         int u = 5; int v = 2; int y = 3; int z = 4;
         int x = y + z;        // sunk into the else branch
@@ -127,7 +118,7 @@ int main() {
         return 0;
       }
     )",
-                             O, /*Promote=*/false);
+                          O, /*Promote=*/false);
     Debugger Dbg(MM);
     FuncId Main = MM.Info->findFunc("main");
     Dbg.setBreakpointAtStmt(Main, 5);
@@ -144,7 +135,7 @@ int main() {
   banner("recovery: DCE'd variable reconstructed from an alias "
          "(Figure 4)");
   {
-    MachineModule MM = build(R"(
+    auto [IR, MM] = build(R"(
       int main() {
         int a = 7;
         int c = a;            // dead; c aliases a
@@ -152,7 +143,7 @@ int main() {
         return a;
       }
     )",
-                             OptOptions::all());
+                          OptOptions::all());
     Debugger Dbg(MM);
     Dbg.setBreakpointAtStmt(MM.Info->findFunc("main"), 2);
     Dbg.run();
@@ -168,7 +159,7 @@ int main() {
              std::to_string(I) + "; acc = t" + std::to_string(I) +
              " * 2 - acc;\n";
     Src += "  print(acc);\n  return 0;\n}\n"; // `first` long dead here.
-    MachineModule MM = build(Src.c_str(), OptOptions::none());
+    auto [IR, MM] = build(Src.c_str(), OptOptions::none());
     Debugger Dbg(MM);
     const MachineFunction *Main = MM.findFunc("main");
     StmtId Last = 0;
@@ -186,7 +177,7 @@ int main() {
   // ------------------------------------------------------------------
   banner("current: shown without warnings");
   {
-    MachineModule MM = build(R"(
+    auto [IR, MM] = build(R"(
       int main() {
         int a = 3;
         int b = a * 7;
@@ -194,7 +185,7 @@ int main() {
         return 0;
       }
     )",
-                             OptOptions::all());
+                          OptOptions::all());
     Debugger Dbg(MM);
     Dbg.setBreakpointAtStmt(MM.Info->findFunc("main"), 2);
     Dbg.run();

@@ -2,22 +2,22 @@
 //
 // Part of the sldb project (PLDI 1996 reproduction).
 //
-// Shows the compiler's work: the IR after each optimization pass (with
-// the paper's §3 bookkeeping — hoisted/sunk flags and dead/avail markers
-// visible inline), then the final annotated R3K machine code with the
-// statement map and per-variable storage.
+// Shows the compiler's work: the IR after each optimization pass that
+// changed it (with the paper's §3 bookkeeping — hoisted/sunk flags and
+// dead/avail markers visible inline), then the final annotated R3K
+// machine code with the statement map and per-variable storage.
 //
 // Build & run:  ./build/examples/opt_report
 //
 //===----------------------------------------------------------------------===//
 
-#include "codegen/ISel.h"
 #include "codegen/MachineIR.h"
+#include "eval/Compile.h"
 #include "ir/IRGen.h"
 #include "ir/IRPrinter.h"
-#include "opt/Pass.h"
 
 #include <cstdio>
+#include <string>
 
 using namespace sldb;
 
@@ -39,43 +39,34 @@ int main() {
     }
   )";
 
+  // The driver runs the pipeline; its AfterPass hook sees the IR after
+  // every (pass, function) step, so print it whenever a pass changed it.
+  std::string Shown;
+  auto ShowIfChanged = [&](const std::string &Title, const IRModule &M) {
+    std::string IR = printModule(M);
+    if (IR != Shown)
+      std::printf("==== %s ====\n%s\n", Title.c_str(), IR.c_str());
+    Shown = std::move(IR);
+  };
   DiagnosticEngine Diags;
-  auto Module = compileToIR(Source, Diags);
-  if (!Module) {
-    std::fprintf(stderr, "compile error:\n%s", Diags.str().c_str());
+  if (auto Generated = compileToIR(Source, Diags))
+    ShowIfChanged("IR as generated", *Generated);
+
+  OptOptions Opts = OptOptions::none();
+  Opts.ConstProp = Opts.CopyProp = Opts.PRE = Opts.PDE = Opts.DCE =
+      Opts.BranchOpt = true;
+  PipelineConfig Config;
+  Config.AfterPass = [&](IRFunction &, IRModule &M, AnalysisManager &,
+                         const char *PassName) {
+    ShowIfChanged(std::string("after ") + PassName, M);
+  };
+  Expected<CompiledModule> Build =
+      compileModule(Source, Opts, CodegenOptions(), nullptr, Config);
+  if (!Build) {
+    std::fprintf(stderr, "compile error: %s\n", Build.status().str().c_str());
     return 1;
   }
-
-  std::printf("==== IR as generated ====\n%s\n",
-              printModule(*Module).c_str());
-
-  // Run the interesting passes one at a time and dump after each.
-  struct Step {
-    const char *Title;
-    std::unique_ptr<Pass> P;
-  };
-  Step Steps[] = {
-      {"constant propagation + folding", createConstantPropagationPass()},
-      {"local simplification", createLocalSimplifyPass()},
-      {"copy propagation", createCopyPropagationPass()},
-      {"partial redundancy elimination (hoisting)",
-       createPartialRedundancyElimPass()},
-      {"partial dead code elimination (sinking)",
-       createPartialDeadCodeElimPass()},
-      {"dead assignment elimination", createDeadCodeEliminationPass()},
-      {"branch optimizations", createBranchOptPass()},
-  };
-  for (Step &S : Steps) {
-    bool Changed = false;
-    for (auto &F : Module->Funcs)
-      Changed |= S.P->run(*F, *Module);
-    if (!Changed)
-      continue;
-    std::printf("==== after %s ====\n%s\n", S.Title,
-                printModule(*Module).c_str());
-  }
-
-  MachineModule MM = compileToMachine(*Module, CodegenOptions());
+  const MachineModule &MM = Build->MM;
   const MachineFunction &MF = *MM.findFunc("main");
   std::printf("==== final R3K code ====\n%s\n",
               printMachineFunction(MF, MM.Info).c_str());

@@ -11,8 +11,6 @@
 #include "support/Casting.h"
 #include "support/FaultInjector.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <unordered_map>
 
 using namespace sldb;
@@ -820,14 +818,4 @@ Expected<MachineModule> sldb::compileToMachineE(const IRModule &M,
   }
   injectMachineFaults(MM);
   return MM;
-}
-
-MachineModule sldb::compileToMachine(const IRModule &M,
-                                     const CodegenOptions &Opts) {
-  Expected<MachineModule> R = compileToMachineE(M, Opts);
-  if (!R.ok()) {
-    std::fprintf(stderr, "sldb: %s\n", R.status().str().c_str());
-    std::abort();
-  }
-  return std::move(*R);
 }

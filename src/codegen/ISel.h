@@ -50,10 +50,6 @@ Expected<MachineModule> compileToMachineE(const IRModule &M,
                                           const CodegenOptions &Opts,
                                           Arena *CodeArena = nullptr);
 
-/// Legacy convenience wrapper around compileToMachineE: reports the
-/// error on stderr and aborts.  Status-aware drivers use the E variant.
-MachineModule compileToMachine(const IRModule &M, const CodegenOptions &Opts);
-
 } // namespace sldb
 
 #endif // SLDB_CODEGEN_ISEL_H

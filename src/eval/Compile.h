@@ -1,0 +1,65 @@
+//===- eval/Compile.h - The source-to-machine-code driver -------*- C++ -*-===//
+//
+// Part of the sldb project (PLDI 1996 reproduction).
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// compileModule, the one driver from MiniC source to machine code:
+/// compileToIR, runPipelineEx and compileToMachineE with one error
+/// channel.  The layer functions stay public for consumers that stop at
+/// the IR (sldbc --emit=ir*, the optimizer tests) and for the
+/// benchmark's per-layer timers.
+///
+/// It takes OptOptions plus CodegenOptions rather than a LevelSpec: the
+/// lockstep reference build, sldbc's -O0/--no-promote combinations and
+/// every Schedule choice are not rows of the level table.  Callers that
+/// hold a level pass `L.Opts, {L.Promote, Sched}`.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef SLDB_EVAL_COMPILE_H
+#define SLDB_EVAL_COMPILE_H
+
+#include "codegen/ISel.h"
+#include "opt/Pass.h"
+#include "support/Diagnostics.h"
+
+#include <memory>
+#include <string_view>
+
+namespace sldb {
+
+/// One compiled program: the optimized IR and its machine code.
+struct CompiledModule {
+  /// Declared first so it is destroyed last: MM borrows IR->Info and,
+  /// given an arena, shares it.
+  std::unique_ptr<IRModule> IR;
+  MachineModule MM;
+};
+
+/// Compiles \p Src at \p Opts (OptOptions::none() is the empty pipeline)
+/// and lowers it with \p CG.
+///
+/// Errors:
+///  * a frontend failure is InvalidIR whose message is the diagnostics
+///    text; \p Diags, when given, receives the diagnostics themselves, so
+///    a caller can tell a rejected source from a back-end InvalidIR;
+///  * optimizer and back-end failures are returned unchanged;
+///  * with an arena \p A (IR and machine code both live in it), its
+///    budget is checked after the frontend, the optimizer and the back
+///    end (the Arena.h contract); the first phase over budget ends the
+///    compile with ResourceExhausted.
+///
+/// \p Config and \p Stats are passed to runPipelineEx.
+Expected<CompiledModule> compileModule(std::string_view Src,
+                                       const OptOptions &Opts,
+                                       const CodegenOptions &CG,
+                                       Arena *A = nullptr,
+                                       const PipelineConfig &Config = {},
+                                       PipelineStats *Stats = nullptr,
+                                       DiagnosticEngine *Diags = nullptr);
+
+} // namespace sldb
+
+#endif // SLDB_EVAL_COMPILE_H

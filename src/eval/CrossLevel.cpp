@@ -6,8 +6,7 @@
 
 #include "eval/CrossLevel.h"
 
-#include "codegen/ISel.h"
-#include "ir/IRGen.h"
+#include "eval/Compile.h"
 
 #include <map>
 #include <optional>
@@ -50,33 +49,20 @@ bool refused(const PointVerdict &V) {
   return V.Kind == VarClass::Suspect || V.Kind == VarClass::Nonresident;
 }
 
-/// Classifies one compiled build and records both the coverage counts
-/// and the per-point verdict matrix column.  Returns false (with \p Err
-/// set) when the build fails.
-bool classifyLevel(std::string_view Src, const LevelSpec &Spec,
-                   CoverageCounts &CC,
-                   std::map<PointKey, PointVerdict> &Column,
-                   std::map<PointKey, unsigned> &Lines, std::string &Err) {
-  DiagnosticEngine Diags;
-  auto M = compileToIR(Src, Diags);
-  if (!M) {
-    Err = Diags.hasErrors() ? Diags.str() : "frontend error";
-    return false;
-  }
-  Status PS = runPipelineEx(*M, Spec.Opts, PipelineConfig());
-  if (!PS.ok()) {
-    Err = std::string(Spec.Name) + ": " + PS.str();
-    return false;
-  }
-  CodegenOptions CG;
-  CG.PromoteVars = Spec.Promote;
-  CG.Schedule = false; // Match the lockstep oracle's builds.
-  Expected<MachineModule> MME = compileToMachineE(*M, CG);
-  if (!MME) {
-    Err = std::string(Spec.Name) + ": " + MME.status().str();
-    return false;
-  }
-  MachineModule &MM = *MME;
+/// Compiles \p Src at one level and classifies the build, recording
+/// both the coverage counts and the per-point verdict matrix column.
+/// Returns the build, or its compile failure.
+Expected<CompiledModule> classifyLevel(std::string_view Src,
+                                       const LevelSpec &Spec,
+                                       CoverageCounts &CC,
+                                       std::map<PointKey, PointVerdict> &Column,
+                                       std::map<PointKey, unsigned> &Lines) {
+  // Unscheduled, to match the lockstep oracle's builds.
+  Expected<CompiledModule> Build =
+      compileModule(Src, Spec.Opts, {Spec.Promote, /*Schedule=*/false});
+  if (!Build)
+    return Build;
+  const MachineModule &MM = Build->MM;
 
   CC.Level = Spec.Name;
   for (const MachineFunction &MF : MM.Funcs) {
@@ -90,35 +76,14 @@ bool classifyLevel(std::string_view Src, const LevelSpec &Spec,
       std::uint32_t Addr = static_cast<std::uint32_t>(MF.StmtAddr[S]);
       for (VarId V : FI.Stmts[S].ScopeVars) {
         Classification R = C.classify(Addr, V);
-        ++CC.Points;
-        switch (R.Kind) {
-        case VarClass::Uninitialized:
-          ++CC.Uninitialized;
-          break;
-        case VarClass::Nonresident:
-          ++CC.Nonresident;
-          break;
-        case VarClass::Noncurrent:
-          ++CC.Noncurrent;
-          break;
-        case VarClass::Suspect:
-          ++CC.Suspect;
-          break;
-        case VarClass::Current:
-          ++CC.Current;
-          break;
-        }
-        if (R.Recoverable)
-          ++CC.Recovered;
-        if (R.Degraded)
-          ++CC.Degraded;
+        CC.count(R);
         PointKey K{MF.Id, S, V};
         Column[K] = {R.Kind, R.Recoverable};
         Lines.emplace(K, FI.Stmts[S].Loc.Line);
       }
     }
   }
-  return true;
+  return Build;
 }
 
 } // namespace
@@ -137,19 +102,21 @@ ProgramSweep sldb::sweepProgram(std::string_view Name,
   std::map<PointKey, unsigned> Lines;
 
   // The variable/function name tables are identical at every level (the
-  // frontend produces them); keep one build's ProgramInfo for rendering.
-  DiagnosticEngine Diags;
-  auto NamesM = compileToIR(Src, Diags);
-  if (!NamesM) {
-    PS.CompileError = Diags.hasErrors() ? Diags.str() : "frontend error";
-    return PS;
-  }
-  const ProgramInfo &Info = *NamesM->Info;
-
-  for (std::size_t L = 0; L < Table.size(); ++L)
-    if (!classifyLevel(Src, Table[L], PS.Levels[L], Columns[L], Lines,
-                       PS.CompileError))
+  // frontend produces them); keep the O0 build's, which no pass touched,
+  // for rendering.
+  std::unique_ptr<IRModule> NamesIR;
+  for (std::size_t L = 0; L < Table.size(); ++L) {
+    Expected<CompiledModule> Build =
+        classifyLevel(Src, Table[L], PS.Levels[L], Columns[L], Lines);
+    if (!Build) {
+      PS.CompileError =
+          std::string(Table[L].Name) + ": " + Build.status().str();
       return PS;
+    }
+    if (Table[L].Level == PipelineLevel::O0)
+      NamesIR = std::move(Build->IR);
+  }
+  const ProgramInfo &Info = *NamesIR->Info;
   PS.Compiled = true;
 
   // Regressions, deduped per point: for each point in canonical order,

@@ -6,8 +6,8 @@
 
 #include "eval/Measure.h"
 
-#include "codegen/ISel.h"
 #include "core/Classifier.h"
+#include "eval/Compile.h"
 #include "ir/IRGen.h"
 #include "support/Casting.h"
 #include "support/ThreadPool.h"
@@ -17,28 +17,67 @@ using namespace sldb;
 
 namespace {
 
-std::unique_ptr<IRModule> mustCompile(const BenchProgram &P) {
-  DiagnosticEngine Diags;
-  auto M = compileToIR(P.Source, Diags);
-  if (!M) {
-    // Benchmark sources ship with the library; failure is a library bug.
-    sldb_unreachable(("benchmark program failed to compile: " +
-                      std::string(P.Name) + "\n" + Diags.str())
-                         .c_str());
-  }
-  return M;
+/// Benchmark sources ship with the library; failure is a library bug.
+[[noreturn]] void benchProgramFailed(const BenchProgram &P,
+                                     const std::string &Why) {
+  sldb_unreachable(("benchmark program failed to compile: " +
+                    std::string(P.Name) + "\n" + Why)
+                       .c_str());
 }
 
-void mustRunPipeline(IRModule &M, const BenchProgram &P,
-                     const OptOptions &Opts) {
-  Status PS = runPipelineEx(M, Opts, PipelineConfig());
-  if (!PS.ok())
-    sldb_unreachable(("benchmark pipeline failed: " + std::string(P.Name) +
-                      ": " + PS.str())
-                         .c_str());
+CompiledModule compileBench(const BenchProgram &P, const OptOptions &Opts,
+                            const CodegenOptions &CG) {
+  Expected<CompiledModule> C = compileModule(P.Source, Opts, CG);
+  if (!C)
+    benchProgramFailed(P, C.status().str());
+  return std::move(*C);
+}
+
+/// Classifies every (breakpoint, in-scope local) point of \p MM into
+/// \p CC: the paper's §4 methodology, all breakpoints equally likely.
+void tally(const MachineModule &MM, CoverageCounts &CC, bool EnableRecovery,
+           bool DegradeAll = false) {
+  for (const MachineFunction &MF : MM.Funcs) {
+    Classifier C(MF, *MM.Info, EnableRecovery);
+    if (DegradeAll)
+      C.degradeAllVariables();
+    const FuncInfo &FI = MM.Info->func(MF.Id);
+    CC.SrcStmts += MF.StmtAddr.size();
+    for (StmtId S = 0; S < MF.StmtAddr.size(); ++S) {
+      if (MF.StmtAddr[S] < 0)
+        continue; // The statement emitted no code (paper: code location).
+      ++CC.CodeStmts;
+      std::uint32_t Addr = static_cast<std::uint32_t>(MF.StmtAddr[S]);
+      for (VarId V : FI.Stmts[S].ScopeVars)
+        CC.count(C.classify(Addr, V));
+    }
+  }
 }
 
 } // namespace
+
+void CoverageCounts::count(const Classification &R) {
+  ++Points;
+  switch (R.Kind) {
+  case VarClass::Uninitialized:
+    ++Uninitialized;
+    break;
+  case VarClass::Nonresident:
+    ++Nonresident;
+    break;
+  case VarClass::Noncurrent:
+    ++Noncurrent;
+    break;
+  case VarClass::Suspect:
+    ++Suspect;
+    break;
+  case VarClass::Current:
+    ++Current;
+    break;
+  }
+  Recovered += R.Recoverable;
+  Degraded += R.Degraded;
+}
 
 SourceStats sldb::sourceStats(const BenchProgram &P) {
   SourceStats S;
@@ -59,7 +98,10 @@ SourceStats sldb::sourceStats(const BenchProgram &P) {
   if (LineHasText)
     ++S.LinesOfCode;
 
-  auto M = mustCompile(P);
+  DiagnosticEngine Diags;
+  auto M = compileToIR(P.Source, Diags);
+  if (!M)
+    benchProgramFailed(P, Diags.str());
   S.Functions = static_cast<unsigned>(M->Info->Funcs.size());
   std::uint64_t VarSum = 0;
   for (const FuncInfo &F : M->Info->Funcs) {
@@ -78,41 +120,19 @@ ClassAverages sldb::measureClassification(const BenchProgram &P,
                                           const OptOptions &Opts,
                                           bool Promote,
                                           bool EnableRecovery) {
-  auto M = mustCompile(P);
-  mustRunPipeline(*M, P, Opts);
-  CodegenOptions CG;
-  CG.PromoteVars = Promote;
-  MachineModule MM = compileToMachine(*M, CG);
-
+  CoverageCounts CC;
+  tally(compileBench(P, Opts, {Promote}).MM, CC, EnableRecovery);
   ClassAverages A;
-  std::uint64_t Counts[5] = {0, 0, 0, 0, 0};
-  std::uint64_t RecoveredCount = 0;
-
-  for (const MachineFunction &MF : MM.Funcs) {
-    Classifier C(MF, *MM.Info, EnableRecovery);
-    const FuncInfo &FI = MM.Info->func(MF.Id);
-    for (StmtId S = 0; S < MF.StmtAddr.size(); ++S) {
-      if (MF.StmtAddr[S] < 0)
-        continue; // The statement emitted no code (paper: code location).
-      ++A.Breakpoints;
-      std::uint32_t Addr = static_cast<std::uint32_t>(MF.StmtAddr[S]);
-      for (VarId V : FI.Stmts[S].ScopeVars) {
-        Classification CC = C.classify(Addr, V);
-        ++Counts[static_cast<unsigned>(CC.Kind)];
-        if (CC.Recoverable)
-          ++RecoveredCount;
-      }
-    }
-  }
+  A.Breakpoints = static_cast<unsigned>(CC.CodeStmts);
   if (A.Breakpoints == 0)
     return A;
   double N = A.Breakpoints;
-  A.Uninitialized = Counts[0] / N;
-  A.Nonresident = Counts[1] / N;
-  A.Noncurrent = Counts[2] / N;
-  A.Suspect = Counts[3] / N;
-  A.Current = Counts[4] / N;
-  A.Recovered = RecoveredCount / N;
+  A.Uninitialized = CC.Uninitialized / N;
+  A.Nonresident = CC.Nonresident / N;
+  A.Noncurrent = CC.Noncurrent / N;
+  A.Suspect = CC.Suspect / N;
+  A.Current = CC.Current / N;
+  A.Recovered = CC.Recovered / N;
   return A;
 }
 
@@ -133,52 +153,9 @@ CoverageCounts sldb::measureCoverage(const std::vector<BenchProgram> &Corpus,
                                      const CoverageOptions &MO) {
   CoverageCounts CC;
   CC.Level = Level.Name;
-  for (const BenchProgram &P : Corpus) {
-    auto M = mustCompile(P);
-    mustRunPipeline(*M, P, Level.Opts);
-    CodegenOptions CG;
-    CG.PromoteVars = Level.Promote;
-    CG.Schedule = MO.Schedule;
-    MachineModule MM = compileToMachine(*M, CG);
-    for (const MachineFunction &MF : MM.Funcs) {
-      Classifier C(MF, *MM.Info);
-      if (MO.DegradeAll)
-        C.degradeAllVariables();
-      const FuncInfo &FI = MM.Info->func(MF.Id);
-      CC.SrcStmts += MF.StmtAddr.size();
-      for (StmtId S = 0; S < MF.StmtAddr.size(); ++S) {
-        if (MF.StmtAddr[S] < 0)
-          continue;
-        ++CC.CodeStmts;
-        std::uint32_t Addr = static_cast<std::uint32_t>(MF.StmtAddr[S]);
-        for (VarId V : FI.Stmts[S].ScopeVars) {
-          Classification R = C.classify(Addr, V);
-          ++CC.Points;
-          switch (R.Kind) {
-          case VarClass::Uninitialized:
-            ++CC.Uninitialized;
-            break;
-          case VarClass::Nonresident:
-            ++CC.Nonresident;
-            break;
-          case VarClass::Noncurrent:
-            ++CC.Noncurrent;
-            break;
-          case VarClass::Suspect:
-            ++CC.Suspect;
-            break;
-          case VarClass::Current:
-            ++CC.Current;
-            break;
-          }
-          if (R.Recoverable)
-            ++CC.Recovered;
-          if (R.Degraded)
-            ++CC.Degraded;
-        }
-      }
-    }
-  }
+  for (const BenchProgram &P : Corpus)
+    tally(compileBench(P, Level.Opts, {Level.Promote, MO.Schedule}).MM, CC,
+          /*EnableRecovery=*/true, MO.DegradeAll);
   return CC;
 }
 
@@ -251,17 +228,9 @@ std::string sldb::renderConservatismReport(
 CodeQuality sldb::measureCodeQuality(const BenchProgram &P,
                                      std::uint64_t Fuel) {
   CodeQuality Q;
-  auto M0 = mustCompile(P);
-  auto M2 = mustCompile(P);
-  mustRunPipeline(*M2, P, OptOptions::all());
-
-  CodegenOptions CG0;
-  CG0.PromoteVars = false;
-  CG0.Schedule = false;
-  MachineModule MM0 = compileToMachine(*M0, CG0);
-  MachineModule MM2 = compileToMachine(*M2, CodegenOptions());
-
-  Machine V0(MM0, Fuel), V2(MM2, Fuel);
+  CompiledModule C0 = compileBench(P, OptOptions::none(), {false, false});
+  CompiledModule C2 = compileBench(P, OptOptions::all(), {});
+  Machine V0(C0.MM, Fuel), V2(C2.MM, Fuel);
   StopReason R0 = V0.run();
   StopReason R2 = V2.run();
   Q.InstrUnoptimized = V0.instrCount();

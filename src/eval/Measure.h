@@ -35,6 +35,8 @@
 
 namespace sldb {
 
+struct Classification;
+
 /// Table 2 row.
 struct SourceStats {
   std::string Name;
@@ -108,6 +110,10 @@ struct CoverageCounts {
   std::uint64_t SrcStmts = 0;  ///< Statement-table rows (source lines).
   std::uint64_t CodeStmts = 0; ///< Rows that kept a code address.
   std::uint64_t Degraded = 0;  ///< Points classified in degraded mode.
+
+  /// Tallies one classified point: its Figure-1 class, plus the
+  /// recovered and degraded subsets.
+  void count(const Classification &R);
 
   std::uint64_t endangered() const { return Noncurrent + Suspect; }
   /// Share of points the debugger can show truthfully without a warning:

@@ -7,9 +7,6 @@
 #include "fuzz/Oracle.h"
 
 #include "analysis/Dataflow.h"
-#include "codegen/ISel.h"
-#include "ir/IRGen.h"
-#include "support/Diagnostics.h"
 #include "support/FaultInjector.h"
 
 #include <unordered_map>
@@ -115,47 +112,40 @@ bool tableResident(const MachineFunction &MF, const ProgramInfo &Info,
 
 } // namespace
 
+Expected<LockstepBuilds> sldb::compileLockstepBuilds(std::string_view Src,
+                                                     const OptOptions &Opts,
+                                                     bool Promote,
+                                                     PipelineStats *Stats) {
+  Expected<CompiledModule> Opt =
+      compileModule(Src, Opts, {Promote, /*Schedule=*/false}, nullptr, {},
+                    Stats);
+  if (!Opt)
+    return Opt.status();
+  FaultInjector::suspend();
+  Expected<CompiledModule> Ref =
+      compileModule(Src, OptOptions::none(), {false, false});
+  FaultInjector::resume();
+  if (!Ref)
+    return Status::error(Ref.status().code(),
+                         "oracle build: " + Ref.status().message());
+  return LockstepBuilds{std::move(*Ref), std::move(*Opt)};
+}
+
 LockstepResult sldb::runLockstep(std::string_view Src,
                                  const LockstepOptions &O) {
   LockstepResult R;
 
-  DiagnosticEngine D0, D2;
-  auto M0 = compileToIR(Src, D0);
-  auto M2 = compileToIR(Src, D2);
-  if (!M0 || !M2) {
-    R.CompileError = D0.hasErrors() ? D0.str() : "frontend error";
+  PipelineStats Stats;
+  Expected<LockstepBuilds> Builds = compileLockstepBuilds(
+      Src, O.Opts, O.Promote, O.InstrumentPasses ? &Stats : nullptr);
+  if (!Builds) {
+    R.CompileError = Builds.status().str();
     return R;
   }
-  Status PS = O.InstrumentPasses
-                  ? runPipelineInstrumented(*M2, O.Opts, R.Firings)
-                  : runPipelineEx(*M2, O.Opts, PipelineConfig());
-  if (!PS.ok()) {
-    R.CompileError = PS.str();
-    return R;
-  }
-
-  // The oracle build must stay pristine: an armed FaultInjector may only
-  // corrupt the optimized build it is aimed at, never the ground truth.
-  FaultInjector::suspend();
-  CodegenOptions CGOracle;
-  CGOracle.PromoteVars = false;
-  CGOracle.Schedule = false;
-  Expected<MachineModule> MMOE = compileToMachineE(*M0, CGOracle);
-  FaultInjector::resume();
-  if (!MMOE) {
-    R.CompileError = "oracle build: " + MMOE.status().str();
-    return R;
-  }
-  CodegenOptions CGOpt;
-  CGOpt.PromoteVars = O.Promote;
-  CGOpt.Schedule = false;
-  Expected<MachineModule> MM2E = compileToMachineE(*M2, CGOpt);
-  if (!MM2E) {
-    R.CompileError = MM2E.status().str();
-    return R;
-  }
-  MachineModule &MMO = *MMOE;
-  MachineModule &MM2 = *MM2E;
+  for (const PassSlotStats &Slot : Stats.Slots)
+    R.Firings.push_back({Slot.Name, Slot.Changed});
+  const MachineModule &MMO = Builds->Ref.MM;
+  const MachineModule &MM2 = Builds->Opt.MM;
   R.Compiled = true;
 
   // Machine-level evidence of the endangering transformations.
@@ -171,7 +161,7 @@ LockstepResult sldb::runLockstep(std::string_view Src,
         if (I.Op == MOp::MAVAIL)
           ++R.NumAvailMarks;
       }
-  for (const auto &F : M2->Funcs)
+  for (const auto &F : Builds->Opt.IR->Funcs)
     R.NumSRRecords += static_cast<unsigned>(F->SRRecords.size());
 
   // Suspend faults around the oracle debugger's construction too: the

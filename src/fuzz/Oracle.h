@@ -23,7 +23,7 @@
 #define SLDB_FUZZ_ORACLE_H
 
 #include "core/Debugger.h"
-#include "opt/Pass.h"
+#include "eval/Compile.h"
 
 #include <string>
 #include <string_view>
@@ -112,6 +112,16 @@ struct LockstepOptions {
   }
 };
 
+/// One pass's aggregate activity over a module: how many (function, pass
+/// slot) runs reported a change.  Names repeat in pipeline order when a
+/// pass appears in several pipeline slots.  The campaigns use it to prove
+/// the generated corpus actually exercises every optimization (no
+/// silently-dead fuzz coverage).
+struct PassFiring {
+  std::string Name;
+  unsigned Changed = 0; ///< Number of functions the slot transformed.
+};
+
 /// Everything one lockstep run observed.
 struct LockstepResult {
   bool Compiled = false;
@@ -141,6 +151,24 @@ struct LockstepResult {
   unsigned NumAvailMarks = 0;///< MAVAIL markers (PRE originals).
   unsigned NumSRRecords = 0; ///< Strength-reduction/IV recovery records.
 };
+
+/// The two builds a lockstep oracle compares: the reference
+/// (unoptimized and unpromoted: every variable lives in its frame slot
+/// and is updated in source order) and the optimized build under test.
+/// Both are unscheduled.
+struct LockstepBuilds {
+  CompiledModule Ref, Opt;
+};
+
+/// Compiles both builds of \p Src through compileModule, the optimized
+/// one at \p Opts (\p Stats as in runPipelineEx).  The reference compile
+/// runs with the FaultInjector suspended: an armed fault may only corrupt
+/// the build it is aimed at, never the ground truth.  A reference
+/// failure is prefixed "oracle build: ".
+Expected<LockstepBuilds> compileLockstepBuilds(std::string_view Src,
+                                               const OptOptions &Opts,
+                                               bool Promote,
+                                               PipelineStats *Stats = nullptr);
 
 /// Compiles \p Src twice and runs both builds in lockstep, recording one
 /// StopObservation per paired stop.  Never asserts: all findings are in

@@ -6,11 +6,8 @@
 
 #include "fuzz/QueryGen.h"
 
-#include "codegen/ISel.h"
+#include "eval/Compile.h"
 #include "fuzz/ProgramGen.h"
-#include "ir/IRGen.h"
-#include "opt/Pass.h"
-#include "support/Diagnostics.h"
 #include "support/FaultInjector.h"
 
 #include <deque>
@@ -56,38 +53,32 @@ bool learnShape(std::uint32_t Seed, ModuleShape &Shape) {
   // (soak harness) has a fault armed for the daemon under test.
   FaultInjector::suspend();
   Arena A(1 << 16);
-  DiagnosticEngine Diags;
-  std::unique_ptr<IRModule> IR =
-      compileToIR(generateProgram(Seed, GenOptions()), Diags, &A);
-  bool Ok = false;
-  if (IR && runPipelineEx(*IR, OptOptions::all(), PipelineConfig()).ok()) {
-    Expected<MachineModule> MME =
-        compileToMachineE(*IR, CodegenOptions(), &A);
-    if (MME) {
-      const ProgramInfo &Info = *MME->Info;
-      for (FuncId F = 0; F < MME->Funcs.size(); ++F) {
-        const MachineFunction &MF = MME->Funcs[F];
-        ModuleShape::FuncShape FS;
-        FS.Name = MF.Name;
-        const FuncInfo &FI = Info.func(F);
-        for (StmtId S = 0; S < FI.Stmts.size(); ++S) {
-          if (S >= MF.StmtAddr.size() || MF.StmtAddr[S] < 0)
-            continue;
-          std::vector<std::string> Names;
-          for (VarId V : FI.Stmts[S].ScopeVars)
-            Names.push_back(Info.var(V).Name);
-          for (VarId G : Info.Globals)
-            Names.push_back(Info.var(G).Name);
-          FS.Stmts.emplace_back(S, std::move(Names));
-        }
-        if (!FS.Stmts.empty())
-          Shape.Funcs.push_back(std::move(FS));
-      }
-      Ok = !Shape.Funcs.empty();
-    }
-  }
+  Expected<CompiledModule> C = compileModule(
+      generateProgram(Seed, GenOptions()), OptOptions::all(), {}, &A);
   FaultInjector::resume();
-  return Ok;
+  if (!C)
+    return false;
+  const MachineModule &MM = C->MM;
+  const ProgramInfo &Info = *MM.Info;
+  for (FuncId F = 0; F < MM.Funcs.size(); ++F) {
+    const MachineFunction &MF = MM.Funcs[F];
+    ModuleShape::FuncShape FS;
+    FS.Name = MF.Name;
+    const FuncInfo &FI = Info.func(F);
+    for (StmtId S = 0; S < FI.Stmts.size(); ++S) {
+      if (S >= MF.StmtAddr.size() || MF.StmtAddr[S] < 0)
+        continue;
+      std::vector<std::string> Names;
+      for (VarId V : FI.Stmts[S].ScopeVars)
+        Names.push_back(Info.var(V).Name);
+      for (VarId G : Info.Globals)
+        Names.push_back(Info.var(G).Name);
+      FS.Stmts.emplace_back(S, std::move(Names));
+    }
+    if (!FS.Stmts.empty())
+      Shape.Funcs.push_back(std::move(FS));
+  }
+  return !Shape.Funcs.empty();
 }
 
 std::string makeQuery(Rng &R, const std::string &Session,

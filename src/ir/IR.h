@@ -484,10 +484,10 @@ public:
   /// Number of source statements (breakpoints) in this function.
   std::uint32_t NumStmts = 0;
 
-  /// Debug-bookkeeping integrity findings, recomputed after every pass
-  /// when the pipeline runs with VerifyAnnotations (the default) and
-  /// carried through instruction selection into the MachineFunction so
-  /// the Classifier can degrade the affected variables.
+  /// Debug-bookkeeping integrity findings, recomputed by every pipeline
+  /// run and carried through instruction selection into the
+  /// MachineFunction so the Classifier can degrade the affected
+  /// variables.
   std::vector<AnnotationFinding> AnnotationFindings;
 
   BasicBlock *entry() { return Blocks.front(); }

@@ -119,14 +119,8 @@ struct PipelineConfig {
   bool VerifyEach = false; ///< Run the IR verifier after every pass; the
                            ///< first failure stops the pipeline and is
                            ///< returned as a VerifyFailure Status.
-  bool VerifyAnnotations = true; ///< Check the debug-bookkeeping
-                                 ///< invariants after every pass and
-                                 ///< record findings on the function for
-                                 ///< classifier degradation (cheap linear
-                                 ///< scan; never stops the pipeline).
-  bool FixpointPropagation = false; ///< Iterate the propagate→simplify
-                                    ///< clusters to a fixed point
-                                    ///< (bounded) instead of one sweep.
+                           ///< SLDB_VERIFY_EACH=1 in the environment
+                           ///< turns it on for every run.
   bool DisableAnalysisCache = false; ///< Invalidate all analyses at every
                                      ///< pass boundary (models the
                                      ///< pre-manager pipeline; used by
@@ -137,11 +131,6 @@ struct PipelineConfig {
   std::function<void(IRFunction &F, IRModule &M, AnalysisManager &AM,
                      const char *PassName)>
       AfterPass;
-
-  /// Default config with environment overrides applied
-  /// (SLDB_VERIFY_EACH=1 enables VerifyEach), so test re-registrations
-  /// can flip verification without plumbing flags through every caller.
-  static PipelineConfig fromEnvironment();
 };
 
 /// Per-slot activity of one pipeline run.
@@ -159,36 +148,19 @@ struct PipelineStats {
   double TotalMs = 0;     ///< Filled when PipelineConfig::TimePasses.
 };
 
-/// Runs the cmcc-like pipeline over every function of \p M.
-/// Passes are ordered so that hoisting (PRE) runs before sinking (PDE),
-/// matching the interaction the paper reports (§4: hoisted assignments
-/// that were partially dead were subsequently sunk).  Convenience
-/// wrapper: a VerifyEach failure is reported on stderr and aborts (the
-/// Status-aware drivers use runPipelineEx instead).
-void runPipeline(IRModule &M, const OptOptions &Opts);
-
-/// Full-control pipeline entry point: analysis caching across passes,
-/// optional per-pass timing/verification, optional fixpoint iteration of
-/// the propagation clusters.  \p Stats may be null.  Returns a
-/// VerifyFailure error (and stops transforming) when VerifyEach is on and
-/// a pass broke the IR; the module must then be discarded.
+/// Runs the cmcc-like pipeline over every function of \p M, sharing one
+/// analysis cache across passes.  Passes are ordered so that hoisting
+/// (PRE) runs before sinking (PDE), matching the interaction the paper
+/// reports (§4: hoisted assignments that were partially dead were
+/// subsequently sunk).  The debug-bookkeeping invariants are checked on
+/// every function and the findings recorded on it for classifier
+/// degradation (a cheap linear scan that never stops the pipeline).
+/// \p Stats may be null.  Returns a VerifyFailure error (and stops
+/// transforming) when VerifyEach is on and a pass broke the IR; the
+/// module must then be discarded.
 Status runPipelineEx(IRModule &M, const OptOptions &Opts,
                      const PipelineConfig &Config,
                      PipelineStats *Stats = nullptr);
-
-/// One pass's aggregate activity over a module: how many (function, pass
-/// slot) runs reported a change.  Names repeat in pipeline order when a
-/// pass appears in several pipeline slots.
-struct PassFiring {
-  std::string Name;
-  unsigned Changed = 0; ///< Number of functions the slot transformed.
-};
-
-/// runPipeline plus per-slot change reporting.  The fuzzing harness uses
-/// this to prove the generated corpus actually exercises every
-/// optimization (no silently-dead fuzz coverage).
-Status runPipelineInstrumented(IRModule &M, const OptOptions &Opts,
-                               std::vector<PassFiring> &Firings);
 
 /// Returns the pipeline pass names in execution order (Table 1 bench).
 std::vector<std::string> pipelinePassNames(const OptOptions &Opts);

@@ -11,7 +11,6 @@
 #include "support/Trace.h"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -24,19 +23,12 @@ bool Pass::run(IRFunction &F, IRModule &M) {
 
 namespace {
 
-/// One pipeline slot.  Slots sharing a Cluster id form a
-/// propagate→simplify group the fixpoint driver may iterate.
-struct Slot {
-  std::unique_ptr<Pass> P;
-  int Cluster = -1;
-};
-
 /// Builds the pipeline in execution order.
-std::vector<Slot> buildPipeline(const OptOptions &O) {
-  std::vector<Slot> P;
-  auto Add = [&](bool Enabled, std::unique_ptr<Pass> Pass, int Cluster = -1) {
+std::vector<std::unique_ptr<Pass>> buildPipeline(const OptOptions &O) {
+  std::vector<std::unique_ptr<Pass>> P;
+  auto Add = [&](bool Enabled, std::unique_ptr<Pass> Pass) {
     if (Enabled)
-      P.push_back({std::move(Pass), Cluster});
+      P.push_back(std::move(Pass));
   };
 
   // Inlining first: it rewrites call sites into straight-line code, so
@@ -44,13 +36,12 @@ std::vector<Slot> buildPipeline(const OptOptions &O) {
   // function.
   Add(O.Inline, createInlinePass());
 
-  // Cleanup + early simplification (cluster 0: the first
-  // propagate→simplify group).
+  // Cleanup + early simplification (the first propagate→simplify round).
   Add(O.BranchOpt, createBranchOptPass());
-  Add(O.ConstProp, createLocalSimplifyPass(), 0);
-  Add(O.ConstProp, createConstantPropagationPass(), 0);
-  Add(O.ConstProp, createLocalSimplifyPass(), 0);
-  Add(O.CopyProp, createCopyPropagationPass(), 0);
+  Add(O.ConstProp, createLocalSimplifyPass());
+  Add(O.ConstProp, createConstantPropagationPass());
+  Add(O.ConstProp, createLocalSimplifyPass());
+  Add(O.CopyProp, createCopyPropagationPass());
   Add(O.BranchOpt, createBranchOptPass());
 
   // Loop restructuring first: peeling exposes redundancy to PRE.
@@ -63,11 +54,11 @@ std::vector<Slot> buildPipeline(const OptOptions &O) {
   Add(O.LICM, createLoopInvariantCodeMotionPass());
   Add(O.IVOpt, createInductionVariableOptPass());
 
-  // Second propagation round (cluster 1) feeds dead-code elimination
-  // (and builds the recovery chains of paper §2.5 / Figure 4).
-  Add(O.ConstProp, createConstantPropagationPass(), 1);
-  Add(O.ConstProp, createLocalSimplifyPass(), 1);
-  Add(O.CopyProp, createCopyPropagationPass(), 1);
+  // Second propagation round feeds dead-code elimination (and builds the
+  // recovery chains of paper §2.5 / Figure 4).
+  Add(O.ConstProp, createConstantPropagationPass());
+  Add(O.ConstProp, createLocalSimplifyPass());
+  Add(O.CopyProp, createCopyPropagationPass());
 
   // SSA bracket: construct, run the SSA-form passes, destruct.  Placed
   // after the propagation round (so GVN sees canonical operands) and
@@ -87,9 +78,16 @@ std::vector<Slot> buildPipeline(const OptOptions &O) {
   return P;
 }
 
-/// Caps fixpoint iteration of one cluster (safety net; the propagation
-/// passes converge quickly in practice).
-constexpr unsigned MaxClusterRounds = 4;
+/// SLDB_VERIFY_EACH=1 turns on PipelineConfig::VerifyEach for every
+/// pipeline run, so a test re-registration (or a user) can verify
+/// without plumbing a flag through every caller.  Read once per process.
+bool verifyEachFromEnvironment() {
+  static const bool On = [] {
+    const char *V = std::getenv("SLDB_VERIFY_EACH");
+    return V && *V && std::strcmp(V, "0") != 0;
+  }();
+  return On;
+}
 
 Status verifyAfterPass(IRFunction &F, IRModule &M, const char *PassName) {
   std::vector<std::string> Errors;
@@ -107,14 +105,6 @@ Status verifyAfterPass(IRFunction &F, IRModule &M, const char *PassName) {
 
 } // namespace
 
-PipelineConfig PipelineConfig::fromEnvironment() {
-  PipelineConfig C;
-  const char *V = std::getenv("SLDB_VERIFY_EACH");
-  if (V && *V && std::strcmp(V, "0") != 0)
-    C.VerifyEach = true;
-  return C;
-}
-
 Status sldb::runPipelineEx(IRModule &M, const OptOptions &Opts,
                            const PipelineConfig &Config,
                            PipelineStats *Stats) {
@@ -125,82 +115,60 @@ Status sldb::runPipelineEx(IRModule &M, const OptOptions &Opts,
 
   if (Stats) {
     Stats->Slots.clear();
-    for (const Slot &S : Pipeline)
-      Stats->Slots.push_back({S.P->name(), 0, 0, 0});
+    for (const auto &P : Pipeline)
+      Stats->Slots.push_back({P->name(), 0, 0, 0});
   }
 
+  const bool VerifyEach = Config.VerifyEach || verifyEachFromEnvironment();
   const bool Timing = Config.TimePasses && Stats;
   auto RunStart = Timing ? Clock::now() : Clock::time_point();
 
   Status Err;
-  auto RunSlot = [&](std::size_t I, IRFunction &F) {
-    auto T0 = Timing ? Clock::now() : Clock::time_point();
-    TraceSpan Span(Pipeline[I].P->name(), "pass");
-    Span.arg("function", F.Name);
-    PassResult R = Pipeline[I].P->run(F, M, AM);
-    Span.arg("changed", R.Changed ? "true" : "false");
-    Stats::counter("pipeline.pass.runs").add();
-    if (R.Changed)
-      Stats::counter("pipeline.pass.changed").add();
-    AM.invalidate(F, R.Preserved);
-    if (Config.DisableAnalysisCache)
-      AM.invalidateAll(F);
-    if (Config.VerifyEach && Err.ok())
-      Err = verifyAfterPass(F, M, Pipeline[I].P->name());
-    if (Config.VerifyAnnotations && Config.AfterPass) {
-      // Recompute the debug-bookkeeping findings from scratch: damage is
-      // structural, so whatever is still broken after the latest pass is
-      // rediscovered, and the list cannot grow without bound.  Without an
-      // AfterPass observer nothing reads the intermediate findings, so
-      // the per-function sweep below computes them once at the end.
-      F.AnnotationFindings.clear();
-      verifyFunctionAnnotations(F, *M.Info, F.AnnotationFindings);
-    }
-    if (Config.AfterPass)
-      Config.AfterPass(F, M, AM, Pipeline[I].P->name());
-    if (Stats) {
-      PassSlotStats &S = Stats->Slots[I];
-      ++S.Runs;
-      S.Changed += R.Changed;
-      if (Timing)
-        S.WallMs +=
-            std::chrono::duration<double, std::milli>(Clock::now() - T0)
-                .count();
-    }
-    return R.Changed;
-  };
-
-  // Function-major order: with the fixpoint driver off, the transformed
-  // module is bit-identical to the historical one-sweep pipeline.
+  // Function-major order: each function runs the whole pipeline before
+  // the next one starts.
   for (auto &F : M.Funcs) {
-    std::size_t I = 0;
-    while (I < Pipeline.size() && Err.ok()) {
-      int Cluster = Pipeline[I].Cluster;
-      if (Cluster < 0 || !Config.FixpointPropagation) {
-        RunSlot(I, *F);
-        ++I;
-        continue;
+    for (std::size_t I = 0; I < Pipeline.size() && Err.ok(); ++I) {
+      auto T0 = Timing ? Clock::now() : Clock::time_point();
+      TraceSpan Span(Pipeline[I]->name(), "pass");
+      Span.arg("function", F->Name);
+      PassResult R = Pipeline[I]->run(*F, M, AM);
+      Span.arg("changed", R.Changed ? "true" : "false");
+      Stats::counter("pipeline.pass.runs").add();
+      if (R.Changed)
+        Stats::counter("pipeline.pass.changed").add();
+      AM.invalidate(*F, R.Preserved);
+      if (Config.DisableAnalysisCache)
+        AM.invalidateAll(*F);
+      if (VerifyEach)
+        Err = verifyAfterPass(*F, M, Pipeline[I]->name());
+      if (Config.AfterPass) {
+        // Recompute the debug-bookkeeping findings from scratch: damage
+        // is structural, so whatever is still broken after the latest
+        // pass is rediscovered, and the list cannot grow without bound.
+        // Without an AfterPass observer nothing reads the intermediate
+        // findings, so they are computed once, after the last pass.
+        F->AnnotationFindings.clear();
+        verifyFunctionAnnotations(*F, *M.Info, F->AnnotationFindings);
+        Config.AfterPass(*F, M, AM, Pipeline[I]->name());
       }
-      std::size_t End = I;
-      while (End < Pipeline.size() && Pipeline[End].Cluster == Cluster)
-        ++End;
-      bool Again = true;
-      for (unsigned Round = 0;
-           Again && Err.ok() && Round < MaxClusterRounds; ++Round) {
-        Again = false;
-        for (std::size_t K = I; K < End; ++K)
-          Again |= RunSlot(K, *F);
+      if (Stats) {
+        PassSlotStats &S = Stats->Slots[I];
+        ++S.Runs;
+        S.Changed += R.Changed;
+        if (Timing)
+          S.WallMs +=
+              std::chrono::duration<double, std::milli>(Clock::now() - T0)
+                  .count();
       }
-      I = End;
     }
-    if (Config.VerifyAnnotations && Err.ok() && !Config.AfterPass) {
+    if (!Err.ok())
+      break;
+    if (!Config.AfterPass) {
       // Final-state findings only; identical to verifying after every
       // pass since each verification starts from scratch.
       F->AnnotationFindings.clear();
       verifyFunctionAnnotations(*F, *M.Info, F->AnnotationFindings);
     }
-    if (!Err.ok())
-      break;
   }
 
   if (Stats) {
@@ -213,29 +181,9 @@ Status sldb::runPipelineEx(IRModule &M, const OptOptions &Opts,
   return Err;
 }
 
-void sldb::runPipeline(IRModule &M, const OptOptions &Opts) {
-  Status S = runPipelineEx(M, Opts, PipelineConfig::fromEnvironment());
-  if (!S.ok()) {
-    // The convenience wrapper has no error channel; Status-aware drivers
-    // (sldbc, the fuzz oracle) use runPipelineEx directly.
-    std::fprintf(stderr, "sldb: %s\n", S.str().c_str());
-    std::abort();
-  }
-}
-
-Status sldb::runPipelineInstrumented(IRModule &M, const OptOptions &Opts,
-                                     std::vector<PassFiring> &Firings) {
-  PipelineStats Stats;
-  Status S = runPipelineEx(M, Opts, PipelineConfig::fromEnvironment(), &Stats);
-  Firings.clear();
-  for (const PassSlotStats &Slot : Stats.Slots)
-    Firings.push_back({Slot.Name, Slot.Changed});
-  return S;
-}
-
 std::vector<std::string> sldb::pipelinePassNames(const OptOptions &Opts) {
   std::vector<std::string> Names;
-  for (auto &S : buildPipeline(Opts))
-    Names.emplace_back(S.P->name());
+  for (auto &P : buildPipeline(Opts))
+    Names.emplace_back(P->name());
   return Names;
 }

@@ -37,7 +37,7 @@
 #define SLDB_SERVICE_SERVICECORE_H
 
 #include "core/Classifier.h"
-#include "ir/IR.h"
+#include "eval/Compile.h"
 #include "service/Protocol.h"
 #include "support/Arena.h"
 #include "support/ThreadPool.h"
@@ -92,8 +92,7 @@ struct LoadedModule {
   std::string Name;
   std::string Session; ///< Session that loaded it (budget accounting).
   std::unique_ptr<Arena> A;
-  std::unique_ptr<IRModule> IR;
-  std::unique_ptr<MachineModule> MM; ///< Heap: classifiers hold refs.
+  CompiledModule Build; ///< Lives in A; classifiers hold refs into it.
   std::vector<std::unique_ptr<Classifier>> Classifiers; ///< Per function.
   /// One lock per function: Classifier's per-address cache is mutable,
   /// so concurrent queries against the same function serialize on its

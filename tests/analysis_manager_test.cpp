@@ -320,7 +320,6 @@ TEST(AnalysisManagerProperty, CachedEqualsFreshAfterEveryPass) {
     ASSERT_TRUE(M) << "seed " << 3000 + Seed << ": " << Diags.str();
 
     PipelineConfig Config;
-    Config.FixpointPropagation = true; // Exercise the cluster driver too.
     Config.AfterPass = checkCachedAgainstFresh;
     runPipelineEx(*M, OptOptions::all(), Config);
     if (::testing::Test::HasFailure()) {

@@ -4,14 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "codegen/ISel.h"
+#include "TestCompile.h"
 #include "codegen/MachineVerifier.h"
 #include "codegen/RegAlloc.h"
 #include "codegen/Scheduler.h"
-#include "ir/IRGen.h"
 #include "ir/IRPrinter.h"
 #include "ir/Interp.h"
-#include "opt/Pass.h"
 #include "vm/Machine.h"
 
 #include <gtest/gtest.h>
@@ -24,24 +22,19 @@ using namespace sldb;
 
 namespace {
 
-std::unique_ptr<IRModule> compile(std::string_view Src, bool Optimize) {
-  DiagnosticEngine Diags;
-  auto M = compileToIR(Src, Diags);
-  EXPECT_TRUE(M != nullptr) << Diags.str();
-  if (M && Optimize)
-    runPipeline(*M, OptOptions::all());
-  return M;
+CompiledModule compile(std::string_view Src, bool Optimize,
+                       const CodegenOptions &CG = {}) {
+  return compileOrAbort(Src, Optimize ? OptOptions::all() : OptOptions::none(),
+                        CG);
 }
 
 /// Runs the source through the IR interpreter (oracle) and through the
 /// full back end + VM in the given configuration; compares behavior.
 void endToEnd(std::string_view Src, bool Optimize, CodegenOptions CG) {
-  auto M = compile(Src, Optimize);
-  ASSERT_TRUE(M);
+  auto [M, MM] = compile(Src, Optimize, CG);
   ExecResult Oracle = interpretIR(*M);
   ASSERT_FALSE(Oracle.Trapped) << Oracle.TrapMsg;
 
-  MachineModule MM = compileToMachine(*M, CG);
   {
     std::vector<std::string> Errors;
     bool OK = verifyMachineModule(MM, Errors);
@@ -207,15 +200,14 @@ TEST(VM, SpillRoundsKeepTempsDistinct) {
 }
 
 TEST(VM, DivisionByZeroTraps) {
-  auto M = compile("int main() { int z = 0; return 7 / z; }", false);
-  MachineModule MM = compileToMachine(*M, CodegenOptions());
+  auto [IR, MM] = compile("int main() { int z = 0; return 7 / z; }", false);
   Machine VM(MM);
   EXPECT_EQ(VM.run(), StopReason::Trapped);
   EXPECT_NE(VM.trapMessage().find("division"), std::string::npos);
 }
 
 TEST(VM, BreakpointStopsAndResumes) {
-  auto M = compile(R"(
+  auto [IR, MM] = compile(R"(
     int main() {
       int s = 0;
       for (int i = 0; i < 5; i = i + 1) s = s + i;
@@ -223,8 +215,7 @@ TEST(VM, BreakpointStopsAndResumes) {
       return s;
     }
   )",
-                   false);
-  MachineModule MM = compileToMachine(*M, CodegenOptions());
+                          false);
   const MachineFunction *Main = MM.findFunc("main");
   ASSERT_NE(Main, nullptr);
   // Break at the `s = s + i` statement (id 2: s=0 is 0, i=0 is 1, for is
@@ -260,10 +251,8 @@ TEST(VM, InstrCountLowerWithOptimization) {
       return s;
     }
   )";
-  auto M0 = compile(Src, false);
-  auto M2 = compile(Src, true);
-  MachineModule MM0 = compileToMachine(*M0, CodegenOptions());
-  MachineModule MM2 = compileToMachine(*M2, CodegenOptions());
+  auto [IR0, MM0] = compile(Src, false);
+  auto [IR2, MM2] = compile(Src, true);
   Machine V0(MM0), V2(MM2);
   ASSERT_EQ(V0.run(), StopReason::Exited);
   ASSERT_EQ(V2.run(), StopReason::Exited);
@@ -272,11 +261,9 @@ TEST(VM, InstrCountLowerWithOptimization) {
 }
 
 TEST(VM, NoPromotionMeansFrameStorage) {
-  auto M = compile("int main() { int x = 3; int y = x + 1; return y; }",
-                   false);
-  CodegenOptions CG;
-  CG.PromoteVars = false;
-  MachineModule MM = compileToMachine(*M, CG);
+  auto [IR, MM] =
+      compile("int main() { int x = 3; int y = x + 1; return y; }", false,
+              {.PromoteVars = false});
   const MachineFunction *Main = MM.findFunc("main");
   unsigned FrameVars = 0;
   for (const auto &[V, S] : Main->Storage)
@@ -286,9 +273,8 @@ TEST(VM, NoPromotionMeansFrameStorage) {
 }
 
 TEST(VM, PromotionKeepsScalarsInRegisters) {
-  auto M = compile("int main() { int x = 3; int y = x + 1; return y; }",
-                   false);
-  MachineModule MM = compileToMachine(*M, CodegenOptions());
+  auto [IR, MM] =
+      compile("int main() { int x = 3; int y = x + 1; return y; }", false);
   const MachineFunction *Main = MM.findFunc("main");
   unsigned RegVars = 0;
   for (const auto &[V, S] : Main->Storage)
@@ -300,7 +286,7 @@ TEST(VM, PromotionKeepsScalarsInRegisters) {
 }
 
 TEST(VM, ResidenceBitsCoverLiveRange) {
-  auto M = compile(R"(
+  auto [IR, MM] = compile(R"(
     int main() {
       int x = 3;
       int y = x + 1;
@@ -308,8 +294,7 @@ TEST(VM, ResidenceBitsCoverLiveRange) {
       return z;
     }
   )",
-                   false);
-  MachineModule MM = compileToMachine(*M, CodegenOptions());
+                          false);
   const MachineFunction *Main = MM.findFunc("main");
   // x must be resident somewhere (between def and last use) and
   // nonresident at the final return.
@@ -337,10 +322,7 @@ TEST(Scheduler, PreservesSemantics) {
     }
   )";
   for (bool Sched : {false, true}) {
-    auto M = compile(Src, true);
-    CodegenOptions CG;
-    CG.Schedule = Sched;
-    MachineModule MM = compileToMachine(*M, CG);
+    auto [IR, MM] = compile(Src, true, {.Schedule = Sched});
     Machine VM(MM);
     ASSERT_EQ(VM.run(), StopReason::Exited);
     EXPECT_EQ(VM.outputText(), "1400\n");

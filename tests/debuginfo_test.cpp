@@ -15,11 +15,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "codegen/ISel.h"
+#include "TestCompile.h"
 #include "core/Classifier.h"
 #include "core/DebugInfo.h"
-#include "ir/IRGen.h"
-#include "opt/Pass.h"
 
 #include <gtest/gtest.h>
 
@@ -61,25 +59,6 @@ void checkGolden(const std::string &Name, const std::string &Got) {
   EXPECT_EQ(Got, Buf.str())
       << "debug info for '" << Name
       << "' changed; if intended, regenerate with SLDB_UPDATE_GOLDENS=1";
-}
-
-std::unique_ptr<IRModule> frontend(std::string_view Src) {
-  DiagnosticEngine Diags;
-  auto M = compileToIR(Src, Diags);
-  EXPECT_TRUE(M != nullptr) << Diags.str();
-  return M;
-}
-
-MachineModule buildMachine(std::string_view Src, const OptOptions &Opts,
-                           bool Promote = true) {
-  auto M = frontend(Src);
-  runPipeline(*M, Opts);
-  CodegenOptions CG;
-  CG.PromoteVars = Promote;
-  MachineModule MM = compileToMachine(*M, CG);
-  static std::vector<std::unique_ptr<IRModule>> Pool;
-  Pool.push_back(std::move(M));
-  return MM;
 }
 
 // The paper's worked examples (as in tests/crosslevel_test.cpp).
@@ -204,28 +183,28 @@ void checkRangeInvariants(const std::string &Doc) {
 //===----------------------------------------------------------------------===//
 
 TEST(DebugInfoGolden, Fig2) {
-  MachineModule MM = buildMachine(Fig2, OptOptions::all());
+  auto [IR, MM] = compileOrAbort(Fig2, OptOptions::all());
   std::string Doc = renderDebugInfo(MM);
   checkRangeInvariants(Doc);
   checkGolden("fig2.json", Doc);
 }
 
 TEST(DebugInfoGolden, Fig3) {
-  MachineModule MM = buildMachine(Fig3, OptOptions::all());
+  auto [IR, MM] = compileOrAbort(Fig3, OptOptions::all());
   std::string Doc = renderDebugInfo(MM);
   checkRangeInvariants(Doc);
   checkGolden("fig3.json", Doc);
 }
 
 TEST(DebugInfoGolden, Fig4) {
-  MachineModule MM = buildMachine(Fig4, OptOptions::all());
+  auto [IR, MM] = compileOrAbort(Fig4, OptOptions::all());
   std::string Doc = renderDebugInfo(MM);
   checkRangeInvariants(Doc);
   checkGolden("fig4.json", Doc);
 }
 
 TEST(DebugInfoGolden, AliasProgram) {
-  MachineModule MM = buildMachine(AliasProg, OptOptions::all());
+  auto [IR, MM] = compileOrAbort(AliasProg, OptOptions::all());
   std::string Doc = renderDebugInfo(MM);
   checkRangeInvariants(Doc);
   checkGolden("alias.json", Doc);
@@ -236,16 +215,16 @@ TEST(DebugInfoGolden, AliasProgram) {
 //===----------------------------------------------------------------------===//
 
 TEST(DebugInfo, DeterministicAcrossRenders) {
-  MachineModule MM = buildMachine(Fig2, OptOptions::all());
+  auto [IR, MM] = compileOrAbort(Fig2, OptOptions::all());
   EXPECT_EQ(renderDebugInfo(MM), renderDebugInfo(MM));
   // A separately compiled module of the same source renders identically
   // too (no pointer values or iteration-order artifacts leak through).
-  MachineModule MM2 = buildMachine(Fig2, OptOptions::all());
+  auto [IR2, MM2] = compileOrAbort(Fig2, OptOptions::all());
   EXPECT_EQ(renderDebugInfo(MM), renderDebugInfo(MM2));
 }
 
 TEST(DebugInfo, SchemaHeaderAndRequiredKeys) {
-  MachineModule MM = buildMachine(Fig4, OptOptions::all());
+  auto [IR, MM] = compileOrAbort(Fig4, OptOptions::all());
   std::string Doc = renderDebugInfo(MM);
   EXPECT_EQ(Doc.rfind("{\"schema\":\"sldb-dwarf-0\"", 0), 0u);
   for (const char *Key :
@@ -259,7 +238,7 @@ TEST(DebugInfo, SchemaHeaderAndRequiredKeys) {
 TEST(DebugInfo, AvailabilityMatchesInteractiveClassifier) {
   // The exported availability ranges must agree, address by address,
   // with what the classifier answers when queried directly.
-  MachineModule MM = buildMachine(AliasProg, OptOptions::all());
+  auto [IR, MM] = compileOrAbort(AliasProg, OptOptions::all());
   std::string Doc = renderDebugInfo(MM);
   const MachineFunction *MF = MM.findFunc("main");
   ASSERT_NE(MF, nullptr);
@@ -293,7 +272,7 @@ TEST(DebugInfo, AddressTakenScalarHasFrameHome) {
   // x is address-taken in AliasProg: promotion must leave it in a frame
   // slot, so its location list must contain a frame location and its
   // type must render as "int".
-  MachineModule MM = buildMachine(AliasProg, OptOptions::all());
+  auto [IR, MM] = compileOrAbort(AliasProg, OptOptions::all());
   std::string Doc = renderDebugInfo(MM);
   std::size_t Main = Doc.find("\"name\":\"main\"");
   std::size_t X = Doc.find("{\"name\":\"x\",\"type\":\"int\"", Main);
@@ -306,7 +285,7 @@ TEST(DebugInfo, AddressTakenScalarHasFrameHome) {
 }
 
 TEST(DebugInfo, PointerAndArrayTypesRender) {
-  MachineModule MM = buildMachine(AliasProg, OptOptions::all());
+  auto [IR, MM] = compileOrAbort(AliasProg, OptOptions::all());
   std::string Doc = renderDebugInfo(MM);
   EXPECT_NE(Doc.find("\"type\":\"int[3]\""), std::string::npos);
   EXPECT_NE(Doc.find("\"type\":\"int*\""), std::string::npos);

@@ -22,12 +22,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "codegen/ISel.h"
+#include "TestCompile.h"
 #include "core/Debugger.h"
 #include "eval/Levels.h"
-#include "ir/IRGen.h"
 #include "ir/IRPrinter.h"
-#include "opt/Pass.h"
 
 #include <gtest/gtest.h>
 
@@ -70,25 +68,6 @@ void checkGolden(const std::string &Name, const std::string &Got) {
   EXPECT_EQ(Got, Buf.str())
       << "explain output for '" << Name
       << "' changed; if intended, regenerate with SLDB_UPDATE_GOLDENS=1";
-}
-
-std::unique_ptr<IRModule> frontend(std::string_view Src) {
-  DiagnosticEngine Diags;
-  auto M = compileToIR(Src, Diags);
-  EXPECT_TRUE(M != nullptr) << Diags.str();
-  return M;
-}
-
-MachineModule buildMachine(std::string_view Src, const OptOptions &Opts,
-                           bool Promote = true) {
-  auto M = frontend(Src);
-  runPipeline(*M, Opts);
-  CodegenOptions CG;
-  CG.PromoteVars = Promote;
-  MachineModule MM = compileToMachine(*M, CG);
-  static std::vector<std::unique_ptr<IRModule>> Pool; // Keep Info alive.
-  Pool.push_back(std::move(M));
-  return MM;
 }
 
 VarId findVar(const MachineModule &MM, const std::string &Name) {
@@ -173,7 +152,7 @@ OptOptions dceOnly() {
 //===----------------------------------------------------------------------===//
 
 TEST(ExplainGolden, Fig2SuspectAtJoin) {
-  MachineModule MM = buildMachine(Fig2, preOnly());
+  auto [IR, MM] = compileOrAbort(Fig2, preOnly());
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId X = findVar(MM, "x");
@@ -188,7 +167,7 @@ TEST(ExplainGolden, Fig2SuspectAtJoin) {
 }
 
 TEST(ExplainGolden, Fig2NoncurrentAfterHoistedInstance) {
-  MachineModule MM = buildMachine(Fig2, preOnly());
+  auto [IR, MM] = compileOrAbort(Fig2, preOnly());
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId X = findVar(MM, "x");
@@ -207,7 +186,7 @@ TEST(ExplainGolden, Fig2NoncurrentAfterHoistedInstance) {
 //===----------------------------------------------------------------------===//
 
 TEST(ExplainGolden, Fig3NoncurrentBetweenMarkerAndSunkCopy) {
-  MachineModule MM = buildMachine(Fig3, pdeOnly(), /*Promote=*/false);
+  auto [IR, MM] = compileOrAbort(Fig3, pdeOnly(), {.PromoteVars = false});
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId X = findVar(MM, "x");
@@ -225,7 +204,7 @@ TEST(ExplainGolden, Fig3NoncurrentBetweenMarkerAndSunkCopy) {
 //===----------------------------------------------------------------------===//
 
 TEST(ExplainGolden, Fig4RecoveredDeadCopy) {
-  MachineModule MM = buildMachine(Fig4, dceOnly());
+  auto [IR, MM] = compileOrAbort(Fig4, dceOnly());
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId Cv = findVar(MM, "c");
@@ -246,17 +225,17 @@ TEST(ExplainGolden, Fig4RecoveredDeadCopy) {
 
 /// Builds \p Src at a named pipeline level (eval/Levels.h), with the
 /// level's own pass selection and promotion.
-MachineModule buildAtLevel(std::string_view Src, const char *LevelName) {
+CompiledModule buildAtLevel(std::string_view Src, const char *LevelName) {
   const LevelSpec *L = findLevel(LevelName);
   EXPECT_TRUE(L != nullptr) << LevelName;
-  return buildMachine(Src, L->Opts, L->Promote);
+  return compileOrAbort(Src, L->Opts, {L->Promote});
 }
 
 /// Explains \p Var at statement \p Stmt of main and goldens the text.
 Explanation explainAtLevel(std::string_view Src, const char *LevelName,
                            StmtId Stmt, const std::string &Var,
                            const std::string &Golden) {
-  MachineModule MM = buildAtLevel(Src, LevelName);
+  auto [IR, MM] = buildAtLevel(Src, LevelName);
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   VarId V = findVar(MM, Var);
@@ -322,7 +301,7 @@ TEST(ExplainGolden, SsaTierPhiMergedHoistKeyAttribution) {
 //===----------------------------------------------------------------------===//
 
 TEST(ExplainGolden, DegradedFailSafe) {
-  MachineModule MM = buildMachine(Fig3, pdeOnly(), /*Promote=*/false);
+  auto [IR, MM] = compileOrAbort(Fig3, pdeOnly(), {.PromoteVars = false});
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
   C.degradeAllVariables();
@@ -351,7 +330,7 @@ TEST(ExplainGolden, ExplainAgreesWithClassifyEverywhere) {
       {Fig2, OptOptions::all(), true},
   };
   for (const Case &K : Cases) {
-    MachineModule MM = buildMachine(K.Src, K.Opts, K.Promote);
+    auto [IR, MM] = compileOrAbort(K.Src, K.Opts, {K.Promote});
     for (const MachineFunction &MF : MM.Funcs) {
       Classifier C(MF, *MM.Info);
       const FuncInfo &FI = MM.Info->func(MF.Id);

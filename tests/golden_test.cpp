@@ -70,7 +70,7 @@ TEST(Golden, OptimizedIRofEvalPrograms) {
     DiagnosticEngine Diags;
     auto M = compileToIR(P.Source, Diags);
     ASSERT_TRUE(M) << P.Name << ": " << Diags.str();
-    runPipeline(*M, OptOptions::all());
+    ASSERT_TRUE(runPipelineEx(*M, OptOptions::all(), PipelineConfig()).ok());
     std::string Got = printModule(*M);
     std::string Want = readGolden(std::string(P.Name) + ".ir");
     EXPECT_EQ(Got, Want)

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -44,7 +45,7 @@ void differential(std::string_view Src,
   auto M0 = compile(Src);
   auto M2 = compile(Src);
   ASSERT_TRUE(M0 && M2);
-  runPipeline(*M2, Opts);
+  ASSERT_TRUE(runPipelineEx(*M2, Opts, PipelineConfig()).ok());
   expectVerifies(*M2);
   ExecResult R0 = interpretIR(*M0);
   ExecResult R2 = interpretIR(*M2);
@@ -506,7 +507,7 @@ TEST(IVOpt, FullPipelineEliminatesIV) {
       return 0;
     }
   )");
-  runPipeline(*M, OptOptions::all());
+  ASSERT_TRUE(runPipelineEx(*M, OptOptions::all(), PipelineConfig()).ok());
   expectVerifies(*M);
   ExecResult R = interpretIR(*M);
   EXPECT_EQ(R.outputText(), "112\n");
@@ -597,7 +598,7 @@ TEST(BranchOptT, FoldsConstantBranchAndRemovesDeadCode) {
       return x;
     }
   )");
-  runPipeline(*M, OptOptions::all());
+  ASSERT_TRUE(runPipelineEx(*M, OptOptions::all(), PipelineConfig()).ok());
   expectVerifies(*M);
   ExecResult R = interpretIR(*M);
   EXPECT_EQ(R.ExitValue, 10);
@@ -759,6 +760,66 @@ TEST(PipelineDiff, LftrBoundOverflowKeepsExitTest) {
     SCOPED_TRACE(L.Name);
     differential(Src, L.Opts);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Verify-each: the IR verifier runs after every pass
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs O2 over a one-function program whose IR the AfterPass hook
+/// damages right after the first pass: a dead marker naming a variable
+/// id past the end of the table.  Passes ignore markers, so the second
+/// pass (local folding) runs over the damage, and the verifier after it
+/// is the first to see it.  \p Ran receives every pass the hook saw.
+Status runWithBogusMarker(bool VerifyEach, std::vector<std::string> &Ran) {
+  auto M = compile("int main() { int x = 1; print(x); return x; }");
+  PipelineConfig Config;
+  Config.VerifyEach = VerifyEach;
+  Config.AfterPass = [&Ran](IRFunction &F, IRModule &Mod, AnalysisManager &,
+                            const char *PassName) {
+    Ran.push_back(PassName);
+    if (Ran.size() > 1)
+      return;
+    Instr Bogus;
+    Bogus.Op = Opcode::DeadMarker;
+    Bogus.MarkVar = static_cast<VarId>(Mod.Info->Vars.size() + 7);
+    F.Blocks[0]->Insts.insert(F.Blocks[0]->Insts.begin(), Bogus);
+  };
+  return runPipelineEx(*M, OptOptions::all(), Config);
+}
+
+/// The failure must name the pass after the damage and stop the run.
+void expectCaughtAfterSecondPass(const Status &S,
+                                 const std::vector<std::string> &Ran) {
+  const std::vector<std::string> Names = pipelinePassNames(OptOptions::all());
+  ASSERT_GT(Names.size(), 2u);
+  EXPECT_EQ(S.code(), ErrorCode::VerifyFailure) << S.str();
+  EXPECT_NE(S.message().find("after pass '" + Names[1] + "'"),
+            std::string::npos)
+      << S.str();
+  EXPECT_NE(S.message().find("marker var out of range"), std::string::npos)
+      << S.str();
+  EXPECT_EQ(Ran, (std::vector<std::string>{Names[0], Names[1]}));
+}
+
+} // namespace
+
+TEST(VerifyEach, FailureNamesTheNextPassAndStopsThePipeline) {
+  std::vector<std::string> Ran;
+  Status S = runWithBogusMarker(/*VerifyEach=*/true, Ran);
+  expectCaughtAfterSecondPass(S, Ran);
+}
+
+TEST(VerifyEach, EnvironmentVariableTurnsItOn) {
+  // opt_test_verify_each runs this binary with SLDB_VERIFY_EACH=1.
+  const char *Env = std::getenv("SLDB_VERIFY_EACH");
+  if (!Env || !*Env || std::string(Env) == "0")
+    GTEST_SKIP() << "SLDB_VERIFY_EACH is not set";
+  std::vector<std::string> Ran;
+  Status S = runWithBogusMarker(/*VerifyEach=*/false, Ran);
+  expectCaughtAfterSecondPass(S, Ran);
 }
 
 //===----------------------------------------------------------------------===//

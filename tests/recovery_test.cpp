@@ -12,12 +12,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "codegen/ISel.h"
+#include "TestCompile.h"
 #include "core/Debugger.h"
 #include "fuzz/DiffCheck.h"
 #include "fuzz/Oracle.h"
-#include "ir/IRGen.h"
-#include "opt/Pass.h"
 
 #include <gtest/gtest.h>
 
@@ -118,15 +116,7 @@ TEST(Recovery, ConstantRecoveryAfterPropagation) {
   )";
   // Constant propagation folds y = 7, x = 5 dies, and the marker keeps
   // the immediate.  Direct classifier check at the print stop (s2):
-  auto M = [&] {
-    DiagnosticEngine Diags;
-    auto Mod = compileToIR(Src, Diags);
-    EXPECT_TRUE(Mod != nullptr) << Diags.str();
-    return Mod;
-  }();
-  runPipeline(*M, LockstepOptions::lockstepOpts());
-  CodegenOptions CG;
-  MachineModule MM = compileToMachine(*M, CG);
+  auto [IR, MM] = compileOrAbort(Src, LockstepOptions::lockstepOpts());
   const MachineFunction &MF = *MM.findFunc("main");
   Classifier C(MF, *MM.Info);
 

@@ -14,11 +14,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "codegen/ISel.h"
+#include "TestCompile.h"
 #include "core/Debugger.h"
 #include "fuzz/QualityCampaign.h"
-#include "ir/IRGen.h"
-#include "opt/Pass.h"
 
 #include <gtest/gtest.h>
 
@@ -71,18 +69,9 @@ const char *Fig4 = R"(
   }
 )";
 
-MachineModule buildO0(std::string_view Src,
-                      std::vector<std::unique_ptr<IRModule>> &Pool) {
-  DiagnosticEngine Diags;
-  auto M = compileToIR(Src, Diags);
-  EXPECT_TRUE(M != nullptr) << Diags.str();
-  runPipeline(*M, OptOptions::none());
-  CodegenOptions CG;
-  CG.PromoteVars = false;
-  CG.Schedule = false;
-  MachineModule MM = compileToMachine(*M, CG);
-  Pool.push_back(std::move(M)); // Keep MM.Info alive.
-  return MM;
+CompiledModule buildO0(std::string_view Src) {
+  return compileOrAbort(Src, OptOptions::none(),
+                        {.PromoteVars = false, .Schedule = false});
 }
 
 //===----------------------------------------------------------------------===//
@@ -98,8 +87,7 @@ TEST(StepStmt, VisitsStatementsInSourceOrderAtO0) {
       return 0;
     }
   )";
-  std::vector<std::unique_ptr<IRModule>> Pool;
-  MachineModule MM = buildO0(Src, Pool);
+  auto [IR, MM] = buildO0(Src);
   Debugger Dbg(MM);
 
   // startPaused stops before executing anything, at the first statement.
@@ -132,8 +120,7 @@ TEST(StepStmt, LoopBodyVisitedOncePerIteration) {
       return 0;
     }
   )";
-  std::vector<std::unique_ptr<IRModule>> Pool;
-  MachineModule MM = buildO0(Src, Pool);
+  auto [IR, MM] = buildO0(Src);
   Debugger Dbg(MM);
   ASSERT_EQ(Dbg.startPaused(), StopReason::Breakpoint);
 
@@ -173,8 +160,7 @@ TEST(StepStmt, FollowsCallsIntoHelpers) {
       return 0;
     }
   )";
-  std::vector<std::unique_ptr<IRModule>> Pool;
-  MachineModule MM = buildO0(Src, Pool);
+  auto [IR, MM] = buildO0(Src);
   Debugger Dbg(MM);
   ASSERT_EQ(Dbg.startPaused(), StopReason::Breakpoint);
   FuncId Main = Dbg.currentFunction();

@@ -14,11 +14,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "codegen/ISel.h"
+#include "TestCompile.h"
 #include "fuzz/Campaign.h"
-#include "ir/IRGen.h"
 #include "ir/IRPrinter.h"
-#include "opt/Pass.h"
 #include "support/Stats.h"
 #include "support/Trace.h"
 
@@ -119,11 +117,7 @@ TEST(TraceInvariance, PerQueryVerdictsIdenticalWithTracingOn) {
     }
   )";
   auto Verdicts = [&]() {
-    DiagnosticEngine Diags;
-    auto M = compileToIR(Src, Diags);
-    EXPECT_TRUE(M != nullptr) << Diags.str();
-    runPipeline(*M, OptOptions::all());
-    MachineModule MM = compileToMachine(*M, CodegenOptions());
+    auto [IR, MM] = compileOrAbort(Src, OptOptions::all());
     std::ostringstream D;
     for (const MachineFunction &MF : MM.Funcs) {
       Classifier C(MF, *MM.Info);

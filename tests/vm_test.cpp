@@ -4,10 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "codegen/ISel.h"
+#include "TestCompile.h"
 #include "codegen/MachineVerifier.h"
-#include "ir/IRGen.h"
-#include "opt/Pass.h"
 #include "vm/Machine.h"
 
 #include <gtest/gtest.h>
@@ -16,19 +14,10 @@ using namespace sldb;
 
 namespace {
 
-MachineModule build(std::string_view Src, bool Optimize = true,
-                    bool Promote = true) {
-  DiagnosticEngine Diags;
-  auto M = compileToIR(Src, Diags);
-  EXPECT_TRUE(M != nullptr) << Diags.str();
-  if (Optimize)
-    runPipeline(*M, OptOptions::all());
-  CodegenOptions CG;
-  CG.PromoteVars = Promote;
-  MachineModule MM = compileToMachine(*M, CG);
-  static std::vector<std::unique_ptr<IRModule>> Pool;
-  Pool.push_back(std::move(M));
-  return MM;
+CompiledModule build(std::string_view Src, bool Optimize = true,
+                     bool Promote = true) {
+  return compileOrAbort(Src, Optimize ? OptOptions::all() : OptOptions::none(),
+                        {Promote});
 }
 
 } // namespace
@@ -45,7 +34,7 @@ TEST(MachineVerifier, CleanOnAllConfigs) {
   )";
   for (bool Opt : {false, true})
     for (bool Promote : {false, true}) {
-      MachineModule MM = build(Src, Opt, Promote);
+      auto [IR, MM] = build(Src, Opt, Promote);
       std::vector<std::string> Errors;
       bool OK = verifyMachineModule(MM, Errors);
       std::string Joined;
@@ -56,8 +45,8 @@ TEST(MachineVerifier, CleanOnAllConfigs) {
 }
 
 TEST(VMExec, StepExecutesExactlyOneInstruction) {
-  MachineModule MM = build("int main() { int x = 1; return x + 2; }",
-                           /*Optimize=*/false);
+  auto [IR, MM] = build("int main() { int x = 1; return x + 2; }",
+                        /*Optimize=*/false);
   Machine VM(MM);
   VM.run(); // Runs to completion first...
   Machine VM2(MM);
@@ -70,7 +59,7 @@ TEST(VMExec, StepExecutesExactlyOneInstruction) {
 }
 
 TEST(VMExec, BreakpointAtEntryFires) {
-  MachineModule MM = build("int main() { return 7; }", false);
+  auto [IR, MM] = build("int main() { return 7; }", false);
   Machine VM(MM);
   VM.setBreakpoint({0, 0});
   EXPECT_EQ(VM.run(), StopReason::Breakpoint);
@@ -80,14 +69,14 @@ TEST(VMExec, BreakpointAtEntryFires) {
 }
 
 TEST(VMExec, RecursionMaintainsFrames) {
-  MachineModule MM = build(R"(
+  auto [IR, MM] = build(R"(
     int fact(int n) {
       if (n <= 1) return 1;
       return n * fact(n - 1);
     }
     int main() { return fact(6); }
   )",
-                           false);
+                        false);
   const MachineFunction *Fact = MM.findFunc("fact");
   ASSERT_NE(Fact, nullptr);
   std::uint32_t FactIdx =
@@ -107,7 +96,7 @@ TEST(VMExec, RecursionMaintainsFrames) {
 
 TEST(VMExec, CalleeSavesEverythingExceptReturnValue) {
   // The caller's locals must survive a call that heavily uses registers.
-  MachineModule MM = build(R"(
+  auto [IR, MM] = build(R"(
     int churn(int n) {
       int a = n; int b = a + 1; int c = b + 1; int d = c + 1;
       int e = d + 1; int f = e + 1; int g = f + 1; int h = g + 1;
@@ -137,7 +126,7 @@ TEST(VMExec, MarkersAreFreeAtRuntime) {
       return 0;
     }
   )";
-  MachineModule MM = build(Src, /*Optimize=*/true);
+  auto [IR, MM] = build(Src, /*Optimize=*/true);
   unsigned Markers = 0;
   for (const MachineBlock &B : MM.Funcs[0].Blocks)
     for (const MInstr &I : B.Insts)
@@ -154,14 +143,14 @@ TEST(VMExec, MarkersAreFreeAtRuntime) {
 }
 
 TEST(VMExec, MemoryInspection) {
-  MachineModule MM = build(R"(
+  auto [IR, MM] = build(R"(
     int table[4];
     int main() {
       table[0] = 11; table[1] = 22; table[2] = 33; table[3] = 44;
       return 0;
     }
   )",
-                           false);
+                        false);
   Machine VM(MM);
   ASSERT_EQ(VM.run(), StopReason::Exited);
   std::size_t Base = MM.GlobalAddr.at(MM.Info->Globals[0]);
@@ -170,7 +159,7 @@ TEST(VMExec, MemoryInspection) {
 }
 
 TEST(VMExec, TrapOnBadPointer) {
-  MachineModule MM2 = build(R"(
+  auto [IR2, MM2] = build(R"(
     int main() {
       int x = 5;
       int* p = &x;
@@ -178,13 +167,13 @@ TEST(VMExec, TrapOnBadPointer) {
       return *p;
     }
   )",
-                           false);
+                          false);
   Machine VM(MM2);
   EXPECT_EQ(VM.run(), StopReason::Trapped);
 }
 
 TEST(VMExec, RerunIsDeterministic) {
-  MachineModule MM = build(R"(
+  auto [IR, MM] = build(R"(
     int main() {
       int s = 0;
       for (int i = 0; i < 10; i = i + 1) s = s + i * i;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Structural guard for the analysis modules.  Registered as a ctest (see
-# tests/CMakeLists.txt); run from the repository root.  Two rules:
+# Structural guard for the analysis modules and the compile driver.
+# Registered as a ctest (see tests/CMakeLists.txt); run from the
+# repository root.  Three rules:
 #
 #  1. No pass and no core debugger component constructs an IR analysis
 #     directly — everything goes through AnalysisManager::getResult so
@@ -9,10 +10,15 @@
 #     under src/core and src/codegen only codegen/MachineFlow.cpp calls
 #     solveDataflowGeneric; everything else states its problem as a
 #     MachineFlow decision log.
+#  3. One place builds machine code from source: under src and tools only
+#     eval/Compile.cpp (compileModule) calls compileToMachineE, so error
+#     handling, arena budgets and the pipeline config stay in one driver.
+#     codegen/ISel declares and defines it.
 #
-# src/analysis is exempt (the manager, the analyses and the solver live
-# there), and so are tests (unit tests of an analysis construct it on
-# purpose).
+# src/analysis is exempt from rules 1 and 2 (the manager, the analyses
+# and the solver live there), and tests, benches and perfbench from all
+# three (unit tests of an analysis construct it on purpose; the
+# benchmarks time each layer on its own).
 set -u
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -42,5 +48,16 @@ if [ -n "$SOLVES" ]; then
   echo "state the problem as a decision log (see src/codegen/MachineFlow.h)" >&2
   exit 1
 fi
+BACKENDS=$(grep -rEn '\bcompileToMachineE[[:space:]]*\(' src tools \
+             --include='*.cpp' --include='*.h' |
+           grep -vE '^src/(eval/Compile\.cpp|codegen/ISel\.(h|cpp)):' || true)
+
+if [ -n "$BACKENDS" ]; then
+  echo "error: machine code built from source outside eval/Compile.cpp:" >&2
+  echo "$BACKENDS" >&2
+  echo "compile through compileModule (see src/eval/Compile.h)" >&2
+  exit 1
+fi
 echo "OK: src/opt and src/core construct no IR analysis directly;" \
-     "only codegen/MachineFlow.cpp solves machine-code data flow"
+     "only codegen/MachineFlow.cpp solves machine-code data flow;" \
+     "only eval/Compile.cpp calls compileToMachineE"

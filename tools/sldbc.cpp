@@ -58,14 +58,13 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "codegen/ISel.h"
 #include "codegen/MachineIR.h"
 #include "core/DebugInfo.h"
 #include "core/Debugger.h"
+#include "eval/Compile.h"
 #include "eval/CrossLevel.h"
 #include "ir/IRGen.h"
 #include "ir/IRPrinter.h"
-#include "opt/Pass.h"
 #include "support/Stats.h"
 #include "support/Trace.h"
 
@@ -437,6 +436,50 @@ int finish(int RC, const Options &Opts) {
   return RC;
 }
 
+/// The optimizer's pass set: a named level's, else O2 or (-O0) none.
+OptOptions passSet(const Options &Opts) {
+  if (Opts.Level)
+    return Opts.Level->Opts;
+  return Opts.Optimize ? OptOptions::all() : OptOptions::none();
+}
+
+/// --time-passes / --pass-stats: the per-slot table and the analysis
+/// cache summary (stderr).  -O0 runs no pass, so it prints nothing.
+void printPassStats(const PipelineStats &Stats, const Options &Opts) {
+  if (!Opts.Optimize && !Opts.Level)
+    return;
+  if (Opts.TimePasses || Opts.PassStats) {
+    std::fprintf(stderr, "%-45s %6s %8s", "pass", "runs", "changed");
+    if (Opts.TimePasses)
+      std::fprintf(stderr, " %9s", "wall-ms");
+    std::fprintf(stderr, "\n");
+    for (const PassSlotStats &S : Stats.Slots) {
+      std::fprintf(stderr, "%-45s %6u %8u", S.Name.c_str(), S.Runs,
+                   S.Changed);
+      if (Opts.TimePasses)
+        std::fprintf(stderr, " %9.3f", S.WallMs);
+      std::fprintf(stderr, "\n");
+    }
+    if (Opts.TimePasses)
+      std::fprintf(stderr, "%-45s %6s %8s %9.3f\n", "total", "", "",
+                   Stats.TotalMs);
+  }
+  if (Opts.PassStats) {
+    std::fprintf(stderr, "analysis cache:\n");
+    for (unsigned ID = 0; ID < NumAnalysisIDs; ++ID) {
+      std::uint64_t H = Stats.Analyses.Hits[ID];
+      std::uint64_t M = Stats.Analyses.Misses[ID];
+      if (H + M == 0)
+        continue;
+      std::fprintf(stderr, "  %-14s %8llu hits %8llu misses (%.1f%%)\n",
+                   analysisName(static_cast<AnalysisID>(ID)),
+                   static_cast<unsigned long long>(H),
+                   static_cast<unsigned long long>(M),
+                   100.0 * static_cast<double>(H) /
+                       static_cast<double>(H + M));
+    }
+  }
+}
 
 /// --batch DIR: compiles every .mc file under DIR in one process.  One
 /// arena backs each module's IR *and* machine code; it is reset after the
@@ -466,8 +509,7 @@ int runBatch(const Options &Opts) {
     return 2;
   }
 
-  const OptOptions PassSet =
-      Opts.Level ? Opts.Level->Opts : OptOptions::all();
+  const OptOptions PassSet = passSet(Opts);
   const bool Promote = Opts.Level ? Opts.Level->Promote : Opts.Promote;
 
   Arena BatchArena(1 << 20);
@@ -498,46 +540,24 @@ int runBatch(const Options &Opts) {
     }
     {
       DiagnosticEngine Diags;
-      auto Module = compileToIR(Buf.str(), Diags, &BatchArena);
-      std::string Err;
-      std::uint32_t Instrs = 0;
-      if (!Module) {
-        Err = Diags.str();
-        if (!Err.empty() && Err.back() == '\n')
-          Err.pop_back();
-      } else {
-        if (Opts.Optimize || Opts.Level) {
-          Status PS = runPipelineEx(*Module, PassSet, PipelineConfig());
-          if (!PS.ok())
-            Err = PS.str();
-        }
-        if (Err.empty()) {
-          CodegenOptions CG;
-          CG.PromoteVars = Promote;
-          CG.Schedule = Opts.Schedule;
-          Expected<MachineModule> MME =
-              compileToMachineE(*Module, CG, &BatchArena);
-          if (!MME)
-            Err = MME.status().str();
-          else
-            for (const MachineFunction &F : MME->Funcs)
-              Instrs += F.numInstrs();
-        }
-      }
-      // The arena's soft budget is sticky until reset: any allocation
-      // past --arena-limit during this module fails it here, at the
-      // module boundary, without poisoning its neighbours.
-      if (Err.empty() && BatchArena.limitExceeded())
-        Err = "resource-exhausted: arena budget (" +
-              std::to_string(Opts.ArenaLimit) + " bytes) exceeded";
-      if (Err.empty()) {
+      Expected<CompiledModule> Build =
+          compileModule(Buf.str(), PassSet, {Promote, Opts.Schedule},
+                        &BatchArena, {}, nullptr, &Diags);
+      if (Build) {
+        std::uint32_t Instrs = 0;
+        for (const MachineFunction &F : Build->MM.Funcs)
+          Instrs += F.numInstrs();
         std::printf("%s: ok (%u machine instrs)\n", Path.c_str(), Instrs);
         ++Ok;
       } else {
+        // A rejected source prints its diagnostics; any later failure
+        // (including a phase over --arena-limit) its Status.
+        std::string Err = Diags.hasErrors() ? Build.status().message()
+                                            : Build.status().str();
         std::printf("%s: error: %s\n", Path.c_str(), Err.c_str());
         ++Failed;
       }
-      // Module (and MME's buffers) die here; the arena memory survives...
+      // The module dies here; the arena memory survives...
     }
     BatchArena.reset(); // ...and is recycled for the next program.
   }
@@ -591,90 +611,49 @@ int main(int Argc, char **Argv) {
     return finish(0, Opts);
   }
 
-  DiagnosticEngine Diags;
-  auto Module = compileToIR(Source, Diags);
-  if (!Module) {
-    std::fprintf(stderr, "%s", Diags.str().c_str());
-    return finish(1, Opts);
-  }
-
-  if (Opts.Emit == "ir") {
-    std::printf("%s", printModule(*Module).c_str());
-    return finish(0, Opts);
-  }
-
   // A named level pins both the pass set and the promotion mode.
-  const OptOptions PassSet =
-      Opts.Level ? Opts.Level->Opts : OptOptions::all();
+  const OptOptions PassSet = passSet(Opts);
   if (Opts.Level)
     Opts.Promote = Opts.Level->Promote;
+  PipelineConfig Config;
+  Config.TimePasses = Opts.TimePasses;
+  Config.VerifyEach = Opts.VerifyEach;
+  PipelineStats Stats;
 
-  if (Opts.Optimize || Opts.Level) {
-    if (Opts.TimePasses || Opts.PassStats || Opts.VerifyEach) {
-      PipelineConfig Config = PipelineConfig::fromEnvironment();
-      Config.TimePasses |= Opts.TimePasses;
-      Config.VerifyEach |= Opts.VerifyEach;
-      PipelineStats Stats;
+  if (Opts.Emit == "ir" || Opts.Emit == "ir-opt") {
+    DiagnosticEngine Diags;
+    auto Module = compileToIR(Source, Diags);
+    if (!Module) {
+      std::fprintf(stderr, "%s", Diags.str().c_str());
+      return finish(1, Opts);
+    }
+    if (Opts.Emit == "ir-opt") {
       Status PS = runPipelineEx(*Module, PassSet, Config, &Stats);
-      if (!PS.ok()) {
-        std::fprintf(stderr, "error: %s\n", PS.str().c_str());
-        return finish(1, Opts);
-      }
-      if (Opts.TimePasses || Opts.PassStats) {
-        std::fprintf(stderr, "%-45s %6s %8s", "pass", "runs", "changed");
-        if (Opts.TimePasses)
-          std::fprintf(stderr, " %9s", "wall-ms");
-        std::fprintf(stderr, "\n");
-        for (const PassSlotStats &S : Stats.Slots) {
-          std::fprintf(stderr, "%-45s %6u %8u", S.Name.c_str(), S.Runs,
-                       S.Changed);
-          if (Opts.TimePasses)
-            std::fprintf(stderr, " %9.3f", S.WallMs);
-          std::fprintf(stderr, "\n");
-        }
-        if (Opts.TimePasses)
-          std::fprintf(stderr, "%-45s %6s %8s %9.3f\n", "total", "", "",
-                       Stats.TotalMs);
-      }
-      if (Opts.PassStats) {
-        std::fprintf(stderr, "analysis cache:\n");
-        for (unsigned ID = 0; ID < NumAnalysisIDs; ++ID) {
-          std::uint64_t H = Stats.Analyses.Hits[ID];
-          std::uint64_t M = Stats.Analyses.Misses[ID];
-          if (H + M == 0)
-            continue;
-          std::fprintf(stderr,
-                       "  %-14s %8llu hits %8llu misses (%.1f%%)\n",
-                       analysisName(static_cast<AnalysisID>(ID)),
-                       static_cast<unsigned long long>(H),
-                       static_cast<unsigned long long>(M),
-                       100.0 * static_cast<double>(H) /
-                           static_cast<double>(H + M));
-        }
-      }
-    } else {
-      Status PS = runPipelineEx(*Module, PassSet, PipelineConfig());
+      printPassStats(Stats, Opts);
       if (!PS.ok()) {
         std::fprintf(stderr, "error: %s\n", PS.str().c_str());
         return finish(1, Opts);
       }
     }
-  }
-
-  if (Opts.Emit == "ir-opt") {
     std::printf("%s", printModule(*Module).c_str());
     return finish(0, Opts);
   }
 
-  CodegenOptions CG;
-  CG.PromoteVars = Opts.Promote;
-  CG.Schedule = Opts.Schedule;
-  Expected<MachineModule> MME = compileToMachineE(*Module, CG);
-  if (!MME) {
-    std::fprintf(stderr, "error: %s\n", MME.status().str().c_str());
+  DiagnosticEngine Diags;
+  Expected<CompiledModule> Build =
+      compileModule(Source, PassSet, {Opts.Promote, Opts.Schedule}, nullptr,
+                    Config, &Stats, &Diags);
+  if (Diags.hasErrors()) {
+    std::fprintf(stderr, "%s", Diags.str().c_str());
     return finish(1, Opts);
   }
-  MachineModule &MM = *MME;
+  // The pipeline ran; its stats print even when a later phase failed.
+  printPassStats(Stats, Opts);
+  if (!Build) {
+    std::fprintf(stderr, "error: %s\n", Build.status().str().c_str());
+    return finish(1, Opts);
+  }
+  MachineModule &MM = Build->MM;
 
   if (!Opts.DebugInfoFile.empty()) {
     if (Opts.DebugInfoFile == "-") {
