@@ -668,7 +668,9 @@ MachineFunction FunctionSelector::run() {
         ++MF.ExpectedAvailMarkers;
     }
   MF.IntegrityFindings = F.AnnotationFindings;
-  return MF;
+  // MF is a member: without the move, the return would copy every
+  // block's instruction buffer into the arena a second time.
+  return std::move(MF);
 }
 
 namespace {
@@ -684,6 +686,8 @@ MachineModule selectModuleImpl(const IRModule &M, const CodegenOptions &Opts,
   // Lay out globals in module memory.
   for (VarId G : M.Info->Globals) {
     const VarInfo &VI = M.Info->var(G);
+    if (G >= MM.GlobalAddr.size())
+      MM.GlobalAddr.resize(G + 1, MachineModule::NoGlobal);
     MM.GlobalAddr[G] = MM.GlobalWords;
     MM.GlobalWords += VI.ArraySize ? VI.ArraySize : 1;
   }

@@ -305,9 +305,19 @@ struct MachineFunction {
 struct MachineModule {
   const ProgramInfo *Info = nullptr;
   std::vector<MachineFunction> Funcs;
-  std::unordered_map<VarId, std::size_t> GlobalAddr; ///< Word addresses.
+  /// Word address of each global, indexed by VarId (NoGlobal for ids
+  /// that name no global); read it through globalAddr().
+  std::vector<std::size_t> GlobalAddr;
   std::size_t GlobalWords = 0;
   std::vector<std::pair<std::size_t, Value>> GlobalInits;
+
+  static constexpr std::size_t NoGlobal = ~std::size_t(0);
+
+  /// Word address of global \p V, or NoGlobal.  Bounds-checked: the id
+  /// may come from a (possibly corrupt) annotation.
+  std::size_t globalAddr(VarId V) const {
+    return V < GlobalAddr.size() ? GlobalAddr[V] : NoGlobal;
+  }
 
   const MachineFunction *findFunc(const std::string &Name) const {
     for (const MachineFunction &F : Funcs)

@@ -14,8 +14,10 @@
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <unordered_set>
+#include <iterator>
+#include <string_view>
 
 using namespace sldb;
 
@@ -68,38 +70,120 @@ Classifier::Classifier(const MachineFunction &MF, const ProgramInfo &Info,
                        bool EnableRecovery)
     : MF(MF), Info(Info), EnableRecovery(EnableRecovery),
       Total(MF.numInstrs()) {
-  // Number the fact universe.  Initialization tracks this function's
-  // scalar locals (the paper's figures measure local variables; globals
-  // are conservatively "initialized" and always memory-resident).
-  unsigned U = 0;
-  for (VarId V : Info.func(MF.Id).Locals)
-    if (Info.var(V).isScalar() && !VarIdx.count(V))
-      VarIdx[V] = U++;
-  const unsigned NumKeys = static_cast<unsigned>(MF.HoistKeys.size());
-  FirstKey = U;
-  U += NumKeys;
-  KeyStmt.assign(NumKeys, InvalidStmt);
-  FirstMarker = U;
+  // Fault containment: re-verify the debug bookkeeping the verdicts rest
+  // on, and fold in whatever damage the pipeline already recorded.  A
+  // finding attributed to a variable degrades that variable; a
+  // whole-function finding (Var == InvalidVar) degrades them all — a
+  // conservative SUSPECT/NONRESIDENT answer beats a crash or a false
+  // CURRENT built on corrupt annotations.
+  Findings = MF.IntegrityFindings;
+  verifyMachineAnnotations(MF, Info, Findings);
+
   std::uint32_t Addr = 0;
   for (const MachineBlock &B : MF.Blocks)
     for (const MInstr &I : B.Insts) {
       if (I.Op == MOp::MDEAD)
-        Markers.push_back({I.MarkVar, I.MarkStmt, Addr, I.Recovery, ~0u});
+        Markers.push_back(
+            {I.MarkVar, I.MarkStmt, Addr, I.Recovery, ~0u, nullptr});
       ++Addr;
     }
-  U += static_cast<unsigned>(Markers.size());
-  // Hoist keys and markers per variable.  Marker variables are
-  // annotation-supplied (possibly corrupt) ids, hence a map.
-  std::unordered_map<VarId, std::vector<unsigned>> KeysOf, MarkersOf;
+  const unsigned NumKeys = static_cast<unsigned>(MF.HoistKeys.size());
+  const unsigned NumMarkers = static_cast<unsigned>(Markers.size());
+
+  // The per-variable rows span the ids the function's tables mention.
+  // Annotation-supplied ids are bounds-checked against the program's
+  // variables (the verifier degrades the function for a bogus one), so
+  // they never index past the rows.
+  const FuncInfo &FI = Info.func(MF.Id);
+  VarId Lo = ~VarId(0), Hi = 0;
+  auto Span = [&](VarId V) {
+    if (V < Info.Vars.size()) {
+      Lo = std::min(Lo, V);
+      Hi = std::max(Hi, V + 1);
+    }
+  };
+  for (VarId V : FI.Locals)
+    Span(V);
+  for (const HoistKey &K : MF.HoistKeys)
+    Span(K.V);
+  for (const MarkerInfo &M : Markers)
+    Span(M.V);
+  for (const auto &KV : MF.Storage)
+    Span(KV.first);
+  for (const auto &KV : MF.ResidentAt)
+    Span(KV.first);
+  for (const AnnotationFinding &F : Findings)
+    Span(F.Var);
+  if (Lo < Hi) {
+    VarBase = Lo;
+    Rows.resize(Hi - Lo);
+  }
+  auto RowOf = [&](VarId V) -> VarRow * {
+    return V - VarBase < Rows.size() ? &Rows[V - VarBase] : nullptr;
+  };
+
+  // Number the fact universe.  Initialization tracks this function's
+  // scalar locals (the paper's figures measure local variables; globals
+  // are conservatively "initialized" and always memory-resident).
+  unsigned U = 0;
+  for (VarId V : FI.Locals)
+    if (VarRow *R = RowOf(V); R && Info.var(V).isScalar() && R->Init == ~0u)
+      R->Init = U++;
+  FirstKey = U;
+  U += NumKeys;
+  KeyStmt.assign(NumKeys, InvalidStmt);
+  FirstMarker = U;
+  U += NumMarkers;
+
+  // Hoist keys and markers per variable, as flat ranges in index order:
+  // count, turn the counts into offsets, then place.
+  for (const HoistKey &K : MF.HoistKeys)
+    if (VarRow *R = RowOf(K.V))
+      ++R->KeysEnd;
+  for (const MarkerInfo &M : Markers)
+    if (VarRow *R = RowOf(M.V))
+      ++R->MarkersEnd;
+  std::uint32_t KeyOff = 0, MarkerOff = 0;
+  for (VarRow &R : Rows) {
+    R.KeysBegin = KeyOff;
+    KeyOff += R.KeysEnd;
+    R.KeysEnd = R.KeysBegin;
+    R.MarkersBegin = MarkerOff;
+    MarkerOff += R.MarkersEnd;
+    R.MarkersEnd = R.MarkersBegin;
+  }
+  VarKeys.resize(KeyOff);
+  VarMarkers.resize(MarkerOff);
   for (unsigned K = 0; K < NumKeys; ++K)
-    KeysOf[MF.HoistKeys[K].V].push_back(K);
+    if (VarRow *R = RowOf(MF.HoistKeys[K].V))
+      VarKeys[R->KeysEnd++] = K;
+  for (unsigned M = 0; M < NumMarkers; ++M)
+    if (VarRow *R = RowOf(Markers[M].V))
+      VarMarkers[R->MarkersEnd++] = M;
+
+  for (const auto &[V, S] : MF.Storage)
+    if (VarRow *R = RowOf(V))
+      R->Storage = &S;
+  for (const auto &[V, Bits] : MF.ResidentAt)
+    if (VarRow *R = RowOf(V))
+      R->Resident = &Bits;
+  for (const AnnotationFinding &F : Findings) {
+    if (F.Var == InvalidVar)
+      DegradeAll = true;
+    else if (VarRow *R = RowOf(F.Var))
+      R->Degraded = true;
+  }
+
   std::vector<unsigned> Taintable;
-  for (unsigned M = 0; M < Markers.size(); ++M) {
-    MarkersOf[Markers[M].V].push_back(M);
-    const MRecovery &R = Markers[M].Recovery;
-    if (R.K == MRecovery::Kind::InFrame && !R.IsIV) {
-      Markers[M].Taint = U++;
+  for (unsigned M = 0; M < NumMarkers; ++M) {
+    MarkerInfo &MI = Markers[M];
+    if (MI.Recovery.K == MRecovery::Kind::InFrame && !MI.Recovery.IsIV) {
+      MI.Taint = U++;
       Taintable.push_back(M);
+    } else if (MI.Recovery.K == MRecovery::Kind::InReg) {
+      auto It = MF.RecoveryValidAt.find(MI.Addr);
+      if (It != MF.RecoveryValidAt.end())
+        MI.ValidAt = &It->second;
     }
   }
 
@@ -124,17 +208,16 @@ Classifier::Classifier(const MachineFunction &MF, const ProgramInfo &Info,
       VarId Def = I.DestVar;
       if (Def == InvalidVar && (I.Op == MOp::MDEAD || I.Op == MOp::MAVAIL))
         Def = I.MarkVar;
-      if (auto It = VarIdx.find(Def); It != VarIdx.end())
-        Decide(It->second, true);
+      if (const VarRow &R = row(Def); R.Init != ~0u)
+        Decide(R.Init, true);
 
       // Hoist reach: an assignment to V kills every key assigning V; an
       // avail marker kills its own key; a hoisted instance gens its key
       // after its own kill (it is an assignment to V).  Keys are
       // bounds-checked (not asserted): a corrupted annotation must
       // degrade the verdict, not index out of the bit vectors.
-      if (I.DestVar != InvalidVar)
-        for (unsigned K : KeysOf[I.DestVar])
-          Decide(FirstKey + K, false);
+      for (unsigned K : keysOf(I.DestVar))
+        Decide(FirstKey + K, false);
       const bool KeyOk = I.HoistKey != InvalidHoistKey && I.HoistKey < NumKeys;
       if (I.Op == MOp::MAVAIL && KeyOk)
         Decide(FirstKey + I.HoistKey, false);
@@ -153,11 +236,10 @@ Classifier::Classifier(const MachineFunction &MF, const ProgramInfo &Info,
       VarId Killed = I.DestVar != InvalidVar && AssignKillsDead ? I.DestVar
                      : I.Op == MOp::MAVAIL                     ? I.MarkVar
                                                                : InvalidVar;
-      if (Killed != InvalidVar)
-        for (unsigned M : MarkersOf[Killed])
-          Decide(FirstMarker + M, false);
+      for (unsigned M : markersOf(Killed))
+        Decide(FirstMarker + M, false);
       if (I.Op == MOp::MDEAD)
-        for (unsigned M : MarkersOf[I.MarkVar])
+        for (unsigned M : markersOf(I.MarkVar))
           Decide(FirstMarker + M, Markers[M].Addr == Addr);
 
       // Recovery taint: a frame or global recovery is valid at A iff *no*
@@ -180,21 +262,6 @@ Classifier::Classifier(const MachineFunction &MF, const ProgramInfo &Info,
     }
   SomeFlow = MachineFlow(MF, U, Log, FlowMeet::Union);
   AllFlow = MachineFlow(MF, U, std::move(Log), FlowMeet::Intersect);
-
-  // Fault containment: re-verify the debug bookkeeping the verdicts rest
-  // on, and fold in whatever damage the pipeline already recorded.  A
-  // finding attributed to a variable degrades that variable; a
-  // whole-function finding (Var == InvalidVar) degrades them all — a
-  // conservative SUSPECT/NONRESIDENT answer beats a crash or a false
-  // CURRENT built on corrupt annotations.
-  Findings = MF.IntegrityFindings;
-  verifyMachineAnnotations(MF, Info, Findings);
-  for (const AnnotationFinding &F : Findings) {
-    if (F.Var == InvalidVar)
-      DegradeAll = true;
-    else
-      DegradedVars.insert(F.Var);
-  }
 }
 
 const Classifier::AddrState &Classifier::stateAt(std::uint32_t Addr) const {
@@ -224,11 +291,8 @@ bool Classifier::recoveryValid(unsigned M, std::uint32_t Addr,
   case MRecovery::Kind::Imm:
   case MRecovery::Kind::FImm:
     return Addr < Total; // Constants are always recoverable.
-  case MRecovery::Kind::InReg: {
-    auto It = MF.RecoveryValidAt.find(MI.Addr);
-    return It != MF.RecoveryValidAt.end() && Addr < It->second.size() &&
-           It->second.test(Addr);
-  }
+  case MRecovery::Kind::InReg:
+    return MI.ValidAt && Addr < MI.ValidAt->size() && MI.ValidAt->test(Addr);
   case MRecovery::Kind::InFrame:
     // Stop-before semantics: the marker itself is always a valid point.
     return Addr < Total && (MI.Taint == ~0u || Addr == MI.Addr ||
@@ -269,10 +333,10 @@ Classification Classifier::classifyDegraded(std::uint32_t Addr, VarId V,
     return C;
   };
 
+  const VarRow &Row = row(V);
   if (VI.Storage != StorageKind::Global) {
-    auto It = VarIdx.find(V);
-    bool Tracked = It != VarIdx.end();
-    bool Reached = Tracked && stateAt(Addr).Some.test(It->second);
+    bool Tracked = Row.Init != ~0u;
+    bool Reached = Tracked && stateAt(Addr).Some.test(Row.Init);
     if (E) {
       E->InitTracked = Tracked;
       E->InitReached = Reached;
@@ -290,8 +354,7 @@ Classification Classifier::classifyDegraded(std::uint32_t Addr, VarId V,
     C.Cause = EndangerCause::MaybeStale;
     return Done("degraded: memory home (suspect)");
   }
-  auto SIt = MF.Storage.find(V);
-  if (SIt != MF.Storage.end() && SIt->second.K == VarStorage::Kind::Frame) {
+  if (Row.Storage && Row.Storage->K == VarStorage::Kind::Frame) {
     C.Kind = VarClass::Suspect;
     C.Cause = EndangerCause::MaybeStale;
     return Done("degraded: memory home (suspect)");
@@ -310,7 +373,8 @@ Classification Classifier::classify(std::uint32_t Addr, VarId V,
     E->Addr = Addr;
     E->RecoveryEnabled = EnableRecovery;
   }
-  if (DegradeAll || DegradedVars.count(V) != 0) {
+  const VarRow &Row = row(V);
+  if (DegradeAll || Row.Degraded) {
     static StatCounter &DegradedCount =
         Stats::counter("classifier.queries.degraded");
     DegradedCount.add();
@@ -332,33 +396,27 @@ Classification Classifier::classify(std::uint32_t Addr, VarId V,
   // Provenance is recorded as pure reads of the same per-address state
   // the verdict uses; nothing below branches on E except the recording
   // itself, so explain mode cannot perturb the decision.
+  const std::span<const unsigned> Keys = keysOf(V), Marks = markersOf(V);
   if (E) {
-    for (unsigned K = 0; K < MF.HoistKeys.size(); ++K) {
-      if (MF.HoistKeys[K].V != V)
-        continue;
+    for (unsigned K : Keys)
       E->Hoists.push_back({K, KeyStmt[K], renderHoistKeyExpr(K),
                            AS.Some.test(FirstKey + K),
                            AS.All.test(FirstKey + K)});
-    }
-    for (unsigned M = 0; M < Markers.size(); ++M) {
-      if (Markers[M].V != V)
-        continue;
+    for (unsigned M : Marks)
       E->Deads.push_back({M, Markers[M].Stmt, Markers[M].Addr,
                           AS.Some.test(FirstMarker + M),
                           AS.All.test(FirstMarker + M),
                           renderRecovery(Markers[M].Recovery),
                           recoveryValid(M, Addr, AS)});
-    }
   }
 
   // 1. Initialization (locals only; globals assumed initialized).
   if (VI.Storage != StorageKind::Global) {
-    auto It = VarIdx.find(V);
     // A variable the function never touches is in scope but was never
     // assigned (or its assignments were all optimized away with no
     // marker, which cannot happen) — uninitialized.
-    bool Tracked = It != VarIdx.end();
-    bool Reached = Tracked && AS.Some.test(It->second);
+    bool Tracked = Row.Init != ~0u;
+    bool Reached = Tracked && AS.Some.test(Row.Init);
     if (E) {
       E->InitTracked = Tracked;
       E->InitReached = Reached;
@@ -380,13 +438,10 @@ Classification Classifier::classify(std::uint32_t Addr, VarId V,
   //
   // We therefore evaluate dead-reach-with-recovery before the residence
   // check: recovery supplies residence.
-  const unsigned NumMarkers = static_cast<unsigned>(Markers.size());
   bool DeadAll = false, DeadSome = false;
   int DeadAllMarker = -1;
   unsigned DeadAllCount = 0;
-  for (unsigned M = 0; M < NumMarkers; ++M) {
-    if (Markers[M].V != V)
-      continue;
+  for (unsigned M : Marks) {
     if (AS.All.test(FirstMarker + M)) {
       DeadAll = true;
       DeadAllMarker = static_cast<int>(M);
@@ -416,11 +471,11 @@ Classification Classifier::classify(std::uint32_t Addr, VarId V,
         // Marker addresses are fixed, so these states come from the same
         // per-address cache as the breakpoint's own.
         const AddrState &MS = stateAt(MAddr);
-        for (unsigned M = 0; M < NumMarkers && SrcSound; ++M)
-          if (Markers[M].V == Src && MS.Some.test(FirstMarker + M))
+        for (unsigned M : markersOf(Src))
+          if (MS.Some.test(FirstMarker + M))
             SrcSound = false;
-        for (unsigned K = 0; K < MF.HoistKeys.size() && SrcSound; ++K)
-          if (MF.HoistKeys[K].V == Src && MS.Some.test(FirstKey + K))
+        for (unsigned K : keysOf(Src))
+          if (MS.Some.test(FirstKey + K))
             SrcSound = false;
         if (!SrcSound && E)
           E->RecoveryNote = "rejected: source variable '" +
@@ -453,15 +508,11 @@ Classification Classifier::classify(std::uint32_t Addr, VarId V,
   bool Resident = true;
   if (VI.Storage == StorageKind::Global) {
     Resident = true;
-  } else {
-    auto SIt = MF.Storage.find(V);
-    if (SIt == MF.Storage.end() || SIt->second.K == VarStorage::Kind::None) {
-      Resident = false;
-    } else if (SIt->second.K == VarStorage::Kind::InReg) {
-      auto RIt = MF.ResidentAt.find(V);
-      Resident = RIt != MF.ResidentAt.end() && Addr < RIt->second.size() &&
-                 RIt->second.test(Addr);
-    }
+  } else if (!Row.Storage || Row.Storage->K == VarStorage::Kind::None) {
+    Resident = false;
+  } else if (Row.Storage->K == VarStorage::Kind::InReg) {
+    Resident = Row.Resident && Addr < Row.Resident->size() &&
+               Row.Resident->test(Addr);
   }
   if (E) {
     E->ResidenceConsulted = true;
@@ -474,12 +525,9 @@ Classification Classifier::classify(std::uint32_t Addr, VarId V,
   }
 
   // 4. Hoist reach (Lemmas 2 and 3).
-  const unsigned NumKeys = static_cast<unsigned>(MF.HoistKeys.size());
   bool HoistAll = false, HoistSome = false;
   StmtId HoistStmt = InvalidStmt;
-  for (unsigned K = 0; K < NumKeys; ++K) {
-    if (MF.HoistKeys[K].V != V)
-      continue;
+  for (unsigned K : Keys) {
     if (AS.All.test(FirstKey + K)) {
       HoistAll = true;
       HoistStmt = KeyStmt[K];
@@ -608,13 +656,12 @@ std::string Classifier::renderRecovery(const MRecovery &R) const {
 std::string Classifier::renderStorage(VarId V) const {
   if (Info.var(V).Storage == StorageKind::Global)
     return "global memory";
-  auto It = MF.Storage.find(V);
-  if (It != MF.Storage.end()) {
-    switch (It->second.K) {
+  if (const VarStorage *S = storage(V)) {
+    switch (S->K) {
     case VarStorage::Kind::InReg:
-      return "register " + It->second.R.str();
+      return "register " + S->R.str();
     case VarStorage::Kind::Frame:
-      return "frame slot " + std::to_string(It->second.Frame);
+      return "frame slot " + std::to_string(S->Frame);
     case VarStorage::Kind::GlobalMem:
       return "global memory";
     case VarStorage::Kind::None:
@@ -885,42 +932,53 @@ std::string Classifier::renderExplainJson(const Explanation &X) const {
 }
 
 std::string Classifier::warningText(const Classification &C, VarId V) const {
+  if (C.Kind == VarClass::Current && !C.Degraded)
+    return "";
+  // Each warning is built in one reserved buffer: a scope report asks for
+  // one per endangered variable.
   const std::string &Name = Info.var(V).Name;
-  auto StmtRef = [&](StmtId S) {
-    return S == InvalidStmt ? std::string("an optimized statement")
-                            : "statement " + std::to_string(S);
+  auto Say = [&Name](std::initializer_list<std::string_view> Parts) {
+    std::string S;
+    S.reserve(Name.size() + 128);
+    for (std::string_view P : Parts)
+      S += P;
+    return S;
   };
+  char Buf[32] = "statement ";
+  std::string_view StmtRef = "an optimized statement";
+  if (C.CulpritStmt != InvalidStmt) {
+    char *End = std::to_chars(Buf + 10, std::end(Buf), C.CulpritStmt).ptr;
+    StmtRef = {Buf, static_cast<std::size_t>(End - Buf)};
+  }
   if (C.Degraded)
-    return "'" + Name + "' is " + varClassName(C.Kind) +
-           " (conservative: the debug annotations for this variable "
-           "failed integrity verification)";
+    return Say({"'", Name, "' is ", varClassName(C.Kind),
+                " (conservative: the debug annotations for this variable "
+                "failed integrity verification)"});
   switch (C.Kind) {
   case VarClass::Current:
     return "";
   case VarClass::Uninitialized:
-    return "'" + Name + "' is uninitialized here";
+    return Say({"'", Name, "' is uninitialized here"});
   case VarClass::Nonresident:
-    return "value of '" + Name +
-           "' is unavailable (register reused by the allocator)";
+    return Say({"value of '", Name,
+                "' is unavailable (register reused by the allocator)"});
   case VarClass::Noncurrent:
     if (C.Cause == EndangerCause::Premature)
-      return "'" + Name + "' is noncurrent: the assignment at " +
-             StmtRef(C.CulpritStmt) + " has already executed (hoisted)";
+      return Say({"'", Name, "' is noncurrent: the assignment at ", StmtRef,
+                  " has already executed (hoisted)"});
     if (C.Recoverable)
-      return "'" + Name + "' is noncurrent: the assignment at " +
-             StmtRef(C.CulpritStmt) +
-             " was eliminated; expected value recovered from a temporary";
-    return "'" + Name + "' is noncurrent: the assignment at " +
-           StmtRef(C.CulpritStmt) +
-           " was eliminated; the displayed value is stale";
+      return Say({"'", Name, "' is noncurrent: the assignment at ", StmtRef,
+                  " was eliminated; expected value recovered from a "
+                  "temporary"});
+    return Say({"'", Name, "' is noncurrent: the assignment at ", StmtRef,
+                " was eliminated; the displayed value is stale"});
   case VarClass::Suspect:
     if (C.Cause == EndangerCause::MaybePremature)
-      return "'" + Name + "' is suspect: the assignment at " +
-             StmtRef(C.CulpritStmt) +
-             " may have executed prematurely on the path taken";
-    return "'" + Name +
-           "' is suspect: an eliminated assignment may make this value "
-           "stale on the path taken";
+      return Say({"'", Name, "' is suspect: the assignment at ", StmtRef,
+                  " may have executed prematurely on the path taken"});
+    return Say({"'", Name,
+                "' is suspect: an eliminated assignment may make this value "
+                "stale on the path taken"});
   }
   return "";
 }

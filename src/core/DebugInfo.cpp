@@ -221,7 +221,7 @@ std::string sldb::renderDebugInfo(const MachineModule &MM) {
   bool First = true;
   for (VarId V : MM.Info->Globals) {
     const VarInfo &VI = MM.Info->var(V);
-    auto It = MM.GlobalAddr.find(V);
+    const std::size_t Addr = MM.globalAddr(V);
     if (!First)
       Out << ",";
     First = false;
@@ -230,7 +230,7 @@ std::string sldb::renderDebugInfo(const MachineModule &MM) {
     Out << "\",\"type\":\"";
     jsonEscape(Out, renderType(VI));
     Out << "\",\"address\":"
-        << (It == MM.GlobalAddr.end() ? 0 : It->second) << "}";
+        << (Addr == MachineModule::NoGlobal ? 0 : Addr) << "}";
   }
   Out << "],\"functions\":[";
   First = true;

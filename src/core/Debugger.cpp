@@ -13,19 +13,24 @@ using namespace sldb;
 Debugger::Debugger(const MachineModule &MM, std::uint64_t MaxSteps)
     : MM(MM), VM(MM, MaxSteps) {
   Classifiers.resize(MM.Funcs.size());
-  StmtStarts.resize(MM.Funcs.size());
+  StmtAt.resize(MM.Funcs.size());
 }
 
-bool Debugger::isStmtStart(FuncId F, std::uint32_t Local) const {
-  std::vector<bool> &Starts = StmtStarts[F];
-  if (Starts.empty()) {
+StmtId Debugger::stmtAt(FuncId F, std::uint32_t Local) const {
+  if (F >= StmtAt.size())
+    return InvalidStmt;
+  std::vector<StmtId> &At = StmtAt[F];
+  if (At.empty()) {
     const MachineFunction &MF = MM.Funcs[F];
-    Starts.assign(MF.numInstrs() + 1, false);
-    for (std::int32_t A : MF.StmtAddr)
-      if (A >= 0 && static_cast<std::size_t>(A) < Starts.size())
-        Starts[static_cast<std::size_t>(A)] = true;
+    At.assign(MF.numInstrs() + 1, InvalidStmt);
+    for (StmtId S = 0; S < MF.StmtAddr.size(); ++S) {
+      const std::int32_t A = MF.StmtAddr[S];
+      if (A >= 0 && static_cast<std::size_t>(A) < At.size() &&
+          At[static_cast<std::size_t>(A)] == InvalidStmt)
+        At[static_cast<std::size_t>(A)] = S;
+    }
   }
-  return Local < Starts.size() && Starts[Local];
+  return Local < At.size() ? At[Local] : InvalidStmt;
 }
 
 StopReason Debugger::stepStmt() {
@@ -35,7 +40,7 @@ StopReason Debugger::stepStmt() {
     StopReason R = VM.step();
     if (R != StopReason::Running)
       return R;
-  } while (!isStmtStart(VM.pc().Func, VM.pc().Local));
+  } while (stmtAt(VM.pc().Func, VM.pc().Local) == InvalidStmt);
   VM.noteStop();
   return VM.state();
 }
@@ -71,12 +76,10 @@ void Debugger::breakEverywhere() {
 }
 
 std::optional<StmtId> Debugger::currentStmt() const {
-  const MachineFunction &MF = MM.Funcs[VM.pc().Func];
-  for (StmtId S = 0; S < MF.StmtAddr.size(); ++S)
-    if (MF.StmtAddr[S] >= 0 &&
-        static_cast<std::uint32_t>(MF.StmtAddr[S]) == VM.pc().Local)
-      return S;
-  return std::nullopt;
+  const StmtId S = stmtAt(VM.pc().Func, VM.pc().Local);
+  if (S == InvalidStmt)
+    return std::nullopt;
+  return S;
 }
 
 bool Debugger::readStorage(const VarStorage &S, bool IsDouble,
@@ -140,10 +143,10 @@ bool Debugger::readRecovery(const MRecovery &R, std::int64_t &I, double &D,
   case MRecovery::Kind::InFrame: {
     if (R.Frame < 0) {
       // Global variable source.
-      auto It = MM.GlobalAddr.find(static_cast<VarId>(R.Imm));
-      if (It == MM.GlobalAddr.end())
+      const std::size_t Addr = MM.globalAddr(static_cast<VarId>(R.Imm));
+      if (Addr == MachineModule::NoGlobal)
         return false;
-      I = VM.readMemInt(It->second);
+      I = VM.readMemInt(Addr);
       IsDouble = false;
       return true;
     }
@@ -156,9 +159,7 @@ bool Debugger::readRecovery(const MRecovery &R, std::int64_t &I, double &D,
   return false;
 }
 
-VarReport Debugger::reportVar(VarId V) const {
-  const MachineFunction &MF = MM.Funcs[VM.pc().Func];
-  const Classifier &C = classifier(VM.pc().Func);
+VarReport Debugger::reportVar(const Classifier &C, VarId V) const {
   const VarInfo &VI = MM.Info->var(V);
 
   VarReport R;
@@ -187,13 +188,11 @@ VarReport Debugger::reportVar(VarId V) const {
     VarStorage S;
     if (VI.Storage == StorageKind::Global) {
       S.K = VarStorage::Kind::GlobalMem;
-      auto It = MM.GlobalAddr.find(V);
-      if (It != MM.GlobalAddr.end())
-        S.GlobalAddr = It->second;
-    } else {
-      auto It = MF.Storage.find(V);
-      if (It != MF.Storage.end())
-        S = It->second;
+      const std::size_t Addr = MM.globalAddr(V);
+      if (Addr != MachineModule::NoGlobal)
+        S.GlobalAddr = Addr;
+    } else if (const VarStorage *Home = C.storage(V)) {
+      S = *Home;
     }
     R.HasValue = readStorage(S, R.IsDouble, R.IntValue, R.DoubleValue);
     break;
@@ -210,10 +209,9 @@ bool Debugger::peekStorage(VarId V, bool &IsDouble, std::int64_t &I,
   VarStorage S;
   if (VI.Storage == StorageKind::Global) {
     S.K = VarStorage::Kind::GlobalMem;
-    auto It = MM.GlobalAddr.find(V);
-    if (It == MM.GlobalAddr.end())
+    S.GlobalAddr = MM.globalAddr(V);
+    if (S.GlobalAddr == MachineModule::NoGlobal)
       return false;
-    S.GlobalAddr = It->second;
   } else {
     auto It = MF.Storage.find(V);
     if (It == MF.Storage.end())
@@ -229,10 +227,10 @@ std::optional<VarReport> Debugger::queryVariable(
   // Locals shadow globals.
   for (VarId V : MM.Info->func(F).Locals)
     if (MM.Info->var(V).Name == Name)
-      return reportVar(V);
+      return reportVar(classifier(F), V);
   for (VarId V : MM.Info->Globals)
     if (MM.Info->var(V).Name == Name)
-      return reportVar(V);
+      return reportVar(classifier(F), V);
   return std::nullopt;
 }
 
@@ -255,8 +253,13 @@ std::vector<VarReport> Debugger::reportScope() const {
   std::optional<StmtId> S = currentStmt();
   if (!S)
     return Out;
-  const FuncInfo &FI = MM.Info->func(VM.pc().Func);
-  for (VarId V : FI.Stmts[*S].ScopeVars)
-    Out.push_back(reportVar(V));
+  const FuncId F = VM.pc().Func;
+  const std::vector<VarId> &Scope = MM.Info->func(F).Stmts[*S].ScopeVars;
+  if (Scope.empty())
+    return Out;
+  const Classifier &C = classifier(F);
+  Out.reserve(Scope.size());
+  for (VarId V : Scope)
+    Out.push_back(reportVar(C, V));
   return Out;
 }

@@ -84,8 +84,13 @@ public:
   Machine &machine() { return VM; }
   const MachineModule &module() const { return MM; }
 
+  /// True once the program has started: there is a current function to
+  /// inspect.  Every inspection below requires it.
+  bool started() const { return VM.pc().Func < MM.Funcs.size(); }
+
   /// Current stop location as (function, statement); statement is the one
-  /// whose breakpoint address matches the PC, if any.
+  /// whose breakpoint address matches the PC, if any (the lowest, when
+  /// several statements start there).
   FuncId currentFunction() const { return VM.pc().Func; }
   std::optional<StmtId> currentStmt() const;
 
@@ -128,22 +133,22 @@ public:
   const Classifier &classifier(FuncId F) const;
 
 private:
-  VarReport reportVar(VarId V) const;
+  VarReport reportVar(const Classifier &C, VarId V) const;
   bool readStorage(const VarStorage &S, bool IsDouble, std::int64_t &I,
                    double &D) const;
   bool readRecovery(const MRecovery &R, std::int64_t &I, double &D,
                     bool &IsDouble) const;
 
-  /// Whether \p Local is the start address of some statement of \p F
-  /// (lazily builds a per-function address set on first use).
-  bool isStmtStart(FuncId F, std::uint32_t Local) const;
+  /// The statement starting at address \p Local of \p F (the lowest
+  /// StmtId when several do), or InvalidStmt.
+  StmtId stmtAt(FuncId F, std::uint32_t Local) const;
 
   const MachineModule &MM;
   Machine VM;
   mutable std::vector<std::unique_ptr<Classifier>> Classifiers;
-  /// Per-function statement-start address sets for stepStmt(); built on
-  /// first step into the function (indexed by address, 1 = stmt start).
-  mutable std::vector<std::vector<bool>> StmtStarts;
+  /// Per-function address -> statement tables for stmtAt(), indexed by
+  /// address; built on the first lookup in the function.
+  mutable std::vector<std::vector<StmtId>> StmtAt;
   bool ForceDegraded = false; ///< Applied to lazily-built classifiers too.
 };
 

@@ -141,7 +141,8 @@ void runUnits(const CampaignBaseConfig &C, CampaignBaseResult &R,
           Out[U].Skipped = true;
           return;
         }
-        Stats::counter("campaign.units").add();
+        static StatCounter &Units = Stats::counter("campaign.units");
+        Units.add();
         const std::uint32_t Seed = SeedOfUnit(U);
         const unsigned K = static_cast<unsigned>(U % PerSeed);
         if (!C.CollectTrace) {

@@ -133,9 +133,11 @@ Status sldb::runPipelineEx(IRModule &M, const OptOptions &Opts,
       Span.arg("function", F->Name);
       PassResult R = Pipeline[I]->run(*F, M, AM);
       Span.arg("changed", R.Changed ? "true" : "false");
-      Stats::counter("pipeline.pass.runs").add();
+      static StatCounter &Runs = Stats::counter("pipeline.pass.runs");
+      static StatCounter &Changed = Stats::counter("pipeline.pass.changed");
+      Runs.add();
       if (R.Changed)
-        Stats::counter("pipeline.pass.changed").add();
+        Changed.add();
       AM.invalidate(*F, R.Preserved);
       if (Config.DisableAnalysisCache)
         AM.invalidateAll(*F);

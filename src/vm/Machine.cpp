@@ -50,9 +50,21 @@ std::size_t Machine::resolveMemOperand(const MInstr &I) {
   if (I.FrameSlot >= 0)
     return FP + static_cast<std::size_t>(I.FrameSlot);
   if (I.GlobalVar != InvalidVar)
-    return MM.GlobalAddr.at(I.GlobalVar);
+    return MM.globalAddr(I.GlobalVar); // NoGlobal traps as out of bounds.
   trap("memory instruction without an address");
   return 0;
+}
+
+void Machine::setBreakpoint(CodeAddr A) {
+  if (A.Func >= MM.Funcs.size())
+    return;
+  if (BreakAt.empty())
+    BreakAt.resize(MM.Funcs.size());
+  BitVector &Row = BreakAt[A.Func];
+  if (Row.size() == 0)
+    Row.resize(MM.Funcs[A.Func].numInstrs() + 1);
+  if (A.Local < Row.size())
+    Row.set(A.Local);
 }
 
 StopReason Machine::run() {
@@ -76,7 +88,6 @@ bool Machine::reset() {
   Output.clear();
   Executed = 0;
   Reason = StopReason::Running;
-  Started = true;
 
   const MachineFunction *Main = MM.findFunc("main");
   if (!Main) {
@@ -85,6 +96,7 @@ bool Machine::reset() {
   }
   PC.Func = static_cast<std::uint32_t>(Main - &MM.Funcs[0]);
   PC.Local = 0;
+  Block = 0;
   FP = MM.GlobalWords;
   SP = FP + Main->FrameSize;
   if (SP >= Mem.size()) {
@@ -101,7 +113,7 @@ StopReason Machine::resumeImpl(bool SkipFirst) {
     Reason = StopReason::Running;
   bool First = SkipFirst;
   while (Reason == StopReason::Running) {
-    if (!First && Breaks.count(pack(PC))) {
+    if (!First && atBreakpoint()) {
       Reason = StopReason::Breakpoint;
       return Reason;
     }
@@ -116,16 +128,20 @@ StopReason Machine::step() {
     return Reason;
   Reason = StopReason::Running;
 
+  // Blocks are laid out consecutively: falling through skips exhausted
+  // and empty blocks, and falling off the last one leaves the function.
   const MachineFunction &MF = MM.Funcs[PC.Func];
-  if (PC.Local >= MF.numInstrs()) {
-    trap("program counter out of range");
-    return Reason;
+  std::uint32_t Off;
+  for (;; ++Block) {
+    if (Block >= MF.Blocks.size()) {
+      trap("program counter out of range");
+      return Reason;
+    }
+    Off = PC.Local - MF.BlockAddr[Block];
+    if (Off < MF.Blocks[Block].Insts.size())
+      break;
   }
-  // Locate the instruction (blocks are laid out consecutively).
-  std::uint32_t B = 0;
-  while (B + 1 < MF.BlockAddr.size() && MF.BlockAddr[B + 1] <= PC.Local)
-    ++B;
-  const MInstr &I = MF.Blocks[B].Insts[PC.Local - MF.BlockAddr[B]];
+  const MInstr &I = MF.Blocks[Block].Insts[Off];
 
   if (!I.isMarker()) {
     if (++Executed > MaxSteps) {
@@ -311,12 +327,12 @@ void Machine::exec(const MInstr &I) {
     break;
   }
   case MOp::LA: {
-    std::size_t Addr;
+    std::size_t Addr = MachineModule::NoGlobal;
     if (I.FrameSlot >= 0)
       Addr = FP + static_cast<std::size_t>(I.FrameSlot);
     else if (I.GlobalVar != InvalidVar)
-      Addr = MM.GlobalAddr.at(I.GlobalVar);
-    else {
+      Addr = MM.globalAddr(I.GlobalVar);
+    if (Addr == MachineModule::NoGlobal) {
       trap("la without operand");
       return;
     }
@@ -324,11 +340,13 @@ void Machine::exec(const MInstr &I) {
     break;
   }
   case MOp::J:
-    PC.Local = MM.Funcs[PC.Func].BlockAddr[I.TargetBlock];
+    Block = I.TargetBlock;
+    PC.Local = MM.Funcs[PC.Func].BlockAddr[Block];
     return;
   case MOp::BNEZ:
     if (R[I.Src0.N] != 0) {
-      PC.Local = MM.Funcs[PC.Func].BlockAddr[I.TargetBlock];
+      Block = I.TargetBlock;
+      PC.Local = MM.Funcs[PC.Func].BlockAddr[Block];
       return;
     }
     break;
@@ -339,6 +357,7 @@ void Machine::exec(const MInstr &I) {
     }
     Frame Fr;
     Fr.RetPC = {PC.Func, PC.Local + 1};
+    Fr.RetBlock = Block;
     Fr.SavedFP = FP;
     std::memcpy(Fr.SavedR, R, sizeof(R));
     std::memcpy(Fr.SavedF, F, sizeof(F));
@@ -351,6 +370,7 @@ void Machine::exec(const MInstr &I) {
       return;
     }
     PC = {I.Callee, 0};
+    Block = 0;
     return;
   }
   case MOp::RET: {
@@ -370,6 +390,7 @@ void Machine::exec(const MInstr &I) {
     SP = FP;
     FP = Fr.SavedFP;
     PC = Fr.RetPC;
+    Block = Fr.RetBlock;
     return;
   }
   case MOp::PRINTI:

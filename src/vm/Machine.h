@@ -21,11 +21,11 @@
 #define SLDB_VM_MACHINE_H
 
 #include "codegen/MachineIR.h"
+#include "support/BitVector.h"
 #include "support/ZeroedBuffer.h"
 
 #include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 namespace sldb {
@@ -78,10 +78,9 @@ public:
       Reason = StopReason::Breakpoint;
   }
 
-  /// Adds/removes a breakpoint.
-  void setBreakpoint(CodeAddr A) { Breaks.insert(pack(A)); }
-  void clearBreakpoint(CodeAddr A) { Breaks.erase(pack(A)); }
-  void clearAllBreakpoints() { Breaks.clear(); }
+  /// Adds a breakpoint.  An address beyond the function's numInstrs(),
+  /// or in a function that does not exist, never fires.
+  void setBreakpoint(CodeAddr A);
 
   //===--- State inspection (the debugger's window) ----------------------===//
 
@@ -125,11 +124,11 @@ public:
   std::uint32_t currentFunc() const { return PC.Func; }
 
 private:
-  static std::uint64_t pack(CodeAddr A) {
-    return (static_cast<std::uint64_t>(A.Func) << 32) | A.Local;
-  }
-
   StopReason resumeImpl(bool SkipFirst);
+  bool atBreakpoint() const {
+    return PC.Func < BreakAt.size() && PC.Local < BreakAt[PC.Func].size() &&
+           BreakAt[PC.Func].test(PC.Local);
+  }
   bool reset(); ///< Shared setup of run()/startPaused().
   void trap(const std::string &Msg);
   void exec(const MInstr &I);
@@ -142,6 +141,7 @@ private:
 
   struct Frame {
     CodeAddr RetPC;
+    std::uint32_t RetBlock = 0;
     std::size_t SavedFP = 0;
     std::int64_t SavedR[R3K::NumIntRegs];
     double SavedF[R3K::NumFpRegs];
@@ -151,6 +151,9 @@ private:
   std::uint64_t MaxSteps;
 
   CodeAddr PC;
+  /// Block of PC.Func that holds PC (the cursor step() reads the next
+  /// instruction through, instead of searching the block layout).
+  std::uint32_t Block = 0;
   std::int64_t R[R3K::NumIntRegs] = {0};
   double F[R3K::NumFpRegs] = {0};
   ZeroedBuffer<Word> Mem;
@@ -158,13 +161,14 @@ private:
   std::size_t SP = 0; ///< Stack top.
   std::vector<Frame> Frames;
 
-  std::unordered_set<std::uint64_t> Breaks;
+  /// Breakpoint flags per function, indexed by address; a function's
+  /// row is allocated by its first setBreakpoint().
+  std::vector<BitVector> BreakAt;
   StopReason Reason = StopReason::Running;
   std::int64_t ExitValue = 0;
   std::string TrapMsg;
   std::uint64_t Executed = 0;
   std::vector<std::string> Output;
-  bool Started = false;
 
   /// Fault injection (FaultId::TrapVMMidRun): instruction count at which
   /// the VM spuriously traps; 0 when the fault is not armed.

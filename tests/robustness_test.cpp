@@ -125,6 +125,32 @@ TEST(Robustness, CrashCorpusExitsCleanly) {
   }
 }
 
+TEST(Robustness, ReplInspectionBeforeRunIsAMessage) {
+  // Before `run` there is no current function: every inspection command
+  // must answer with a message, not index the function table.
+  const std::string File = SLDB_INPUTS_DIR "/fig2.mc";
+  for (const char *Mode : {"-O0", "-O2"})
+    for (const char *Verb : {"scope", "where", "stmts", "storage", "p x",
+                             "explain x", "explainj x"}) {
+      std::string Cmd = std::string("exec '") + SLDB_SLDBC_PATH + "' " +
+                        Mode + " --debug --cmd '" + Verb +
+                        "' --cmd q '" + File + "' </dev/null 2>&1";
+      FILE *P = popen(Cmd.c_str(), "r");
+      ASSERT_NE(P, nullptr);
+      std::string Out;
+      char Buf[256];
+      while (std::fgets(Buf, sizeof(Buf), P))
+        Out += Buf;
+      int St = pclose(P);
+      EXPECT_TRUE(WIFEXITED(St) && WEXITSTATUS(St) == 0)
+          << "'" << Verb << "' (" << Mode << "): "
+          << (WIFSIGNALED(St) ? "killed by signal " : "exit status ")
+          << (WIFSIGNALED(St) ? WTERMSIG(St) : WEXITSTATUS(St));
+      EXPECT_NE(Out.find("no program is running"), std::string::npos)
+          << "'" << Verb << "' (" << Mode << "): " << Out;
+    }
+}
+
 TEST(Robustness, FuelTrapNamesBudget) {
   std::string Cmd = std::string("'") + SLDB_SLDBC_PATH + "' -O0 --fuel 5000 '" +
                     SLDB_CRASH_DIR + "/infinite-loop.minic' 2>&1";
@@ -318,6 +344,60 @@ TEST(Robustness, CorruptedMarkerDegradesInsteadOfAsserting) {
           << "degraded verdicts must never trust recovery records";
     }
   }
+  EXPECT_GT(Queries, 0u);
+}
+
+TEST(Robustness, OutOfRangeAnnotationIdsDegradeSafely) {
+  // A loop-invariant assignment hoisted out of the loop (hoist key for t)
+  // next to eliminated assignments (dead markers).
+  auto [IR, MM] = compileOpt(R"(
+    int main() {
+      int a = 5;
+      int b = 3;
+      int s = 0;
+      int t = 0;
+      for (int i = 0; i < 4; i = i + 1) {
+        t = a * b;
+        s = s + t + i;
+      }
+      int v = a;
+      v = s + 1;
+      print(v);
+      print(a);
+      print(t);
+      return 0;
+    }
+  )");
+  // The CorruptMarkerVar fault's bogus id, in one dead marker and one
+  // hoist key: the classifier indexes both while building its
+  // per-variable tables, before the verifier's findings degrade it.
+  const VarId Bogus = static_cast<VarId>(MM.Info->Vars.size() + 7);
+  MachineFunction &MF = MM.Funcs[0];
+  ASSERT_FALSE(MF.HoistKeys.empty()) << "program must hoist an assignment";
+  MF.HoistKeys[0].V = Bogus;
+  bool Corrupted = false;
+  for (MachineBlock &B : MF.Blocks)
+    for (MInstr &I : B.Insts)
+      if (I.Op == MOp::MDEAD && !Corrupted) {
+        I.MarkVar = Bogus;
+        Corrupted = true;
+      }
+  ASSERT_TRUE(Corrupted) << "program must produce an MDEAD marker";
+
+  Classifier C(MF, *MM.Info);
+  EXPECT_FALSE(C.annotationFindings().empty());
+  unsigned Queries = 0;
+  for (std::uint32_t Addr = 0; Addr <= MF.numInstrs(); ++Addr)
+    for (VarId V = 0; V < MM.Info->Vars.size(); ++V) {
+      if (!MM.Info->var(V).isScalar())
+        continue;
+      Classification R = C.classify(Addr, V);
+      ++Queries;
+      EXPECT_TRUE(C.degraded(V));
+      EXPECT_TRUE(R.Degraded);
+      EXPECT_NE(R.Kind, VarClass::Current);
+      EXPECT_FALSE(R.Recoverable);
+    }
   EXPECT_GT(Queries, 0u);
 }
 

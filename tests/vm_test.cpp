@@ -6,6 +6,7 @@
 
 #include "TestCompile.h"
 #include "codegen/MachineVerifier.h"
+#include "eval/Programs.h"
 #include "vm/Machine.h"
 
 #include <gtest/gtest.h>
@@ -153,7 +154,8 @@ TEST(VMExec, MemoryInspection) {
                         false);
   Machine VM(MM);
   ASSERT_EQ(VM.run(), StopReason::Exited);
-  std::size_t Base = MM.GlobalAddr.at(MM.Info->Globals[0]);
+  std::size_t Base = MM.globalAddr(MM.Info->Globals[0]);
+  ASSERT_NE(Base, MachineModule::NoGlobal);
   EXPECT_EQ(VM.readMemInt(Base + 0), 11);
   EXPECT_EQ(VM.readMemInt(Base + 3), 44);
 }
@@ -188,4 +190,86 @@ TEST(VMExec, RerunIsDeterministic) {
   ASSERT_EQ(VM.run(), StopReason::Exited); // Full reset + rerun.
   EXPECT_EQ(VM.outputText(), Out1);
   EXPECT_EQ(VM.exitValue(), Exit1);
+}
+
+//===----------------------------------------------------------------------===//
+// Breakpoint semantics: stopping never changes the run
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct RunResult {
+  StopReason Reason;
+  std::uint64_t Instrs;
+  std::string Output;
+  std::int64_t Exit;
+  unsigned Stops;
+};
+
+/// Runs \p VM to its end, resuming after every breakpoint stop.
+RunResult runToEnd(Machine &VM) {
+  RunResult R{VM.run(), 0, "", 0, 0};
+  for (; R.Reason == StopReason::Breakpoint; R.Reason = VM.resume())
+    ++R.Stops;
+  R.Instrs = VM.instrCount();
+  R.Output = VM.outputText();
+  R.Exit = VM.exitValue();
+  return R;
+}
+
+void expectSameRun(const RunResult &A, const RunResult &B,
+                   const std::string &What) {
+  EXPECT_EQ(A.Reason, B.Reason) << What;
+  EXPECT_EQ(A.Instrs, B.Instrs) << What;
+  EXPECT_EQ(A.Output, B.Output) << What;
+  EXPECT_EQ(A.Exit, B.Exit) << What;
+}
+
+} // namespace
+
+TEST(VMBreakpoints, EveryStatementStopLeavesTheRunUnchanged) {
+  for (const BenchProgram &P : benchmarkPrograms())
+    for (bool Opt : {false, true}) {
+      const std::string What = std::string(P.Name) + (Opt ? " -O2" : " -O0");
+      auto [IR, MM] = build(P.Source, Opt);
+      Machine Plain(MM);
+      const RunResult Free = runToEnd(Plain);
+      ASSERT_EQ(Free.Reason, StopReason::Exited) << What;
+      EXPECT_EQ(Free.Stops, 0u) << What;
+
+      Machine Stopping(MM);
+      for (std::uint32_t F = 0; F < MM.Funcs.size(); ++F)
+        for (std::int32_t A : MM.Funcs[F].StmtAddr)
+          if (A >= 0)
+            Stopping.setBreakpoint({F, static_cast<std::uint32_t>(A)});
+      const RunResult Stopped = runToEnd(Stopping);
+      EXPECT_GT(Stopped.Stops, 0u) << What;
+      expectSameRun(Free, Stopped, What);
+    }
+}
+
+TEST(VMBreakpoints, OutOfRangeBreakpointsNeverFire) {
+  auto [IR, MM] = build(R"(
+    int sq(int n) { return n * n; }
+    int main() {
+      int s = 0;
+      for (int i = 0; i < 4; i = i + 1) s = s + sq(i);
+      print(s);
+      return s;
+    }
+  )");
+  Machine Plain(MM);
+  const RunResult Free = runToEnd(Plain);
+  ASSERT_EQ(Free.Reason, StopReason::Exited);
+
+  Machine VM(MM);
+  const auto NumFuncs = static_cast<std::uint32_t>(MM.Funcs.size());
+  for (std::uint32_t F = 0; F < NumFuncs; ++F)
+    VM.setBreakpoint({F, MM.Funcs[F].numInstrs()}); // Past the last instr.
+  VM.setBreakpoint({NumFuncs, 0});                  // No such function.
+  VM.setBreakpoint({NumFuncs + 7, 3});
+  VM.setBreakpoint({~0u, 0});
+  const RunResult Guarded = runToEnd(VM);
+  EXPECT_EQ(Guarded.Stops, 0u);
+  expectSameRun(Free, Guarded, "out-of-range breakpoints");
 }

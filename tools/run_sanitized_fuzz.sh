@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Configures a sanitized build tree (CMake presets `asan-ubsan` /
 # `tsan`), builds the fuzzing driver, and runs a modest differential
-# campaign, a fault-injection slice, and small stepping / cross-level
-# oracle slices under the chosen sanitizers.
+# campaign, a fault-injection slice, small stepping / cross-level
+# oracle slices and (address + undefined) a scripted sldbc debugger
+# session under the chosen sanitizers.
 # Registered as the tier-1 ctests `fuzz_diff_sanitized` (address +
 # undefined) and `fuzz_parallel_tsan` (thread); any sanitizer report
 # aborts the driver, which the campaign's fork isolation surfaces as a
@@ -110,6 +111,19 @@ else
   # over several rounds.
   UBSAN_OPTIONS=halt_on_error=1 \
     "$BUILD/tools/sldbc" --batch "$ROOT/tests/inputs"
+
+  # The sldbc REPL: every inspection command before the program starts
+  # (there is no current function yet), the same commands at a
+  # breakpoint, then a step and a continue to the exit.
+  REPL_OUT=$(UBSAN_OPTIONS=halt_on_error=1 \
+    "$BUILD/tools/sldbc" -O2 --debug \
+    --cmd scope --cmd where --cmd stmts --cmd storage --cmd "p x" \
+    --cmd "explain x" --cmd "explainj x" \
+    --cmd "b main 6" --cmd run \
+    --cmd scope --cmd where --cmd stmts --cmd storage --cmd "p x" \
+    --cmd "explain x" --cmd "explainj x" \
+    --cmd s --cmd c --cmd q "$ROOT/tests/inputs/fig2.mc" </dev/null)
+  echo "$REPL_OUT" | grep -q "program exited with value 0"
 
   # Back end under the oracle: both builds of a multi-round spilling
   # program and both debuggers, judged with the diff oracle (exits 1 on

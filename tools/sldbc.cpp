@@ -328,6 +328,16 @@ int replLoop(Debugger &Dbg, const Options &Opts) {
       }
     };
 
+    // Inspection needs a current function, which exists only once the
+    // program has started.
+    if (!Dbg.started() &&
+        (Verb == "p" || Verb == "print" || Verb == "explain" ||
+         Verb == "explainj" || Verb == "scope" || Verb == "where" ||
+         Verb == "stmts" || Verb == "storage")) {
+      std::printf("no program is running; use 'run' or 's'\n");
+      continue;
+    }
+
     if (Verb == "q" || Verb == "quit")
       return 0;
     if (Verb == "b" || Verb == "break") {
