@@ -12,6 +12,55 @@
 
 using namespace sldb;
 
+namespace {
+
+/// The arena's soft budget is sticky until reset: allocations past it
+/// still succeed, so each phase boundary asks whether the phase that just
+/// ran went over.
+Status overBudget(const Arena *A, const char *Phase) {
+  if (!A || !A->limitExceeded())
+    return Status::success();
+  return Status::error(ErrorCode::ResourceExhausted,
+                       std::string("arena budget exceeded during ") + Phase +
+                           " (limit " + std::to_string(A->limit()) +
+                           " bytes)");
+}
+
+} // namespace
+
+Expected<std::unique_ptr<IRModule>>
+sldb::compileOptimizedIR(std::string_view Src, const OptOptions &Opts,
+                         Arena *A, const PipelineConfig &Config,
+                         PipelineStats *Stats, DiagnosticEngine *Diags) {
+  DiagnosticEngine Local;
+  DiagnosticEngine &D = Diags ? *Diags : Local;
+  std::unique_ptr<IRModule> IR = compileToIR(Src, D, A);
+  if (!IR) {
+    std::string Msg = D.str();
+    if (!Msg.empty() && Msg.back() == '\n')
+      Msg.pop_back();
+    return Status::error(ErrorCode::InvalidIR, std::move(Msg));
+  }
+  if (Status S = overBudget(A, "frontend"); !S.ok())
+    return S;
+  if (Status S = runPipelineEx(*IR, Opts, Config, Stats); !S.ok())
+    return S;
+  if (Status S = overBudget(A, "optimizer"); !S.ok())
+    return S;
+  return IR;
+}
+
+Expected<MachineModule> sldb::lowerModule(const IRModule &IR,
+                                          const CodegenOptions &CG,
+                                          Arena *A) {
+  Expected<MachineModule> MM = compileToMachineE(IR, CG, A);
+  if (!MM)
+    return MM;
+  if (Status S = overBudget(A, "codegen"); !S.ok())
+    return S;
+  return MM;
+}
+
 Expected<CompiledModule> sldb::compileModule(std::string_view Src,
                                              const OptOptions &Opts,
                                              const CodegenOptions &CG,
@@ -19,39 +68,12 @@ Expected<CompiledModule> sldb::compileModule(std::string_view Src,
                                              const PipelineConfig &Config,
                                              PipelineStats *Stats,
                                              DiagnosticEngine *Diags) {
-  // The arena's soft budget is sticky until reset: allocations past it
-  // still succeed, so each phase boundary asks whether the phase that
-  // just ran went over.
-  auto OverBudget = [A](const char *Phase) {
-    if (!A || !A->limitExceeded())
-      return Status::success();
-    return Status::error(ErrorCode::ResourceExhausted,
-                         std::string("arena budget exceeded during ") +
-                             Phase + " (limit " + std::to_string(A->limit()) +
-                             " bytes)");
-  };
-
-  CompiledModule C;
-  DiagnosticEngine Local;
-  DiagnosticEngine &D = Diags ? *Diags : Local;
-  C.IR = compileToIR(Src, D, A);
-  if (!C.IR) {
-    std::string Msg = D.str();
-    if (!Msg.empty() && Msg.back() == '\n')
-      Msg.pop_back();
-    return Status::error(ErrorCode::InvalidIR, std::move(Msg));
-  }
-  if (Status S = OverBudget("frontend"); !S.ok())
-    return S;
-  if (Status S = runPipelineEx(*C.IR, Opts, Config, Stats); !S.ok())
-    return S;
-  if (Status S = OverBudget("optimizer"); !S.ok())
-    return S;
-  Expected<MachineModule> MM = compileToMachineE(*C.IR, CG, A);
+  Expected<std::unique_ptr<IRModule>> IR =
+      compileOptimizedIR(Src, Opts, A, Config, Stats, Diags);
+  if (!IR)
+    return IR.status();
+  Expected<MachineModule> MM = lowerModule(**IR, CG, A);
   if (!MM)
     return MM.status();
-  if (Status S = OverBudget("codegen"); !S.ok())
-    return S;
-  C.MM = std::move(*MM);
-  return C;
+  return CompiledModule{std::move(*IR), std::move(*MM)};
 }

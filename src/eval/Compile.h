@@ -11,6 +11,14 @@
 /// the IR (sldbc --emit=ir*, the optimizer tests) and for the
 /// benchmark's per-layer timers.
 ///
+/// Its two halves are public too, for callers that lower one optimized
+/// module in several codegen configurations (the fuzz oracles judge
+/// every program with variables promoted and in frame slots):
+/// compileOptimizedIR runs the frontend and the optimizer once, and
+/// lowerModule lowers the result as often as needed.  Each lowering
+/// equals a fresh compileModule in its configuration: the pipeline never
+/// reads CodegenOptions and the back end reads the IR as const.
+///
 /// It takes OptOptions plus CodegenOptions rather than a LevelSpec: the
 /// lockstep reference build, sldbc's -O0/--no-promote combinations and
 /// every Schedule choice are not rows of the level table.  Callers that
@@ -59,6 +67,21 @@ Expected<CompiledModule> compileModule(std::string_view Src,
                                        const PipelineConfig &Config = {},
                                        PipelineStats *Stats = nullptr,
                                        DiagnosticEngine *Diags = nullptr);
+
+/// compileModule up to the optimized IR: the frontend and the optimizer,
+/// with compileModule's errors and arena checks for those phases.
+Expected<std::unique_ptr<IRModule>>
+compileOptimizedIR(std::string_view Src, const OptOptions &Opts,
+                   Arena *A = nullptr, const PipelineConfig &Config = {},
+                   PipelineStats *Stats = nullptr,
+                   DiagnosticEngine *Diags = nullptr);
+
+/// compileModule's back end: lowers \p IR with \p CG, returning a
+/// back-end failure unchanged and checking the arena's budget after.
+/// The result borrows IR.Info, so \p IR must outlive it.
+Expected<MachineModule> lowerModule(const IRModule &IR,
+                                    const CodegenOptions &CG,
+                                    Arena *A = nullptr);
 
 } // namespace sldb
 

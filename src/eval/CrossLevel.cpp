@@ -101,10 +101,8 @@ ProgramSweep sldb::sweepProgram(std::string_view Name,
   std::vector<std::map<PointKey, PointVerdict>> Columns(Table.size());
   std::map<PointKey, unsigned> Lines;
 
-  // The variable/function name tables are identical at every level (the
-  // frontend produces them); keep the O0 build's, which no pass touched,
-  // for rendering.
-  std::unique_ptr<IRModule> NamesIR;
+  std::vector<CompiledModule> Builds;
+  Builds.reserve(Table.size());
   for (std::size_t L = 0; L < Table.size(); ++L) {
     Expected<CompiledModule> Build =
         classifyLevel(Src, Table[L], PS.Levels[L], Columns[L], Lines);
@@ -113,10 +111,14 @@ ProgramSweep sldb::sweepProgram(std::string_view Name,
           std::string(Table[L].Name) + ": " + Build.status().str();
       return PS;
     }
-    if (Table[L].Level == PipelineLevel::O0)
-      NamesIR = std::move(Build->IR);
+    Builds.push_back(std::move(*Build));
   }
-  const ProgramInfo &Info = *NamesIR->Info;
+  PS.Builds = std::move(Builds);
+  // The variable/function name tables are identical at every level (the
+  // frontend produces them); render with the O0 build's, which no pass
+  // touched.
+  const ProgramInfo &Info =
+      *PS.Builds[static_cast<std::size_t>(PipelineLevel::O0)].IR->Info;
   PS.Compiled = true;
 
   // Regressions, deduped per point: for each point in canonical order,

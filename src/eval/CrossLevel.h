@@ -28,6 +28,7 @@
 #define SLDB_EVAL_CROSSLEVEL_H
 
 #include "core/Classifier.h"
+#include "eval/Compile.h"
 #include "eval/Measure.h"
 
 #include <string>
@@ -66,12 +67,16 @@ struct ProgramSweep {
   /// Candidate availability regressions, in (function, statement,
   /// variable) point order.
   std::vector<AvailRegression> Regressions;
+
+  /// Every level's build, in pipelineLevels() order (empty unless
+  /// Compiled).  The O0 row is the lockstep oracle's reference build.
+  std::vector<CompiledModule> Builds;
 };
 
 /// Compiles and classifies \p Src at every level.  Codegen runs with
 /// scheduling off so these are byte-for-byte the builds the lockstep
-/// oracle judges.  Never asserts: frontend/pipeline failures land in
-/// CompileError.
+/// oracle judges, and the sweep keeps them for it.  Never asserts:
+/// frontend/pipeline failures land in CompileError.
 ProgramSweep sweepProgram(std::string_view Name, std::string_view Src);
 
 /// Whole-corpus sweep: per-level counts summed over the corpus, all

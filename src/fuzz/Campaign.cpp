@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 //
 // The differential and fault-injection oracles on the campaign engine
-// (fuzz/CampaignEngine.h): units are (seed, promote-mode) for the
-// differential campaign and (seed, fault-point) for the injection
-// campaign.  Both can fork each unit under a watchdog (fuzz/Isolation.h).
+// (fuzz/CampaignEngine.h): units are seeds for the differential campaign
+// (each judged in every promote mode from one SharedBuilds) and (seed,
+// fault-point) pairs for the injection campaign.  Both can fork each run
+// under a watchdog (fuzz/Isolation.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,8 @@
 #include "fuzz/Isolation.h"
 #include "fuzz/Reduce.h"
 #include "support/FaultInjector.h"
+
+#include <optional>
 
 using namespace sldb;
 
@@ -141,78 +144,89 @@ namespace {
 /// its soundness failures.
 constexpr const char *DiffCrashDir = "fuzz-crashes";
 
-/// One (seed, mode) unit's outcome.
+/// One seed's outcome: its runs, one per mode in fold order, up to and
+/// including the first that failed to compile.
 struct DiffOutcome : UnitOutcome {
-  bool CompileFail = false; ///< Generator bug; the seed's other mode is
-                            ///< not counted.
+  unsigned Runs = 0;
+  bool CompileFail = false; ///< Generator bug; later modes did not run.
   std::uint64_t Stops = 0;
   std::uint64_t Observations = 0;
-  CampaignCoverage Coverage; ///< This program's evidence (instrumented).
+  CampaignCoverage Coverage; ///< The first mode's evidence.
 };
 
-/// Runs one (seed, mode) unit on the calling worker thread.
+/// Runs one seed in each of \p Modes (promote flags, in order) on the
+/// calling worker thread.  The modes share one SharedBuilds, built on
+/// the first in-process run; the first mode instruments the pipeline
+/// (the IR pipeline does not depend on the codegen configuration).
 DiffOutcome runDiffUnit(const CampaignConfig &C, std::uint32_t Seed,
-                        bool Promote, bool Instrument,
-                        const OptOptions *Opts) {
+                        const std::vector<bool> &Modes,
+                        const OptOptions &Opts) {
   DiffOutcome O;
   std::string Src = generateProgram(Seed, C.Gen);
-  auto Check = [&](const std::string &S) {
-    return checkProgram(S, Promote, 4000, Opts);
-  };
-
-  if (C.Isolate) {
-    // Containment first: probe the (seed, mode) in a forked child.
-    // A clean child skips the in-process run (its coverage stats are
-    // lost to the fork — the documented trade); a child that failed
-    // *cleanly* is re-run in-process below for the full
-    // shrink-and-record path, which is safe precisely because the
-    // child proved the seed does not bring the process down.
-    ProbeFn Probe = [&](const std::string &S) {
-      std::vector<Violation> Vs = Check(S);
-      std::string Rep;
-      for (const Violation &V : Vs)
-        Rep += V.str() + "\n";
-      return std::make_pair(Vs.empty(), Rep);
+  std::optional<SharedBuilds> Builds;
+  for (std::size_t K = 0; K < Modes.size(); ++K) {
+    const bool Promote = Modes[K];
+    auto Check = [&](const std::string &S) {
+      return checkProgram(S, Promote, 4000, &Opts);
     };
-    IsolatedOutcome IO = runIsolated(C.TimeoutMs, [&] { return Probe(Src); });
-    if (IO.Status == IsolatedStatus::Ok)
-      return O;
-    if (IO.Status != IsolatedStatus::Violation) {
-      O.Failures.push_back(makeProcessFailure(Seed, Promote, Src, C.Level, IO,
-                                              C.Shrink, C.TimeoutMs, Probe));
-      return O;
+    ++O.Runs;
+
+    if (C.Isolate) {
+      // Containment first: probe the (seed, mode) in a forked child.
+      // A clean child skips the in-process run (its coverage stats are
+      // lost to the fork — the documented trade); a child that failed
+      // *cleanly* is re-run in-process below for the full
+      // shrink-and-record path, which is safe precisely because the
+      // child proved the seed does not bring the process down.
+      ProbeFn Probe = [&](const std::string &S) {
+        std::vector<Violation> Vs = Check(S);
+        std::string Rep;
+        for (const Violation &V : Vs)
+          Rep += V.str() + "\n";
+        return std::make_pair(Vs.empty(), Rep);
+      };
+      IsolatedOutcome IO =
+          runIsolated(C.TimeoutMs, [&] { return Probe(Src); });
+      if (IO.Status == IsolatedStatus::Ok)
+        continue;
+      if (IO.Status != IsolatedStatus::Violation) {
+        O.Failures.push_back(makeProcessFailure(Seed, Promote, Src, C.Level,
+                                                IO, C.Shrink, C.TimeoutMs,
+                                                Probe));
+        continue;
+      }
     }
-  }
 
-  LockstepOptions LO;
-  if (Opts)
-    LO.Opts = *Opts;
-  LO.Promote = Promote;
-  LO.InstrumentPasses = Instrument;
-  LockstepResult LR = runLockstep(Src, LO);
-  if (!LR.Compiled) {
-    O.CompileFail = true;
-    O.Failures.push_back(
-        compileFailure(Seed, Promote, Src, C.Level, LR.CompileError));
-    return O;
-  }
+    if (!Builds)
+      Builds.emplace(Src, Opts, /*Instrument=*/true);
+    LockstepOptions LO;
+    LO.Promote = Promote;
+    LO.InstrumentPasses = K == 0;
+    LockstepResult LR = runLockstep(*Builds, LO);
+    if (!LR.Compiled) {
+      O.CompileFail = true;
+      O.Failures.push_back(
+          compileFailure(Seed, Promote, Src, C.Level, LR.CompileError));
+      break;
+    }
 
-  O.Stops = LR.Stops.size();
-  for (const StopObservation &S : LR.Stops)
-    O.Observations += S.Vars.size();
-  if (Instrument) {
-    O.Coverage.Firings = LR.Firings;
-    O.Coverage.WithHoisted = LR.NumHoisted != 0;
-    O.Coverage.WithSunk = LR.NumSunk != 0;
-    O.Coverage.WithDeadMarks = LR.NumDeadMarks != 0;
-    O.Coverage.WithAvailMarks = LR.NumAvailMarks != 0;
-    O.Coverage.WithSRRecords = LR.NumSRRecords != 0;
-  }
+    O.Stops += LR.Stops.size();
+    for (const StopObservation &S : LR.Stops)
+      O.Observations += S.Vars.size();
+    if (K == 0) {
+      O.Coverage.Firings = std::move(LR.Firings);
+      O.Coverage.WithHoisted = LR.NumHoisted != 0;
+      O.Coverage.WithSunk = LR.NumSunk != 0;
+      O.Coverage.WithDeadMarks = LR.NumDeadMarks != 0;
+      O.Coverage.WithAvailMarks = LR.NumAvailMarks != 0;
+      O.Coverage.WithSRRecords = LR.NumSRRecords != 0;
+    }
 
-  std::vector<Violation> Vs = checkSoundness(LR);
-  if (!Vs.empty())
-    O.Failures.push_back(makeFailure(Seed, Promote, Src, C.Level,
-                                     std::move(Vs), C.Shrink, Check));
+    std::vector<Violation> Vs = checkSoundness(LR);
+    if (!Vs.empty())
+      O.Failures.push_back(makeFailure(Seed, Promote, Src, C.Level,
+                                       std::move(Vs), C.Shrink, Check));
+  }
   return O;
 }
 
@@ -225,27 +239,20 @@ CampaignResult sldb::runCampaign(const CampaignConfig &C) {
     return R;
 
   // Level campaigns collapse to one mode with the level's own settings.
-  // Unit order within a seed: promote mode before frame mode.
-  const bool Both = C.BothPromoteModes && !Spec;
-  const bool Promote = Spec ? Spec->Promote : C.Promote;
+  const std::vector<bool> Modes =
+      promoteModes(Spec, C.BothPromoteModes, C.Promote);
+  const OptOptions Opts = Spec ? Spec->Opts : LockstepOptions::lockstepOpts();
   runUnits<DiffOutcome>(
-      C, R, {"diff", Both ? 2u : 1u, DiffCrashDir},
-      [&](std::uint32_t Seed, unsigned K) {
-        // Instrument the pipeline once per program: the IR pipeline
-        // does not depend on the codegen configuration.
-        return runDiffUnit(C, Seed, Both ? K == 0 : Promote, K == 0,
-                           Spec ? &Spec->Opts : nullptr);
+      C, R, {"diff", 1, DiffCrashDir},
+      [&](std::uint32_t Seed, unsigned) {
+        return runDiffUnit(C, Seed, Modes, Opts);
       },
       [&](DiffOutcome &O) {
-        ++R.Runs;
-        if (O.CompileFail) {
-          ++R.FailedCompiles;
-          return false; // The other mode cannot compile either.
-        }
+        R.Runs += O.Runs;
+        R.FailedCompiles += O.CompileFail;
         R.Stops += O.Stops;
         R.Observations += O.Observations;
         R.Coverage.add(O.Coverage);
-        return true;
       });
   return R;
 }
@@ -405,7 +412,6 @@ InjectCampaignResult sldb::runInjectCampaign(const InjectCampaignConfig &C) {
         ++R.Runs;
         if (unsigned *N = Counters[static_cast<int>(O.K)])
           ++*N;
-        return true;
       });
   return R;
 }

@@ -7,10 +7,11 @@
 /// \file
 /// Drives whole fuzzing campaigns: generate N seeded programs, run each
 /// through the lockstep oracle in both codegen configurations (variables
-/// promoted to registers / kept in frame slots), judge every run with the
-/// soundness checker, aggregate optimization coverage, and turn any
-/// violation into a minimized on-disk reproducer.  Both `tools/sldb-fuzz`
-/// and the tier-1 `fuzz_diff_test` are thin wrappers around this.
+/// promoted to registers / kept in frame slots, both lowered from one
+/// optimizer run), judge every run with the soundness checker, aggregate
+/// optimization coverage, and turn any violation into a minimized
+/// on-disk reproducer.  Both `tools/sldb-fuzz` and the tier-1
+/// `fuzz_diff_test` are thin wrappers around this.
 ///
 /// Every campaign (this file's differential and fault-injection ones, and
 /// QualityCampaign.h's stepping and cross-level ones) runs on one engine
@@ -87,9 +88,9 @@ struct CampaignConfig : CampaignBaseConfig {
   std::string Level;
 
   /// Run every (seed, mode) check in a forked child under a wall-clock
-  /// watchdog (fuzz/Isolation.h): a seed that crashes or hangs the
-  /// compiler is recorded, reduced, and archived (into `fuzz-crashes`)
-  /// instead of killing the campaign.  Trades the in-process coverage
+  /// watchdog (fuzz/Isolation.h), one child per mode: a seed that
+  /// crashes or hangs the compiler is recorded, reduced, and archived
+  /// (into `fuzz-crashes`) instead of killing the campaign.  Trades the in-process coverage
   /// accounting (stops / observations / pass firings) of passing runs
   /// for containment.  Composes with Jobs: each worker forks its own
   /// watchdogged child.
@@ -152,7 +153,9 @@ struct CampaignCoverage {
 /// and therefore nondeterministic; never part of the campaign report).
 struct CampaignWorkerStats {
   unsigned Worker = 0;
-  unsigned Units = 0;         ///< Units run (a (seed, mode) check, ...).
+  unsigned Units = 0;         ///< Units run: seeds (every mode of one
+                              ///< program), or (seed, fault-point)
+                              ///< pairs for --inject.
   unsigned Steals = 0;        ///< Units taken from a sibling's queue.
   unsigned InitialQueue = 0;  ///< Starting queue depth.
   std::uint64_t BusyUs = 0;

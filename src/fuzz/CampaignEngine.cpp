@@ -50,6 +50,15 @@ const LevelSpec *sldb::judgeableLevel(const std::string &Name,
   return Error.empty() ? Spec : nullptr;
 }
 
+std::vector<bool> sldb::promoteModes(const LevelSpec *Level, bool Both,
+                                     bool Promote) {
+  if (Level)
+    return {Level->Promote};
+  if (Both)
+    return {true, false};
+  return {Promote};
+}
+
 static const char NotCompiled[] = "does not compile: ";
 
 Violation sldb::notCompiled(const std::string &Error) {

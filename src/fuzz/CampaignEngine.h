@@ -71,6 +71,12 @@ const LevelSpec *checkConfig(const CampaignBaseConfig &C,
 /// when there is none.
 const LevelSpec *judgeableLevel(const std::string &Name, std::string &Error);
 
+/// The promote modes a differential or stepping unit judges, in fold
+/// order: a level's own mode with \p Level, else promote then frame when
+/// \p Both, else \p Promote alone.
+std::vector<bool> promoteModes(const LevelSpec *Level, bool Both,
+                               bool Promote);
+
 /// The violation a check reports for a program that does not compile,
 /// and its recognizer.
 Violation notCompiled(const std::string &Error);
@@ -116,10 +122,9 @@ std::string writeReproducer(const CampaignFailure &F, const std::string &Dir,
 /// Runs the units of a validated campaign and merges them into \p R.
 /// \p Run(Seed, K) produces unit K of a seed on a pool worker.  \p Fold
 /// adds a finished unit to the oracle's counters on the merge thread, in
-/// unit order, and returns false when the seed's remaining units must
-/// not count (a program that fails to compile fails every mode).  The
-/// engine counts programs and skipped units, rebases each unit's trace
-/// to tid = unit ordinal, and keeps (and writes) every failure.
+/// unit order.  The engine counts programs and skipped units, rebases
+/// each unit's trace to tid = unit ordinal, and keeps (and writes) every
+/// failure.
 template <class Outcome, class RunFn, class FoldFn>
 void runUnits(const CampaignBaseConfig &C, CampaignBaseResult &R,
               const OraclePlan &Plan, RunFn Run, FoldFn Fold) {
@@ -151,7 +156,8 @@ void runUnits(const CampaignBaseConfig &C, CampaignBaseResult &R,
         }
         // Divert the worker's events for the unit's duration so the
         // merge can rebuild a deterministic, seed-major trace whatever
-        // the pool's scheduling was.
+        // the pool's scheduling was.  The span covers the whole unit: for
+        // the diff and step oracles, one seed in every mode.
         TraceCapture Cap;
         {
           TraceSpan Span("campaign.unit", "campaign");
@@ -178,7 +184,7 @@ void runUnits(const CampaignBaseConfig &C, CampaignBaseResult &R,
         E.Tid = static_cast<std::uint32_t>(U + 1);
         R.Trace.push_back(std::move(E));
       }
-      const bool More = Fold(O);
+      Fold(O);
       for (CampaignFailure &F : O.Failures) {
         F.Oracle = Plan.Name;
         F.Alias = C.Gen.Alias;
@@ -190,8 +196,6 @@ void runUnits(const CampaignBaseConfig &C, CampaignBaseResult &R,
               UsedPaths);
         R.Failures.push_back(std::move(F));
       }
-      if (!More)
-        break;
     }
   }
 }

@@ -9,8 +9,6 @@
 #include "analysis/Dataflow.h"
 #include "support/FaultInjector.h"
 
-#include <unordered_map>
-
 using namespace sldb;
 
 namespace {
@@ -22,7 +20,9 @@ namespace {
 /// Intersect-meet variant of the classifier's init reach, computed on the
 /// oracle (unoptimized) machine code: a set bit means every path from
 /// entry to the block performs the definition.  The unoptimized build has
-/// no markers, so the GEN sets reduce to real assignments.
+/// no markers, so the GEN sets reduce to real assignments.  The fact
+/// universe is the function's scalar locals, reached from a VarId through
+/// a dense index.
 class AllPathsInit {
 public:
   AllPathsInit(const MachineFunction &MF, const ProgramInfo &Info) : MF(MF) {
@@ -38,58 +38,64 @@ public:
           MF.Blocks[B].Insts.back().Op == MOp::RET)
         Exits.push_back(B);
     }
+    unsigned Universe = 0;
     for (VarId V : Info.func(MF.Id).Locals)
-      if (Info.var(V).isScalar() && !VarIdx.count(V)) {
-        VarIdx[V] = static_cast<unsigned>(Vars.size());
-        Vars.push_back(V);
+      if (Info.var(V).isScalar() && index(V) == NoIndex) {
+        if (V >= Index.size())
+          Index.resize(V + 1, NoIndex);
+        Index[V] = Universe++;
       }
 
     DataflowProblem P;
     P.Dir = FlowDir::Forward;
     P.Meet = FlowMeet::Intersect;
-    P.Universe = static_cast<unsigned>(Vars.size());
+    P.Universe = Universe;
     P.Gen.assign(NumBlocks, BitVector(P.Universe));
     P.Kill.assign(NumBlocks, BitVector(P.Universe));
     P.Boundary = BitVector(P.Universe);
     for (unsigned B = 0; B < NumBlocks; ++B)
       for (const MInstr &I : MF.Blocks[B].Insts)
-        if (I.DestVar != InvalidVar) {
-          auto It = VarIdx.find(I.DestVar);
-          if (It != VarIdx.end())
-            P.Gen[B].set(It->second);
-        }
+        if (unsigned X = index(I.DestVar); X != NoIndex)
+          P.Gen[B].set(X);
     In = solveDataflowGeneric(NumBlocks, Preds, Succs, Exits, P).In;
   }
 
-  /// Whether every path to (and through the block prefix before) \p Addr
-  /// defines \p V.  Globals count as initialized.
-  bool at(std::uint32_t Addr, VarId V) const {
-    auto It = VarIdx.find(V);
-    if (It == VarIdx.end())
-      return false; // Unknown local: never provably initialized.
+  /// Moves to \p Addr: the facts every path to (and through the block
+  /// prefix before) it establishes.
+  void seek(std::uint32_t Addr) {
     unsigned B = 0;
     while (B + 1 < MF.Blocks.size() && MF.BlockAddr[B + 1] <= Addr)
       ++B;
-    BitVector State = In[B];
+    State = In[B];
     std::uint32_t A = MF.BlockAddr[B];
     for (const MInstr &I : MF.Blocks[B].Insts) {
       if (A >= Addr)
         break;
-      if (I.DestVar != InvalidVar) {
-        auto DIt = VarIdx.find(I.DestVar);
-        if (DIt != VarIdx.end())
-          State.set(DIt->second);
-      }
+      if (unsigned X = index(I.DestVar); X != NoIndex)
+        State.set(X);
       ++A;
     }
-    return State.test(It->second);
+  }
+
+  /// Whether every path to the address of the last seek() defines \p V.
+  /// Variables outside the universe (globals, aggregates, other
+  /// functions' locals) are never provably initialized here.
+  bool initialized(VarId V) const {
+    unsigned X = index(V);
+    return X != NoIndex && State.test(X);
   }
 
 private:
+  static constexpr unsigned NoIndex = ~0u;
+
+  unsigned index(VarId V) const {
+    return V < Index.size() ? Index[V] : NoIndex;
+  }
+
   const MachineFunction &MF;
-  std::unordered_map<VarId, unsigned> VarIdx;
-  std::vector<VarId> Vars;
+  std::vector<unsigned> Index; ///< VarId -> fact, NoIndex outside.
   std::vector<BitVector> In;
+  BitVector State;
 };
 
 /// What the optimized build's debug tables claim about residence at an
@@ -110,17 +116,22 @@ bool tableResident(const MachineFunction &MF, const ProgramInfo &Info,
          RIt->second.test(Addr);
 }
 
-} // namespace
+/// The optimized half of SharedBuilds, with the firing counts when
+/// \p Firings is given.
+Expected<std::unique_ptr<IRModule>>
+compileOptimized(std::string_view Src, const OptOptions &Opts,
+                 std::vector<PassFiring> *Firings) {
+  PipelineStats Stats;
+  Expected<std::unique_ptr<IRModule>> IR =
+      compileOptimizedIR(Src, Opts, nullptr, {}, Firings ? &Stats : nullptr);
+  if (Firings)
+    for (const PassSlotStats &Slot : Stats.Slots)
+      Firings->push_back({Slot.Name, Slot.Changed});
+  return IR;
+}
 
-Expected<LockstepBuilds> sldb::compileLockstepBuilds(std::string_view Src,
-                                                     const OptOptions &Opts,
-                                                     bool Promote,
-                                                     PipelineStats *Stats) {
-  Expected<CompiledModule> Opt =
-      compileModule(Src, Opts, {Promote, /*Schedule=*/false}, nullptr, {},
-                    Stats);
-  if (!Opt)
-    return Opt.status();
+/// The reference build, compiled with the FaultInjector suspended.
+Expected<CompiledModule> compileReference(std::string_view Src) {
   FaultInjector::suspend();
   Expected<CompiledModule> Ref =
       compileModule(Src, OptOptions::none(), {false, false});
@@ -128,30 +139,57 @@ Expected<LockstepBuilds> sldb::compileLockstepBuilds(std::string_view Src,
   if (!Ref)
     return Status::error(Ref.status().code(),
                          "oracle build: " + Ref.status().message());
-  return LockstepBuilds{std::move(*Ref), std::move(*Opt)};
+  return Ref;
+}
+
+} // namespace
+
+SharedBuilds::SharedBuilds(std::string_view Src, const OptOptions &Opts,
+                           bool Instrument)
+    : OptIR(compileOptimized(Src, Opts, Instrument ? &Firings : nullptr)),
+      Ref(OptIR ? compileReference(Src)
+                : Expected<CompiledModule>(OptIR.status())) {}
+
+Expected<MachineModule> SharedBuilds::lower(bool Promote) const {
+  if (!OptIR)
+    return OptIR.status();
+  Expected<MachineModule> Opt =
+      lowerModule(*OptIR.value(), {Promote, /*Schedule=*/false});
+  if (Opt && !Ref)
+    return Ref.status();
+  return Opt;
 }
 
 LockstepResult sldb::runLockstep(std::string_view Src,
                                  const LockstepOptions &O) {
-  LockstepResult R;
+  return runLockstep(SharedBuilds(Src, O.Opts, O.InstrumentPasses), O);
+}
 
-  PipelineStats Stats;
-  Expected<LockstepBuilds> Builds = compileLockstepBuilds(
-      Src, O.Opts, O.Promote, O.InstrumentPasses ? &Stats : nullptr);
-  if (!Builds) {
-    R.CompileError = Builds.status().str();
+LockstepResult sldb::runLockstep(const SharedBuilds &B,
+                                 const LockstepOptions &O) {
+  Expected<MachineModule> Opt = B.lower(O.Promote);
+  if (!Opt) {
+    LockstepResult R;
+    R.CompileError = Opt.status().str();
     return R;
   }
-  for (const PassSlotStats &Slot : Stats.Slots)
-    R.Firings.push_back({Slot.Name, Slot.Changed});
-  const MachineModule &MMO = Builds->Ref.MM;
-  const MachineModule &MM2 = Builds->Opt.MM;
+  LockstepResult R = runLockstep(B.builds(*Opt), O);
+  if (O.InstrumentPasses)
+    R.Firings = B.firings();
+  return R;
+}
+
+LockstepResult sldb::runLockstep(const LockstepBuilds &B,
+                                 const LockstepOptions &O) {
+  LockstepResult R;
+  const MachineModule &MMO = B.Ref;
+  const MachineModule &MM2 = B.Opt;
   R.Compiled = true;
 
   // Machine-level evidence of the endangering transformations.
   for (const MachineFunction &MF : MM2.Funcs)
-    for (const MachineBlock &B : MF.Blocks)
-      for (const MInstr &I : B.Insts) {
+    for (const MachineBlock &MB : MF.Blocks)
+      for (const MInstr &I : MB.Insts) {
         if (I.IsHoisted)
           ++R.NumHoisted;
         if (I.IsSunk)
@@ -161,7 +199,7 @@ LockstepResult sldb::runLockstep(std::string_view Src,
         if (I.Op == MOp::MAVAIL)
           ++R.NumAvailMarks;
       }
-  for (const auto &F : Builds->Opt.IR->Funcs)
+  for (const auto &F : B.OptIR.Funcs)
     R.NumSRRecords += static_cast<unsigned>(F->SRRecords.size());
 
   // Suspend faults around the oracle debugger's construction too: the
@@ -219,28 +257,29 @@ LockstepResult sldb::runLockstep(std::string_view Src,
       break;
     }
 
-    std::uint32_t AddrO = Expected.machine().pc().Local;
-    std::uint32_t Addr2 = Opt.machine().pc().Local;
-    const MachineFunction &MFO = MMO.Funcs[Stop.Func];
     const MachineFunction &MF2 = MM2.Funcs[Stop.Func];
-    if (!Init[Stop.Func])
-      Init[Stop.Func] = std::make_unique<AllPathsInit>(MFO, *MMO.Info);
+    std::unique_ptr<AllPathsInit> &FuncInit = Init[Stop.Func];
+    if (!FuncInit)
+      FuncInit = std::make_unique<AllPathsInit>(MMO.Funcs[Stop.Func],
+                                                *MMO.Info);
+    FuncInit->seek(Expected.machine().pc().Local);
+    std::uint32_t Addr2 = Opt.machine().pc().Local;
 
+    Stop.Vars.reserve(Scope2.size());
     for (std::size_t I = 0; I < Scope2.size(); ++I) {
-      if (ScopeO[I].Var != Scope2[I].Var) {
+      const VarId V = Scope2[I].Var;
+      if (ScopeO[I].Var != V) {
         R.PairError = "scope variable mismatch at s" + std::to_string(*SO);
         break;
       }
-      VarObservation VO;
-      VO.Expected = ScopeO[I];
-      VO.Opt = Scope2[I];
-      VO.OptTableResident =
-          tableResident(MF2, *MM2.Info, Addr2, Scope2[I].Var);
-      VO.ExpectedInitAllPaths = Init[Stop.Func]->at(AddrO, ScopeO[I].Var);
-      VO.RawValid = Opt.peekStorage(Scope2[I].Var, VO.RawIsDouble,
-                                    VO.RawInt, VO.RawDouble);
-      VO.IsPtr = MM2.Info->var(Scope2[I].Var).Ty.Kind == TypeKind::Ptr;
-      Stop.Vars.push_back(std::move(VO));
+      VarObservation &VO = Stop.Vars.emplace_back();
+      VO.OptTableResident = tableResident(MF2, *MM2.Info, Addr2, V);
+      VO.ExpectedInitAllPaths = FuncInit->initialized(V);
+      VO.RawValid =
+          Opt.peekStorage(V, VO.RawIsDouble, VO.RawInt, VO.RawDouble);
+      VO.IsPtr = MM2.Info->var(V).Ty.Kind == TypeKind::Ptr;
+      VO.Expected = std::move(ScopeO[I]);
+      VO.Opt = std::move(Scope2[I]);
     }
     if (!R.PairError.empty())
       break;

@@ -154,25 +154,66 @@ struct LockstepResult {
 
 /// The two builds a lockstep oracle compares: the reference
 /// (unoptimized and unpromoted: every variable lives in its frame slot
-/// and is updated in source order) and the optimized build under test.
-/// Both are unscheduled.
+/// and is updated in source order) and the optimized build under test,
+/// with the optimized IR it was lowered from.  Both are unscheduled.
+/// Borrowed: one reference and one optimized IR serve every codegen
+/// mode a program is judged in.
 struct LockstepBuilds {
-  CompiledModule Ref, Opt;
+  const MachineModule &Ref;
+  const MachineModule &Opt;
+  const IRModule &OptIR;
 };
 
-/// Compiles both builds of \p Src through compileModule, the optimized
-/// one at \p Opts (\p Stats as in runPipelineEx).  The reference compile
-/// runs with the FaultInjector suspended: an armed fault may only corrupt
-/// the build it is aimed at, never the ground truth.  A reference
-/// failure is prefixed "oracle build: ".
-Expected<LockstepBuilds> compileLockstepBuilds(std::string_view Src,
-                                               const OptOptions &Opts,
-                                               bool Promote,
-                                               PipelineStats *Stats = nullptr);
+/// One program compiled for lockstep judging in any number of codegen
+/// modes.  The frontend, IRGen and the optimizer run once, the reference
+/// is built once with the FaultInjector suspended (an armed fault may
+/// only corrupt the build it is aimed at, never the ground truth), and
+/// each mode lowers the one optimized IR (eval/Compile.h: a lowering
+/// equals a fresh compile in its mode).  The differential and stepping
+/// oracles build their modules only through this class
+/// (tools/check_no_direct_analyses.sh); the cross-level oracle judges
+/// the builds its sweep already made.
+class SharedBuilds {
+public:
+  /// Compiles \p Src at \p Opts, recording the pipeline's per-slot
+  /// firing counts when \p Instrument, then the reference unless the
+  /// optimized compile failed.
+  SharedBuilds(std::string_view Src, const OptOptions &Opts,
+               bool Instrument = false);
 
-/// Compiles \p Src twice and runs both builds in lockstep, recording one
-/// StopObservation per paired stop.  Never asserts: all findings are in
-/// the result for DiffCheck to judge.
+  /// Lowers the optimized IR for one mode.  The error is the first in
+  /// a per-mode compile's order: the optimized build's own (frontend,
+  /// optimizer, lowering), then the reference's, prefixed
+  /// "oracle build: ".
+  Expected<MachineModule> lower(bool Promote) const;
+
+  /// The builds of a mode that lower() returned.
+  LockstepBuilds builds(const MachineModule &Opt) const {
+    return {Ref.value().MM, Opt, *OptIR.value()};
+  }
+
+  /// The pipeline's firing counts (empty unless instrumented).
+  const std::vector<PassFiring> &firings() const { return Firings; }
+
+private:
+  std::vector<PassFiring> Firings; ///< Filled while OptIR compiles.
+  Expected<std::unique_ptr<IRModule>> OptIR;
+  Expected<CompiledModule> Ref;
+};
+
+/// Runs one mode's builds in lockstep, recording one StopObservation per
+/// paired stop, and the builds' machine-level evidence.  O.Opts and
+/// O.InstrumentPasses are not read (the builds are already compiled).
+/// Never asserts: all findings are in the result for DiffCheck to judge.
+LockstepResult runLockstep(const LockstepBuilds &B, const LockstepOptions &O);
+
+/// Lowers \p B for O.Promote and runs it in lockstep; copies the
+/// firings when O.InstrumentPasses.  A compile failure is the result's
+/// CompileError.
+LockstepResult runLockstep(const SharedBuilds &B, const LockstepOptions &O);
+
+/// Compiles \p Src for one mode (O.Opts, O.Promote) and runs both builds
+/// in lockstep.
 LockstepResult runLockstep(std::string_view Src, const LockstepOptions &O);
 
 } // namespace sldb

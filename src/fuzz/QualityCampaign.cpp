@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // The stepping and cross-level oracles on the campaign engine
-// (fuzz/CampaignEngine.h): units are (seed, promote-mode) for the
-// stepping campaign and one seed for the cross-level campaign.
+// (fuzz/CampaignEngine.h): both units are one seed.  The stepping unit
+// judges every promote mode from one SharedBuilds; the cross-level unit
+// judges the sweep's own builds.
 //
 //===----------------------------------------------------------------------===//
 
@@ -37,39 +38,45 @@ std::vector<Violation> sldb::checkStepProgram(const std::string &Src,
 
 namespace {
 
-/// One (seed, mode) stepping unit's outcome.
+/// One seed's stepping outcome: its runs, one per mode in fold order, up
+/// to and including the first that failed to compile.
 struct StepOutcome : UnitOutcome {
+  unsigned Runs = 0;
   bool CompileFail = false;
-  bool Capped = false;
+  unsigned Capped = 0;
   std::uint64_t Stmts = 0;
 };
 
 StepOutcome runStepUnit(const StepCampaignConfig &C, std::uint32_t Seed,
-                        bool Promote, const OptOptions *Opts) {
+                        const std::vector<bool> &Modes,
+                        const OptOptions &Opts) {
+  static StatHistogram &VisitRows = Stats::histogram("step.visit_rows");
   StepOutcome O;
   std::string Src = generateProgram(Seed, C.Gen);
-  StepOracleOptions SO;
-  if (Opts)
-    SO.Opts = *Opts;
-  SO.Promote = Promote;
-  StepResult R = runStepLockstep(Src, SO);
-  if (!R.Compiled) {
-    O.CompileFail = true;
-    O.Failures.push_back(
-        compileFailure(Seed, Promote, Src, C.Level, R.CompileError));
-    return O;
-  }
-  O.Capped = R.Capped;
-  O.Stmts = R.Visits.size();
-  Stats::histogram("step.visit_rows").record(R.Visits.size());
+  SharedBuilds Builds(Src, Opts);
+  for (bool Promote : Modes) {
+    ++O.Runs;
+    StepOracleOptions SO;
+    SO.Promote = Promote;
+    StepResult R = runStepLockstep(Builds, SO);
+    if (!R.Compiled) {
+      O.CompileFail = true;
+      O.Failures.push_back(
+          compileFailure(Seed, Promote, Src, C.Level, R.CompileError));
+      break;
+    }
+    O.Capped += R.Capped;
+    O.Stmts += R.Visits.size();
+    VisitRows.record(R.Visits.size());
 
-  std::vector<Violation> Vs = checkStepping(R);
-  if (!Vs.empty())
-    O.Failures.push_back(makeFailure(
-        Seed, Promote, Src, C.Level, std::move(Vs), C.Shrink,
-        [&](const std::string &S) {
-          return checkStepProgram(S, Promote, SO.MaxEvents, Opts);
-        }));
+    std::vector<Violation> Vs = checkStepping(R);
+    if (!Vs.empty())
+      O.Failures.push_back(makeFailure(
+          Seed, Promote, Src, C.Level, std::move(Vs), C.Shrink,
+          [&](const std::string &S) {
+            return checkStepProgram(S, Promote, SO.MaxEvents, &Opts);
+          }));
+  }
   return O;
 }
 
@@ -82,23 +89,19 @@ StepCampaignResult sldb::runStepCampaign(const StepCampaignConfig &C) {
     return R;
 
   // Level campaigns collapse to one mode with the level's own settings.
-  const bool Both = C.BothPromoteModes && !Spec;
-  const bool Promote = Spec ? Spec->Promote : C.Promote;
+  const std::vector<bool> Modes =
+      promoteModes(Spec, C.BothPromoteModes, C.Promote);
+  const OptOptions Opts = Spec ? Spec->Opts : LockstepOptions::lockstepOpts();
   runUnits<StepOutcome>(
-      C, R, {"step", Both ? 2u : 1u},
-      [&](std::uint32_t Seed, unsigned K) {
-        return runStepUnit(C, Seed, Both ? K == 0 : Promote,
-                           Spec ? &Spec->Opts : nullptr);
+      C, R, {"step"},
+      [&](std::uint32_t Seed, unsigned) {
+        return runStepUnit(C, Seed, Modes, Opts);
       },
       [&](StepOutcome &O) {
-        ++R.Runs;
-        if (O.CompileFail) {
-          ++R.FailedCompiles;
-          return false; // The other mode cannot compile either.
-        }
+        R.Runs += O.Runs;
+        R.FailedCompiles += O.CompileFail;
         R.CappedRuns += O.Capped;
         R.StmtsChecked += O.Stmts;
-        return true;
       });
   return R;
 }
@@ -200,6 +203,10 @@ struct XLOutcome : UnitOutcome {
 };
 
 XLOutcome runXLUnit(const CrossLevelCampaignConfig &C, std::uint32_t Seed) {
+  static StatHistogram &Candidates =
+      Stats::histogram("crosslevel.candidates");
+  static StatHistogram &Conservative =
+      Stats::histogram("crosslevel.conservative_verdicts");
   XLOutcome O;
   std::string Src = generateProgram(Seed, C.Gen);
   ProgramSweep PS = sweepProgram("seed-" + std::to_string(Seed), Src);
@@ -209,39 +216,31 @@ XLOutcome runXLUnit(const CrossLevelCampaignConfig &C, std::uint32_t Seed) {
     return O;
   }
   O.Levels = std::move(PS.Levels);
-  Stats::histogram("crosslevel.candidates").record(PS.Regressions.size());
+  Candidates.record(PS.Regressions.size());
 
   // One ground-truth run per judgeable level: soundness, conservatism,
-  // and the evidence base for judging this seed's candidates.
+  // and the evidence base for judging this seed's candidates.  The runs
+  // judge the sweep's own builds (unscheduled, so exactly the lockstep
+  // builds) against its O0 row, which is the lockstep reference.
   const auto &Table = pipelineLevels();
+  const MachineModule &Ref =
+      PS.Builds[static_cast<std::size_t>(PipelineLevel::O0)].MM;
   std::vector<std::vector<Violation>> LevelViolations(Table.size());
   for (std::size_t L = 0; L < Table.size(); ++L) {
     const LevelSpec &Spec = Table[L];
     if (!judgeable(Spec))
       continue;
     LockstepOptions LO;
-    LO.Opts = Spec.Opts;
-    LO.Promote = Spec.Promote;
     LO.MaxStops = CrossLevelMaxStops;
-    LockstepResult LR = runLockstep(Src, LO);
+    LockstepResult LR =
+        runLockstep({Ref, PS.Builds[L].MM, *PS.Builds[L].IR}, LO);
     ++O.LockstepRuns;
-    if (!LR.Compiled) {
-      // The sweep compiled this program; a level refusing it now is a
-      // pipeline bug worth surfacing as an unsound run.
-      ++O.UnsoundRuns;
-      O.Failures.push_back(makeFailure(
-          Seed, Spec.Promote, Src, Spec.Name,
-          {{ViolationKind::LockstepDiverged, InvalidFunc, InvalidStmt, "",
-            "compiles in the sweep but not under lockstep: " +
-                LR.CompileError}}));
-      continue;
-    }
 
     ConservatismCounts CC;
     CC.Level = Spec.Name;
     accumulateConservatism(CC, LR);
     O.Cons.push_back(CC);
-    Stats::histogram("crosslevel.conservative_verdicts").record(CC.total());
+    Conservative.record(CC.total());
 
     LevelViolations[L] = checkSoundness(LR);
     if (LevelViolations[L].empty())
@@ -308,19 +307,14 @@ sldb::runCrossLevelCampaign(const CrossLevelCampaignConfig &C) {
         for (std::size_t L = 0; L < O.Levels.size() && L < R.Levels.size();
              ++L)
           R.Levels[L].add(O.Levels[L]);
-        // Match by label: a level whose lockstep build failed produced
-        // no conservatism row for this seed, so indices may not align.
-        for (const ConservatismCounts &CC : O.Cons)
-          for (ConservatismCounts &Row : R.Conservatism)
-            if (Row.Level == CC.Level) {
-              Row.add(CC);
-              break;
-            }
+        // A compiled seed has one conservatism row per judgeable level,
+        // in table order.
+        for (std::size_t L = 0; L < O.Cons.size(); ++L)
+          R.Conservatism[L].add(O.Cons[L]);
         for (JudgedRegression &J : O.Regs) {
           R.Unexplained += J.J == JudgedRegression::Judgment::Unexplained;
           R.Regressions.push_back(std::move(J));
         }
-        return true;
       });
   return R;
 }

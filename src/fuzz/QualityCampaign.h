@@ -9,12 +9,14 @@
 /// infrastructure (`sldb-fuzz --oracle=step|crosslevel`):
 ///
 ///  * Stepping campaign — every seed through the stepping/line-table
-///    oracle (fuzz/StepOracle.h) in both promote modes, judging phantom
-///    and vanished statement boundaries.
+///    oracle (fuzz/StepOracle.h) in both promote modes (both lowered
+///    from one optimizer run), judging phantom and vanished statement
+///    boundaries.
 ///
 ///  * Cross-level campaign — every seed swept across the whole pipeline
 ///    lattice (eval/CrossLevel.h), plus a lockstep ground-truth run at
-///    every *judgeable* level.  The lockstep runs serve three purposes:
+///    every *judgeable* level on the sweep's own builds (its O0 row is
+///    the reference).  The lockstep runs serve three purposes:
 ///    soundness at every level (not just the default heaviest pipeline),
 ///    dynamic judgment of the sweep's availability-regression candidates
 ///    (a candidate whose More level the oracle proves sound is

@@ -49,16 +49,21 @@ bool stepSide(Debugger &D, unsigned MaxEvents,
 
 StepResult sldb::runStepLockstep(std::string_view Src,
                                  const StepOracleOptions &O) {
+  return runStepLockstep(SharedBuilds(Src, O.Opts), O);
+}
+
+StepResult sldb::runStepLockstep(const SharedBuilds &B,
+                                 const StepOracleOptions &O) {
   StepResult R;
 
-  Expected<LockstepBuilds> Builds =
-      compileLockstepBuilds(Src, O.Opts, O.Promote);
-  if (!Builds) {
-    R.CompileError = Builds.status().str();
+  Expected<MachineModule> Lowered = B.lower(O.Promote);
+  if (!Lowered) {
+    R.CompileError = Lowered.status().str();
     return R;
   }
-  const MachineModule &MMO = Builds->Ref.MM;
-  const MachineModule &MM2 = Builds->Opt.MM;
+  const LockstepBuilds Builds = B.builds(*Lowered);
+  const MachineModule &MMO = Builds.Ref;
+  const MachineModule &MM2 = Builds.Opt;
   R.Compiled = true;
 
   FaultInjector::suspend();

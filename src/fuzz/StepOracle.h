@@ -89,10 +89,14 @@ struct StepResult {
   std::string SrcOutput, OptOutput;
 };
 
-/// Compiles \p Src twice (unoptimized-unpromoted oracle vs. \p O) and
-/// single-steps both builds to completion, counting statement-boundary
-/// stops per statement.  Never asserts: findings are in the result for
-/// checkStepping to judge.
+/// Lowers \p B for O.Promote and single-steps it and the reference to
+/// completion, counting statement-boundary stops per statement.  O.Opts
+/// is not read (the builds are already compiled).  Never asserts:
+/// findings are in the result for checkStepping to judge.
+StepResult runStepLockstep(const SharedBuilds &B, const StepOracleOptions &O);
+
+/// Compiles \p Src for one mode (unoptimized-unpromoted oracle vs. \p O)
+/// and steps both builds as above.
 StepResult runStepLockstep(std::string_view Src, const StepOracleOptions &O);
 
 /// Judges one stepping run: PhantomStop / VanishedStop per the header

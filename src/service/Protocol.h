@@ -50,7 +50,7 @@ enum class Verb : std::uint8_t {
   Step,
   Health,
   StatsVerb,
-  Shutdown,
+  Shutdown, ///< Last: per-verb tables are sized by it.
 };
 
 const char *verbName(Verb V);

@@ -13,6 +13,7 @@
 #include "support/Stats.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -39,6 +40,20 @@ std::uint64_t nowUs() {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+/// The `service.latency_us.<verb>` histogram of \p V, bound once per
+/// verb so a request pays no name building or registry lookup.
+StatHistogram &latencyHistogram(Verb V) {
+  constexpr std::size_t NumVerbs = static_cast<std::size_t>(Verb::Shutdown) + 1;
+  static const std::array<StatHistogram *, NumVerbs> Table = [] {
+    std::array<StatHistogram *, NumVerbs> T{};
+    for (std::size_t I = 0; I < NumVerbs; ++I)
+      T[I] = &Stats::histogram(std::string("service.latency_us.") +
+                               verbName(static_cast<Verb>(I)));
+    return T;
+  }();
+  return *Table[static_cast<std::size_t>(V)];
 }
 
 /// Reads a whole file; nullopt on error or when larger than \p MaxBytes.
@@ -577,8 +592,7 @@ std::string ServiceCore::execute(
     break;
   }
   // Per-verb latency histogram (diagnostic only; never in a response).
-  Stats::histogram(std::string("service.latency_us.") + verbName(R.V))
-      .record(nowUs() - T0);
+  latencyHistogram(R.V).record(nowUs() - T0);
   return Resp;
 }
 

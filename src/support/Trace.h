@@ -24,8 +24,8 @@
 /// on can never change a verdict, a transformed module, or a campaign
 /// report (tests/trace_invariance_test.cpp holds the system to this).
 ///
-/// Deterministic capture: campaign workers run each (seed, mode) unit
-/// under a TraceCapture, which diverts the calling thread's events into
+/// Deterministic capture: campaign workers run each unit (a seed, or a
+/// (seed, fault-point) pair) under a TraceCapture, which diverts the calling thread's events into
 /// a private buffer with timestamps rebased to the capture start.  The
 /// campaign merge then concatenates unit buffers in seed-major order
 /// with the unit ordinal as the tid, so the *event sequence* of a merged

@@ -4,10 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BackendDigest.h"
 #include "TestCompile.h"
 #include "codegen/MachineVerifier.h"
 #include "codegen/RegAlloc.h"
 #include "codegen/Scheduler.h"
+#include "eval/Levels.h"
 #include "ir/IRPrinter.h"
 #include "ir/Interp.h"
 #include "vm/Machine.h"
@@ -308,6 +310,47 @@ TEST(VM, ResidenceBitsCoverLiveRange) {
   EXPECT_TRUE(It->second.any());
   // The last instruction (ret) is past x's live range.
   EXPECT_FALSE(It->second.test(It->second.size() - 1));
+}
+
+namespace {
+
+/// The back-end digest of a whole build.
+std::uint64_t digestOf(const MachineModule &MM) {
+  Fnv1a H;
+  for (const MachineFunction &MF : MM.Funcs)
+    hashFunction(H, MF, MM.Info);
+  return H.H;
+}
+
+} // namespace
+
+// The lockstep oracles compile each program's optimized IR once and
+// lower it promoted, then in frame slots.  Each lowering must equal a
+// fresh compile of the source in its mode, by the back-end digest's hash
+// (the pipeline never reads CodegenOptions; the back end reads the IR as
+// const and leaves it as it was), in either order, at every judgeable
+// level, over the back-end digest's corpus.
+TEST(Lowering, SharedOptimizedModuleMatchesFreshCompiles) {
+  for (const auto &[Name, Src] : digestCorpus())
+    for (const LevelSpec &Spec : pipelineLevels()) {
+      if (!judgeable(Spec))
+        continue;
+      SCOPED_TRACE(Name + " at " + Spec.Name);
+      Expected<std::unique_ptr<IRModule>> IR =
+          compileOptimizedIR(Src, Spec.Opts);
+      ASSERT_TRUE(IR) << IR.status().str();
+      const std::string Optimized = printModule(**IR);
+      for (bool Promote : {true, false, true}) {
+        const CodegenOptions CG{Promote, /*Schedule=*/false};
+        Expected<MachineModule> Shared = lowerModule(**IR, CG);
+        ASSERT_TRUE(Shared) << Shared.status().str();
+        CompiledModule Fresh = compileOrAbort(Src, Spec.Opts, CG);
+        ASSERT_EQ(digestOf(*Shared), digestOf(Fresh.MM))
+            << "promote=" << Promote;
+      }
+      EXPECT_EQ(printModule(**IR), Optimized)
+          << "lowering changed the optimized IR";
+    }
 }
 
 TEST(Scheduler, PreservesSemantics) {

@@ -16,7 +16,9 @@
 //    (the undefended FaultInjector points) must be caught;
 //  * the reproducer shrinker must preserve the predicate while shrinking;
 //  * reproducers name the command that re-judges them under their oracle,
-//    and sldb-fuzz refuses flags the selected oracle would ignore.
+//    and sldb-fuzz refuses flags the selected oracle would ignore;
+//  * judging both modes from one SharedBuilds gives, field by field, the
+//    results of compiling each mode on its own.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,15 +27,19 @@
 #include "fuzz/CampaignEngine.h"
 #include "fuzz/ProgramGen.h"
 #include "fuzz/Reduce.h"
+#include "fuzz/StepOracle.h"
 #include "ir/IRGen.h"
 #include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <tuple>
 
 #include <sys/wait.h>
 
@@ -73,6 +79,104 @@ std::string failureSummary(const CampaignResult &R) {
 struct FaultGuard {
   ~FaultGuard() { FaultInjector::disarm(); }
 };
+
+/// A double's exact bits, so -0.0 and NaN payloads compare too.
+std::uint64_t bitsOf(double D) {
+  std::uint64_t B;
+  std::memcpy(&B, &D, sizeof B);
+  return B;
+}
+
+/// Every field of a scope report, the warning text included, as a
+/// comparable and printable tuple.
+auto fields(const VarReport &R) {
+  const Classification &C = R.Class;
+  const MRecovery &Q = C.Recovery;
+  return std::make_tuple(
+      R.Var, std::string_view(R.Name), static_cast<int>(C.Kind),
+      static_cast<int>(C.Cause), C.CulpritStmt, C.Recoverable,
+      static_cast<int>(Q.K), Q.Imm, bitsOf(Q.FImm),
+      static_cast<int>(Q.R.Cls), Q.R.N, Q.Frame, Q.Scale, Q.IsIV,
+      static_cast<int>(Q.SrcVreg.Cls), Q.SrcVreg.N, Q.SrcVar, C.Degraded,
+      R.HasValue, R.IsDouble, R.IntValue, bitsOf(R.DoubleValue),
+      std::string_view(R.Warning));
+}
+
+/// Both reports of an observation and its table, init, raw and pointer
+/// facts.
+auto fields(const VarObservation &V) {
+  return std::tuple_cat(fields(V.Expected), fields(V.Opt),
+                        std::make_tuple(V.OptTableResident,
+                                        V.ExpectedInitAllPaths, V.RawValid,
+                                        V.RawIsDouble, V.RawInt,
+                                        bitsOf(V.RawDouble), V.IsPtr));
+}
+
+/// The run-level fields of a lockstep result: outcome, end states,
+/// outputs and the machine-level evidence counts.
+auto fields(const LockstepResult &R) {
+  return std::make_tuple(
+      R.Compiled, std::string_view(R.CompileError),
+      std::string_view(R.PairError), R.Stops.size(), R.Firings.size(),
+      static_cast<int>(R.ExpectedEnd), static_cast<int>(R.OptEnd),
+      R.ExpectedExit, R.OptExit, std::string_view(R.ExpectedOutput),
+      std::string_view(R.OptOutput), R.NumHoisted, R.NumSunk,
+      R.NumDeadMarks, R.NumAvailMarks, R.NumSRRecords);
+}
+
+auto fields(const StepResult &R) {
+  return std::make_tuple(R.Compiled, std::string_view(R.CompileError),
+                         R.Capped, R.Visits.size(),
+                         static_cast<int>(R.SrcEnd),
+                         static_cast<int>(R.OptEnd), R.SrcExit, R.OptExit,
+                         std::string_view(R.SrcOutput),
+                         std::string_view(R.OptOutput));
+}
+
+auto fields(const StepVisit &V) {
+  return std::make_tuple(V.Func, V.Stmt, V.Line, V.SrcVisits, V.OptVisits,
+                         V.OptHasCode, V.OptAnchored);
+}
+
+template <class Tuple> std::string show(const Tuple &T) {
+  std::ostringstream OS;
+  std::apply([&](const auto &...X) { ((OS << X << ' '), ...); }, T);
+  return OS.str();
+}
+
+/// Fails naming \p What unless \p A and \p B agree in every field.
+template <class T>
+::testing::AssertionResult same(const T &A, const T &B,
+                                const std::string &What) {
+  if (fields(A) == fields(B))
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << What << "\n  shared: " << show(fields(A))
+         << "\n  fresh:  " << show(fields(B));
+}
+
+void expectSameResult(const LockstepResult &A, const LockstepResult &B) {
+  ASSERT_TRUE(same(A, B, "run"));
+  for (std::size_t I = 0; I < A.Firings.size(); ++I)
+    ASSERT_EQ(std::tie(A.Firings[I].Name, A.Firings[I].Changed),
+              std::tie(B.Firings[I].Name, B.Firings[I].Changed));
+  for (std::size_t S = 0; S < A.Stops.size(); ++S) {
+    const StopObservation &X = A.Stops[S], &Y = B.Stops[S];
+    ASSERT_EQ(std::make_tuple(X.Func, X.Stmt, X.Vars.size()),
+              std::make_tuple(Y.Func, Y.Stmt, Y.Vars.size()))
+        << "stop " << S;
+    for (std::size_t V = 0; V < X.Vars.size(); ++V)
+      ASSERT_TRUE(same(X.Vars[V], Y.Vars[V],
+                       "stop " + std::to_string(S) + " var " +
+                           std::to_string(V)));
+  }
+}
+
+void expectSameResult(const StepResult &A, const StepResult &B) {
+  ASSERT_TRUE(same(A, B, "stepping run"));
+  for (std::size_t V = 0; V < A.Visits.size(); ++V)
+    ASSERT_TRUE(same(A.Visits[V], B.Visits[V], "visit " + std::to_string(V)));
+}
 
 } // namespace
 
@@ -180,6 +284,39 @@ TEST(FuzzDiff, BrokenDeadReachKillIsCaught) {
         Viol.Kind == ViolationKind::WrongRecovery)
       SawBadValue = true;
   EXPECT_TRUE(SawBadValue) << V.front().str();
+}
+
+// The diff and step campaigns judge each seed in both modes from one
+// SharedBuilds (one optimizer run, one reference, one lowering per mode).
+// Every field of every result must equal what compiling the mode on its
+// own gives, for the frame mode lowered second as for the promote mode
+// lowered first.
+TEST(FuzzDiff, SharedBuildsJudgeLikePerModeCompiles) {
+  for (bool Alias : {false, true})
+    for (std::uint32_t Seed = 1; Seed <= 200; ++Seed) {
+      GenOptions GO;
+      GO.Alias = Alias;
+      const std::string Src = generateProgram(Seed, GO);
+      SCOPED_TRACE("seed " + std::to_string(Seed) +
+                   (Alias ? " --alias" : ""));
+      SharedBuilds Builds(Src, LockstepOptions::lockstepOpts(),
+                          /*Instrument=*/true);
+      for (bool Promote : {true, false}) {
+        SCOPED_TRACE(Promote ? "promote" : "frame");
+        LockstepOptions LO;
+        LO.Promote = Promote;
+        LO.InstrumentPasses = true;
+        LockstepResult Shared = runLockstep(Builds, LO);
+        ASSERT_TRUE(Shared.Compiled) << Shared.CompileError;
+        ASSERT_FALSE(Shared.Stops.empty());
+        expectSameResult(Shared, runLockstep(Src, LO));
+
+        StepOracleOptions SO;
+        SO.Promote = Promote;
+        expectSameResult(runStepLockstep(Builds, SO),
+                         runStepLockstep(Src, SO));
+      }
+    }
 }
 
 TEST(FuzzDiff, ShrinkerPreservesPredicateAndShrinks) {

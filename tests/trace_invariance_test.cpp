@@ -82,7 +82,8 @@ TEST(TraceInvariance, CampaignReportByteIdenticalWithTracingOn) {
       << "enabling tracing changed the campaign report (observer effect)";
 
   // The trace itself was produced (when compiled in): campaign.unit
-  // spans in seed-major order, tid = 1-based unit ordinal.
+  // spans in seed-major order, tid = 1-based unit ordinal (one unit per
+  // seed).
   if (Trace::compiledIn()) {
     ASSERT_FALSE(On.Trace.empty());
     std::uint32_t MaxTid = 0;
@@ -91,7 +92,7 @@ TEST(TraceInvariance, CampaignReportByteIdenticalWithTracingOn) {
       ASSERT_GE(E.Tid, MaxTid); // Seed-major merge: tids nondecreasing.
       MaxTid = E.Tid;
     }
-    EXPECT_EQ(MaxTid, On.Runs);
+    EXPECT_EQ(MaxTid, On.Programs);
   } else {
     EXPECT_TRUE(On.Trace.empty());
   }

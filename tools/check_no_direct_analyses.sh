@@ -14,6 +14,12 @@
 #     eval/Compile.cpp (compileModule) calls compileToMachineE, so error
 #     handling, arena budgets and the pipeline config stay in one driver.
 #     codegen/ISel declares and defines it.
+#  4. The lockstep campaigns build their modules once per program: the
+#     differential, stepping and cross-level oracles (fuzz/Campaign.cpp,
+#     fuzz/QualityCampaign.cpp, fuzz/StepOracle.cpp) call none of
+#     compileModule, compileOptimizedIR, lowerModule, compileToIR and
+#     runPipelineEx.  They compile through fuzz/Oracle's SharedBuilds
+#     (or judge builds the cross-level sweep already made).
 #
 # src/analysis is exempt from rules 1 and 2 (the manager, the analyses
 # and the solver live there), and tests, benches and perfbench from all
@@ -58,6 +64,18 @@ if [ -n "$BACKENDS" ]; then
   echo "compile through compileModule (see src/eval/Compile.h)" >&2
   exit 1
 fi
+COMPILES=$(grep -En '\b(compileModule|compileOptimizedIR|lowerModule|compileToIR|runPipelineEx)[[:space:]]*\(' \
+             src/fuzz/Campaign.cpp src/fuzz/QualityCampaign.cpp \
+             src/fuzz/StepOracle.cpp |
+           grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+
+if [ -n "$COMPILES" ]; then
+  echo "error: a lockstep campaign compiles outside SharedBuilds:" >&2
+  echo "$COMPILES" >&2
+  echo "compile through SharedBuilds (see src/fuzz/Oracle.h)" >&2
+  exit 1
+fi
 echo "OK: src/opt and src/core construct no IR analysis directly;" \
      "only codegen/MachineFlow.cpp solves machine-code data flow;" \
-     "only eval/Compile.cpp calls compileToMachineE"
+     "only eval/Compile.cpp calls compileToMachineE;" \
+     "the lockstep campaigns compile only through SharedBuilds"
