@@ -9,42 +9,53 @@
 #include "frontend/Lexer.h"
 #include "support/Casting.h"
 
+#include <algorithm>
+
 using namespace sldb;
+
+/// First arena slab for a unit of \p SourceBytes: MiniC trees take six
+/// to nine bytes of nodes and lists per source byte, so most units fit in
+/// one slab.
+static std::size_t firstSlabBytes(std::size_t SourceBytes) {
+  return std::clamp<std::size_t>(SourceBytes * 10, 4096, std::size_t(1) << 20);
+}
+
+TranslationUnit::TranslationUnit(std::size_t SourceBytes)
+    : Nodes(firstSlabBytes(SourceBytes)) {}
 
 std::unique_ptr<TranslationUnit>
 Parser::parseSource(std::string_view Source, DiagnosticEngine &Diags) {
-  Lexer Lex(Source, Diags);
-  std::vector<Token> Tokens = Lex.lexAll();
-  if (Diags.hasErrors())
+  auto TU = std::make_unique<TranslationUnit>(Source.size());
+  Lexer Lex(Source, Diags, TU->Symbols);
+  // With errors already reported, only the lexer's are added.
+  if (Diags.hasErrors()) {
+    Lex.drain();
     return nullptr;
-  Parser P(std::move(Tokens), Diags);
-  return P.parse();
+  }
+  Parser P(Lex, *TU, Diags);
+  if (!P.parse())
+    return nullptr;
+  return TU;
 }
 
-bool Parser::accept(TokKind K) {
-  if (!at(K))
-    return false;
-  consume();
-  return true;
-}
-
-bool Parser::expect(TokKind K, const char *Context) {
-  if (accept(K))
-    return true;
+bool Parser::expected(TokKind K, const char *Context) {
   errorAtCur(std::string("expected ") + tokKindName(K) + " " + Context +
              ", found " + tokKindName(cur().Kind));
   return false;
 }
 
 void Parser::errorAtCur(const std::string &Message) {
-  if (!HadError)
-    Diags.error(cur().Loc, Message);
+  if (HadError)
+    return;
   HadError = true;
+  // Only the first error is reported, and only if the rest of the
+  // buffer lexes cleanly.
+  Lex.drain();
+  if (!Lex.hadError())
+    Diags.error(cur().Loc, Message);
 }
 
-bool Parser::atDepthLimit() {
-  if (Depth <= MaxRecursionDepth)
-    return false;
+bool Parser::reportDepthLimit() {
   errorAtCur("nesting too deep (parser recursion limit " +
              std::to_string(MaxRecursionDepth) + " exceeded)");
   return true;
@@ -82,18 +93,19 @@ bool Parser::parseType(QualType &Ty) {
   return true;
 }
 
-std::unique_ptr<TranslationUnit> Parser::parse() {
-  auto TU = std::make_unique<TranslationUnit>();
+bool Parser::parse() {
   while (!at(TokKind::Eof) && !HadError) {
-    if (!parseGlobal(*TU))
-      return nullptr;
+    if (!parseGlobal())
+      return false;
   }
-  if (HadError)
-    return nullptr;
-  return TU;
+  if (HadError || Lex.hadError())
+    return false;
+  TU.Globals = TU.list(Globals.data(), Globals.size());
+  TU.Functions = TU.list(Functions.data(), Functions.size());
+  return true;
 }
 
-bool Parser::parseGlobal(TranslationUnit &TU) {
+bool Parser::parseGlobal() {
   SourceLoc Loc = cur().Loc;
   QualType Ty;
   if (!parseType(Ty))
@@ -102,20 +114,20 @@ bool Parser::parseGlobal(TranslationUnit &TU) {
     errorAtCur("expected identifier after type");
     return false;
   }
-  std::string Name = consume().Text;
+  Symbol Name = consume().Sym;
 
   if (at(TokKind::LParen)) {
-    auto FD = parseFunction(Ty, std::move(Name), Loc);
+    FuncDecl *FD = parseFunction(Ty, Name, Loc);
     if (!FD)
       return false;
-    TU.Functions.push_back(std::move(FD));
+    Functions.push_back(FD);
     return true;
   }
 
   // Global variable.
   VarDecl Decl;
   Decl.Loc = Loc;
-  Decl.Name = std::move(Name);
+  Decl.Name = Name;
   Decl.Ty = Ty;
   if (accept(TokKind::LBracket)) {
     if (!at(TokKind::IntLiteral)) {
@@ -132,25 +144,24 @@ bool Parser::parseGlobal(TranslationUnit &TU) {
   }
   if (!expect(TokKind::Semicolon, "after global declaration"))
     return false;
-  TU.Globals.push_back(std::move(Decl));
+  Globals.push_back(Decl);
   return true;
 }
 
-std::unique_ptr<FuncDecl> Parser::parseFunction(QualType RetTy,
-                                                std::string Name,
-                                                SourceLoc Loc) {
-  auto FD = std::make_unique<FuncDecl>();
+FuncDecl *Parser::parseFunction(QualType RetTy, Symbol Name, SourceLoc Loc) {
+  FuncDecl *FD = TU.make<FuncDecl>();
   FD->Loc = Loc;
-  FD->Name = std::move(Name);
+  FD->Name = Name;
   FD->RetTy = RetTy;
   expect(TokKind::LParen, "after function name");
+  Params.clear();
   if (!accept(TokKind::RParen)) {
     do {
       SourceLoc PLoc = cur().Loc;
       QualType PTy;
       if (!parseType(PTy))
         return nullptr;
-      if (PTy.isVoid() && FD->Params.empty() && at(TokKind::RParen)) {
+      if (PTy.isVoid() && Params.empty() && at(TokKind::RParen)) {
         // `f(void)` style empty parameter list.
         break;
       }
@@ -161,20 +172,20 @@ std::unique_ptr<FuncDecl> Parser::parseFunction(QualType RetTy,
       VarDecl P;
       P.Loc = PLoc;
       P.Ty = PTy;
-      P.Name = consume().Text;
-      FD->Params.push_back(std::move(P));
+      P.Name = consume().Sym;
+      Params.push_back(P);
     } while (accept(TokKind::Comma));
     if (!expect(TokKind::RParen, "after parameter list"))
       return nullptr;
   }
+  FD->Params = TU.list(Params.data(), Params.size());
   if (!at(TokKind::LBrace)) {
     errorAtCur("expected function body");
     return nullptr;
   }
-  StmtPtr Body = parseCompound();
-  if (!Body)
+  FD->Body = parseCompound();
+  if (!FD->Body)
     return nullptr;
-  FD->Body.reset(cast<CompoundStmt>(Body.release()));
   return FD;
 }
 
@@ -185,7 +196,7 @@ bool Parser::parseVarDecl(QualType BaseTy, VarDecl &Decl) {
     errorAtCur("expected variable name");
     return false;
   }
-  Decl.Name = consume().Text;
+  Decl.Name = consume().Sym;
   if (accept(TokKind::LBracket)) {
     if (!at(TokKind::IntLiteral)) {
       errorAtCur("expected constant array size");
@@ -207,7 +218,7 @@ bool Parser::parseVarDecl(QualType BaseTy, VarDecl &Decl) {
 // Statements
 //===----------------------------------------------------------------------===//
 
-StmtPtr Parser::parseStmt() {
+Stmt *Parser::parseStmt() {
   DepthScope Scope(*this);
   if (atDepthLimit())
     return nullptr;
@@ -224,7 +235,7 @@ StmtPtr Parser::parseStmt() {
     return parseFor();
   case TokKind::KwReturn: {
     SourceLoc Loc = consume().Loc;
-    ExprPtr Value;
+    Expr *Value = nullptr;
     if (!at(TokKind::Semicolon)) {
       Value = parseExpr();
       if (!Value)
@@ -232,106 +243,105 @@ StmtPtr Parser::parseStmt() {
     }
     if (!expect(TokKind::Semicolon, "after return"))
       return nullptr;
-    return std::make_unique<ReturnStmt>(Loc, std::move(Value));
+    return TU.make<ReturnStmt>(Loc, Value);
   }
   case TokKind::KwBreak: {
     SourceLoc Loc = consume().Loc;
     if (!expect(TokKind::Semicolon, "after break"))
       return nullptr;
-    return std::make_unique<BreakStmt>(Loc);
+    return TU.make<BreakStmt>(Loc);
   }
   case TokKind::KwContinue: {
     SourceLoc Loc = consume().Loc;
     if (!expect(TokKind::Semicolon, "after continue"))
       return nullptr;
-    return std::make_unique<ContinueStmt>(Loc);
+    return TU.make<ContinueStmt>(Loc);
   }
   case TokKind::Semicolon: {
     SourceLoc Loc = consume().Loc;
-    return std::make_unique<EmptyStmt>(Loc);
+    return TU.make<EmptyStmt>(Loc);
   }
   default:
     if (atTypeStart())
       return parseDeclStmt();
     SourceLoc Loc = cur().Loc;
-    ExprPtr E = parseExpr();
+    Expr *E = parseExpr();
     if (!E)
       return nullptr;
     if (!expect(TokKind::Semicolon, "after expression"))
       return nullptr;
-    return std::make_unique<ExprStmt>(Loc, std::move(E));
+    return TU.make<ExprStmt>(Loc, E);
   }
 }
 
-StmtPtr Parser::parseCompound() {
+CompoundStmt *Parser::parseCompound() {
   SourceLoc Loc = cur().Loc;
   expect(TokKind::LBrace, "to open block");
-  std::vector<StmtPtr> Body;
+  const std::size_t Mark = StmtStack.size();
   while (!at(TokKind::RBrace) && !at(TokKind::Eof) && !HadError) {
-    StmtPtr S = parseStmt();
+    Stmt *S = parseStmt();
     if (!S)
       return nullptr;
-    Body.push_back(std::move(S));
+    StmtStack.push_back(S);
   }
   if (!expect(TokKind::RBrace, "to close block"))
     return nullptr;
-  return std::make_unique<CompoundStmt>(Loc, std::move(Body));
+  return TU.make<CompoundStmt>(Loc, popList(StmtStack, Mark));
 }
 
-StmtPtr Parser::parseIf() {
+Stmt *Parser::parseIf() {
   SourceLoc Loc = consume().Loc; // 'if'
   if (!expect(TokKind::LParen, "after 'if'"))
     return nullptr;
-  ExprPtr Cond = parseExpr();
+  Expr *Cond = parseExpr();
   if (!Cond || !expect(TokKind::RParen, "after if condition"))
     return nullptr;
-  StmtPtr Then = parseStmt();
+  Stmt *Then = parseStmt();
   if (!Then)
     return nullptr;
-  StmtPtr Else;
+  Stmt *Else = nullptr;
   if (accept(TokKind::KwElse)) {
     Else = parseStmt();
     if (!Else)
       return nullptr;
   }
-  return std::make_unique<IfStmt>(Loc, std::move(Cond), std::move(Then),
-                                  std::move(Else));
+  return TU.make<IfStmt>(Loc, Cond, Then, Else);
 }
 
-StmtPtr Parser::parseWhile() {
+Stmt *Parser::parseWhile() {
   SourceLoc Loc = consume().Loc; // 'while'
   if (!expect(TokKind::LParen, "after 'while'"))
     return nullptr;
-  ExprPtr Cond = parseExpr();
+  Expr *Cond = parseExpr();
   if (!Cond || !expect(TokKind::RParen, "after while condition"))
     return nullptr;
-  StmtPtr Body = parseStmt();
+  Stmt *Body = parseStmt();
   if (!Body)
     return nullptr;
-  return std::make_unique<WhileStmt>(Loc, std::move(Cond), std::move(Body));
+  return TU.make<WhileStmt>(Loc, Cond, Body);
 }
 
-StmtPtr Parser::parseDo() {
+Stmt *Parser::parseDo() {
   SourceLoc Loc = consume().Loc; // 'do'
-  StmtPtr Body = parseStmt();
+  Stmt *Body = parseStmt();
   if (!Body)
     return nullptr;
   if (!expect(TokKind::KwWhile, "after do body") ||
       !expect(TokKind::LParen, "after 'while'"))
     return nullptr;
-  ExprPtr Cond = parseExpr();
+  Expr *Cond = parseExpr();
   if (!Cond || !expect(TokKind::RParen, "after do-while condition") ||
       !expect(TokKind::Semicolon, "after do-while"))
     return nullptr;
-  return std::make_unique<DoStmt>(Loc, std::move(Body), std::move(Cond));
+  return TU.make<DoStmt>(Loc, Body, Cond);
 }
 
-StmtPtr Parser::parseFor() {
+Stmt *Parser::parseFor() {
   SourceLoc Loc = consume().Loc; // 'for'
   if (!expect(TokKind::LParen, "after 'for'"))
     return nullptr;
 
-  StmtPtr Init;
+  Stmt *Init = nullptr;
   if (accept(TokKind::Semicolon)) {
     // No init.
   } else if (atTypeStart()) {
@@ -340,13 +350,13 @@ StmtPtr Parser::parseFor() {
       return nullptr;
   } else {
     SourceLoc ILoc = cur().Loc;
-    ExprPtr E = parseExpr();
+    Expr *E = parseExpr();
     if (!E || !expect(TokKind::Semicolon, "after for-init"))
       return nullptr;
-    Init = std::make_unique<ExprStmt>(ILoc, std::move(E));
+    Init = TU.make<ExprStmt>(ILoc, E);
   }
 
-  ExprPtr Cond;
+  Expr *Cond = nullptr;
   if (!at(TokKind::Semicolon)) {
     Cond = parseExpr();
     if (!Cond)
@@ -355,7 +365,7 @@ StmtPtr Parser::parseFor() {
   if (!expect(TokKind::Semicolon, "after for-condition"))
     return nullptr;
 
-  ExprPtr Inc;
+  Expr *Inc = nullptr;
   if (!at(TokKind::RParen)) {
     Inc = parseExpr();
     if (!Inc)
@@ -364,14 +374,13 @@ StmtPtr Parser::parseFor() {
   if (!expect(TokKind::RParen, "after for-increment"))
     return nullptr;
 
-  StmtPtr Body = parseStmt();
+  Stmt *Body = parseStmt();
   if (!Body)
     return nullptr;
-  return std::make_unique<ForStmt>(Loc, std::move(Init), std::move(Cond),
-                                   std::move(Inc), std::move(Body));
+  return TU.make<ForStmt>(Loc, Init, Cond, Inc, Body);
 }
 
-StmtPtr Parser::parseDeclStmt() {
+Stmt *Parser::parseDeclStmt() {
   SourceLoc Loc = cur().Loc;
   QualType Ty;
   if (!parseType(Ty))
@@ -385,14 +394,14 @@ StmtPtr Parser::parseDeclStmt() {
     return nullptr;
   if (!expect(TokKind::Semicolon, "after declaration"))
     return nullptr;
-  return std::make_unique<DeclStmt>(Loc, std::move(Decl));
+  return TU.make<DeclStmt>(Loc, Decl);
 }
 
 //===----------------------------------------------------------------------===//
 // Expressions
 //===----------------------------------------------------------------------===//
 
-ExprPtr Parser::parseExpr() { return parseAssignment(); }
+Expr *Parser::parseExpr() { return parseAssignment(); }
 
 static bool isAssignTok(TokKind K) {
   switch (K) {
@@ -427,89 +436,88 @@ static AssignOp assignOpFor(TokKind K) {
   }
 }
 
-ExprPtr Parser::parseAssignment() {
-  ExprPtr LHS = parseTernary();
+Expr *Parser::parseAssignment() {
+  Expr *LHS = parseTernary();
   if (!LHS)
     return nullptr;
   if (!isAssignTok(cur().Kind))
     return LHS;
   Token Op = consume();
-  ExprPtr RHS = parseAssignment();
+  Expr *RHS = parseAssignment();
   if (!RHS)
     return nullptr;
-  return std::make_unique<AssignExpr>(Op.Loc, assignOpFor(Op.Kind),
-                                      std::move(LHS), std::move(RHS));
+  return TU.make<AssignExpr>(Op.Loc, assignOpFor(Op.Kind), LHS, RHS);
 }
 
-ExprPtr Parser::parseTernary() {
-  ExprPtr Cond = parseBinary(0);
+Expr *Parser::parseTernary() {
+  Expr *Cond = parseBinary(0);
   if (!Cond)
     return nullptr;
   if (!at(TokKind::Question))
     return Cond;
   SourceLoc Loc = consume().Loc;
-  ExprPtr Then = parseExpr();
+  Expr *Then = parseExpr();
   if (!Then || !expect(TokKind::Colon, "in conditional expression"))
     return nullptr;
-  ExprPtr Else = parseTernary();
+  Expr *Else = parseTernary();
   if (!Else)
     return nullptr;
-  return std::make_unique<TernaryExpr>(Loc, std::move(Cond), std::move(Then),
-                                       std::move(Else));
+  return TU.make<TernaryExpr>(Loc, Cond, Then, Else);
 }
 
 namespace {
 struct BinOpInfo {
-  TokKind Tok;
-  BinaryOp Op;
-  int Prec;
+  BinaryOp Op = BinaryOp::Add;
+  int Prec = 0; ///< 0 = not a binary operator.
 };
+
+/// Binary operator and precedence of each token kind.
+struct BinOpTable {
+  BinOpInfo Info[static_cast<std::size_t>(TokKind::Unknown) + 1];
+  constexpr BinOpTable() {
+    set(TokKind::PipePipe, BinaryOp::LogOr, 1);
+    set(TokKind::AmpAmp, BinaryOp::LogAnd, 2);
+    set(TokKind::Pipe, BinaryOp::Or, 3);
+    set(TokKind::Caret, BinaryOp::Xor, 4);
+    set(TokKind::Amp, BinaryOp::And, 5);
+    set(TokKind::EqEq, BinaryOp::EQ, 6);
+    set(TokKind::BangEq, BinaryOp::NE, 6);
+    set(TokKind::Less, BinaryOp::LT, 7);
+    set(TokKind::LessEq, BinaryOp::LE, 7);
+    set(TokKind::Greater, BinaryOp::GT, 7);
+    set(TokKind::GreaterEq, BinaryOp::GE, 7);
+    set(TokKind::Shl, BinaryOp::Shl, 8);
+    set(TokKind::Shr, BinaryOp::Shr, 8);
+    set(TokKind::Plus, BinaryOp::Add, 9);
+    set(TokKind::Minus, BinaryOp::Sub, 9);
+    set(TokKind::Star, BinaryOp::Mul, 10);
+    set(TokKind::Slash, BinaryOp::Div, 10);
+    set(TokKind::Percent, BinaryOp::Rem, 10);
+  }
+  constexpr void set(TokKind K, BinaryOp Op, int Prec) {
+    Info[static_cast<std::size_t>(K)] = {Op, Prec};
+  }
+};
+constexpr BinOpTable BinOps;
 } // namespace
 
-static const BinOpInfo *binOpInfo(TokKind K) {
-  static const BinOpInfo Table[] = {
-      {TokKind::PipePipe, BinaryOp::LogOr, 1},
-      {TokKind::AmpAmp, BinaryOp::LogAnd, 2},
-      {TokKind::Pipe, BinaryOp::Or, 3},
-      {TokKind::Caret, BinaryOp::Xor, 4},
-      {TokKind::Amp, BinaryOp::And, 5},
-      {TokKind::EqEq, BinaryOp::EQ, 6},
-      {TokKind::BangEq, BinaryOp::NE, 6},
-      {TokKind::Less, BinaryOp::LT, 7},
-      {TokKind::LessEq, BinaryOp::LE, 7},
-      {TokKind::Greater, BinaryOp::GT, 7},
-      {TokKind::GreaterEq, BinaryOp::GE, 7},
-      {TokKind::Shl, BinaryOp::Shl, 8},
-      {TokKind::Shr, BinaryOp::Shr, 8},
-      {TokKind::Plus, BinaryOp::Add, 9},
-      {TokKind::Minus, BinaryOp::Sub, 9},
-      {TokKind::Star, BinaryOp::Mul, 10},
-      {TokKind::Slash, BinaryOp::Div, 10},
-      {TokKind::Percent, BinaryOp::Rem, 10}};
-  for (const BinOpInfo &Info : Table)
-    if (Info.Tok == K)
-      return &Info;
-  return nullptr;
-}
-
-ExprPtr Parser::parseBinary(int MinPrec) {
-  ExprPtr LHS = parseUnary();
+Expr *Parser::parseBinary(int MinPrec) {
+  Expr *LHS = parseUnary();
   if (!LHS)
     return nullptr;
   for (;;) {
-    const BinOpInfo *Info = binOpInfo(cur().Kind);
-    if (!Info || Info->Prec < MinPrec)
+    const BinOpInfo &Info = BinOps.Info[static_cast<std::size_t>(cur().Kind)];
+    if (Info.Prec == 0 || Info.Prec < MinPrec)
       return LHS;
-    Token Op = consume();
-    ExprPtr RHS = parseBinary(Info->Prec + 1);
+    SourceLoc Loc = consume().Loc;
+    Expr *RHS = parseBinary(Info.Prec + 1);
     if (!RHS)
       return nullptr;
-    LHS = std::make_unique<BinaryExpr>(Op.Loc, Info->Op, std::move(LHS),
-                                       std::move(RHS));
+    LHS = TU.make<BinaryExpr>(Loc, Info.Op, LHS, RHS);
   }
 }
 
-ExprPtr Parser::parseUnary() {
+Expr *Parser::parseUnary() {
   DepthScope Scope(*this);
   if (atDepthLimit())
     return nullptr;
@@ -541,69 +549,64 @@ ExprPtr Parser::parseUnary() {
     return parsePostfix();
   }
   consume();
-  ExprPtr Sub = parseUnary();
+  Expr *Sub = parseUnary();
   if (!Sub)
     return nullptr;
-  return std::make_unique<UnaryExpr>(Loc, Op, std::move(Sub));
+  return TU.make<UnaryExpr>(Loc, Op, Sub);
 }
 
-ExprPtr Parser::parsePostfix() {
-  ExprPtr E = parsePrimary();
+Expr *Parser::parsePostfix() {
+  Expr *E = parsePrimary();
   if (!E)
     return nullptr;
   for (;;) {
     if (at(TokKind::LBracket)) {
       SourceLoc Loc = consume().Loc;
-      ExprPtr Index = parseExpr();
+      Expr *Index = parseExpr();
       if (!Index || !expect(TokKind::RBracket, "after index"))
         return nullptr;
-      E = std::make_unique<IndexExpr>(Loc, std::move(E), std::move(Index));
+      E = TU.make<IndexExpr>(Loc, E, Index);
       continue;
     }
     if (at(TokKind::PlusPlus) || at(TokKind::MinusMinus)) {
       Token Op = consume();
       UnaryOp K = Op.is(TokKind::PlusPlus) ? UnaryOp::PostInc
                                            : UnaryOp::PostDec;
-      E = std::make_unique<UnaryExpr>(Op.Loc, K, std::move(E));
+      E = TU.make<UnaryExpr>(Op.Loc, K, E);
       continue;
     }
     return E;
   }
 }
 
-ExprPtr Parser::parsePrimary() {
+Expr *Parser::parsePrimary() {
   SourceLoc Loc = cur().Loc;
   switch (cur().Kind) {
-  case TokKind::IntLiteral: {
-    Token T = consume();
-    return std::make_unique<IntLiteralExpr>(Loc, T.IntVal);
-  }
-  case TokKind::DoubleLiteral: {
-    Token T = consume();
-    return std::make_unique<DoubleLiteralExpr>(Loc, T.DoubleVal);
-  }
+  case TokKind::IntLiteral:
+    return TU.make<IntLiteralExpr>(Loc, consume().IntVal);
+  case TokKind::DoubleLiteral:
+    return TU.make<DoubleLiteralExpr>(Loc, consume().DoubleVal);
   case TokKind::Identifier: {
-    Token T = consume();
+    Symbol Name = consume().Sym;
     if (!at(TokKind::LParen))
-      return std::make_unique<VarRefExpr>(Loc, std::move(T.Text));
+      return TU.make<VarRefExpr>(Loc, Name);
     consume(); // '('
-    std::vector<ExprPtr> Args;
+    const std::size_t Mark = ExprStack.size();
     if (!accept(TokKind::RParen)) {
       do {
-        ExprPtr Arg = parseAssignment();
+        Expr *Arg = parseAssignment();
         if (!Arg)
           return nullptr;
-        Args.push_back(std::move(Arg));
+        ExprStack.push_back(Arg);
       } while (accept(TokKind::Comma));
       if (!expect(TokKind::RParen, "after call arguments"))
         return nullptr;
     }
-    return std::make_unique<CallExpr>(Loc, std::move(T.Text),
-                                      std::move(Args));
+    return TU.make<CallExpr>(Loc, Name, popList(ExprStack, Mark));
   }
   case TokKind::LParen: {
     consume();
-    ExprPtr E = parseExpr();
+    Expr *E = parseExpr();
     if (!E || !expect(TokKind::RParen, "to close parenthesized expression"))
       return nullptr;
     return E;

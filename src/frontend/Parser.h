@@ -7,7 +7,9 @@
 /// \file
 /// Recursive-descent parser for MiniC producing the AST of Ast.h.  Errors
 /// are reported to the DiagnosticEngine; parsing stops at the first error
-/// (the tools treat any error as fatal for the file).
+/// (the tools treat any error as fatal for the file).  Every node and
+/// child list is bump-allocated on the TranslationUnit's arena; the
+/// parser's own stacks hold a list only while it is being parsed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,61 +17,88 @@
 #define SLDB_FRONTEND_PARSER_H
 
 #include "frontend/Ast.h"
+#include "frontend/Lexer.h"
 #include "frontend/Token.h"
 #include "support/Diagnostics.h"
 
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 namespace sldb {
 
-/// Parses a token stream into a TranslationUnit.
+/// Parses a token stream into a TranslationUnit, allocating the tree on
+/// the unit's arena.
 class Parser {
 public:
-  Parser(std::vector<Token> Tokens, DiagnosticEngine &Diags)
-      : Tokens(std::move(Tokens)), Diags(Diags) {}
+  /// Pulls tokens from \p Lex, which must intern into \p TU's symbol
+  /// table.
+  Parser(Lexer &Lex, TranslationUnit &TU, DiagnosticEngine &Diags)
+      : Lex(Lex), TU(TU), Diags(Diags), Tok(Lex.next()) {}
 
-  /// Parses the whole unit.  Returns null on error.
-  std::unique_ptr<TranslationUnit> parse();
+  /// Parses the whole unit into the TranslationUnit.  Returns false on
+  /// error.  A lexical error anywhere in the buffer pre-empts every
+  /// parse error: the unit is rejected with the lexer's diagnostics
+  /// only.
+  bool parse();
 
-  /// Convenience: lex + parse a source buffer.
+  /// Convenience: lex + parse a source buffer.  Returns null on error.
   static std::unique_ptr<TranslationUnit> parseSource(std::string_view Source,
                                                       DiagnosticEngine &Diags);
 
 private:
-  const Token &cur() const { return Tokens[Pos]; }
-  const Token &peekAhead(unsigned N = 1) const {
-    return Tokens[Pos + N < Tokens.size() ? Pos + N : Tokens.size() - 1];
+  const Token &cur() const { return Tok; }
+  Token consume() {
+    Token T = Tok;
+    Tok = Lex.next();
+    return T;
   }
-  Token consume() { return Tokens[Pos++]; }
   bool at(TokKind K) const { return cur().is(K); }
-  bool accept(TokKind K);
-  bool expect(TokKind K, const char *Context);
+  bool accept(TokKind K) {
+    if (!at(K))
+      return false;
+    Tok = Lex.next();
+    return true;
+  }
+  bool expect(TokKind K, const char *Context) {
+    return accept(K) || expected(K, Context);
+  }
+  /// Reports a missing \p K; returns false.
+  bool expected(TokKind K, const char *Context);
   void errorAtCur(const std::string &Message);
 
   bool atTypeStart() const;
   bool parseType(QualType &Ty);
 
-  bool parseGlobal(TranslationUnit &TU);
-  std::unique_ptr<FuncDecl> parseFunction(QualType RetTy, std::string Name,
-                                          SourceLoc Loc);
+  bool parseGlobal();
+  FuncDecl *parseFunction(QualType RetTy, Symbol Name, SourceLoc Loc);
   bool parseVarDecl(QualType BaseTy, VarDecl &Decl);
 
-  StmtPtr parseStmt();
-  StmtPtr parseCompound();
-  StmtPtr parseIf();
-  StmtPtr parseWhile();
-  StmtPtr parseDo();
-  StmtPtr parseFor();
-  StmtPtr parseDeclStmt();
+  Stmt *parseStmt();
+  CompoundStmt *parseCompound();
+  Stmt *parseIf();
+  Stmt *parseWhile();
+  Stmt *parseDo();
+  Stmt *parseFor();
+  Stmt *parseDeclStmt();
 
-  ExprPtr parseExpr();
-  ExprPtr parseAssignment();
-  ExprPtr parseTernary();
-  ExprPtr parseBinary(int MinPrec);
-  ExprPtr parseUnary();
-  ExprPtr parsePostfix();
-  ExprPtr parsePrimary();
+  Expr *parseExpr();
+  Expr *parseAssignment();
+  Expr *parseTernary();
+  Expr *parseBinary(int MinPrec);
+  Expr *parseUnary();
+  Expr *parsePostfix();
+  Expr *parsePrimary();
+
+  /// Moves the items pushed on \p Stack since \p Mark into a child list
+  /// and pops them.  Nested lists share one stack.
+  template <typename T>
+  NodeList<T> popList(std::vector<T> &Stack, std::size_t Mark) {
+    NodeList<T> L = TU.list(Stack.data() + Mark, Stack.size() - Mark);
+    Stack.resize(Mark);
+    return L;
+  }
 
   /// Recursion-depth guard: adversarial input (thousands of nested
   /// parentheses or blocks) must yield a diagnostic through the
@@ -81,13 +110,24 @@ private:
     explicit DepthScope(Parser &P) : P(P) { ++P.Depth; }
     ~DepthScope() { --P.Depth; }
   };
-  bool atDepthLimit();
+  bool atDepthLimit() {
+    return Depth > MaxRecursionDepth && reportDepthLimit();
+  }
+  bool reportDepthLimit();
 
-  std::vector<Token> Tokens;
+  Lexer &Lex;
+  TranslationUnit &TU;
   DiagnosticEngine &Diags;
-  std::size_t Pos = 0;
+  Token Tok; ///< The current token.
   unsigned Depth = 0;
   bool HadError = false;
+
+  // Child lists under construction.
+  std::vector<Stmt *> StmtStack;
+  std::vector<Expr *> ExprStack;
+  std::vector<VarDecl> Params;
+  std::vector<VarDecl> Globals;
+  std::vector<FuncDecl *> Functions;
 };
 
 } // namespace sldb

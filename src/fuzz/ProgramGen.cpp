@@ -66,7 +66,7 @@ const GenWeights &GenWeights::fromBenchmarks() {
           break;
         case TokKind::Identifier:
           if (I + 1 < Toks.size() && Toks[I + 1].Kind == TokKind::LParen) {
-            if (Toks[I].Text == "print")
+            if (Toks[I].Sym == SymbolTable::Print)
               ++NPrint;
             else
               ++NCall;

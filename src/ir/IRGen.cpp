@@ -137,7 +137,7 @@ void IRGen::storeToVar(VarId Var, Value V) {
 
 void IRGen::genFunction(const FuncDecl &FD) {
   Cur = F.newBlock("entry");
-  genCompound(FD.Body.get());
+  genCompound(FD.Body);
   // Fall-through return.
   if (!Cur->hasTerm()) {
     Instr I;
@@ -165,8 +165,8 @@ void IRGen::genFunction(const FuncDecl &FD) {
 }
 
 void IRGen::genCompound(const CompoundStmt *S) {
-  for (const StmtPtr &Child : S->Body)
-    genStmt(Child.get());
+  for (const Stmt *Child : S->Body)
+    genStmt(Child);
 }
 
 void IRGen::genStmt(const Stmt *S) {
@@ -175,13 +175,13 @@ void IRGen::genStmt(const Stmt *S) {
   case Stmt::Kind::Decl: {
     const auto *DS = cast<DeclStmt>(S);
     if (DS->Decl.Init) {
-      Value V = genExpr(DS->Decl.Init.get());
+      Value V = genExpr(DS->Decl.Init);
       storeToVar(DS->Decl.Var, V);
     }
     return;
   }
   case Stmt::Kind::Expr:
-    genExpr(cast<ExprStmt>(S)->E.get());
+    genExpr(cast<ExprStmt>(S)->E);
     return;
   case Stmt::Kind::Compound:
     genCompound(cast<CompoundStmt>(S));
@@ -191,9 +191,9 @@ void IRGen::genStmt(const Stmt *S) {
     BasicBlock *ThenB = F.newBlock("then");
     BasicBlock *JoinB = F.newBlock("endif");
     BasicBlock *ElseB = IS->Else ? F.newBlock("else") : JoinB;
-    genCond(IS->Cond.get(), ThenB, ElseB);
+    genCond(IS->Cond, ThenB, ElseB);
     setBlock(ThenB);
-    genStmt(IS->Then.get());
+    genStmt(IS->Then);
     // Structural glue branches carry the control statement's id, not the
     // last inner statement's: a statement's breakpoint address must never
     // land on a lower-addressed join jump that executes after its code.
@@ -201,7 +201,7 @@ void IRGen::genStmt(const Stmt *S) {
     emitBr(JoinB);
     if (IS->Else) {
       setBlock(ElseB);
-      genStmt(IS->Else.get());
+      genStmt(IS->Else);
       CurStmt = S->Id;
       emitBr(JoinB);
     }
@@ -216,10 +216,10 @@ void IRGen::genStmt(const Stmt *S) {
     emitBr(CondB);
     setBlock(CondB);
     CurStmt = S->Id;
-    genCond(WS->Cond.get(), BodyB, ExitB);
+    genCond(WS->Cond, BodyB, ExitB);
     Loops.push_back({ExitB, CondB});
     setBlock(BodyB);
-    genStmt(WS->Body.get());
+    genStmt(WS->Body);
     CurStmt = S->Id; // Back edge belongs to the loop statement.
     emitBr(CondB);
     Loops.pop_back();
@@ -234,20 +234,20 @@ void IRGen::genStmt(const Stmt *S) {
     emitBr(BodyB);
     Loops.push_back({ExitB, CondB});
     setBlock(BodyB);
-    genStmt(DS->Body.get());
+    genStmt(DS->Body);
     CurStmt = S->Id;
     emitBr(CondB);
     Loops.pop_back();
     setBlock(CondB);
     CurStmt = S->Id;
-    genCond(DS->Cond.get(), BodyB, ExitB);
+    genCond(DS->Cond, BodyB, ExitB);
     setBlock(ExitB);
     return;
   }
   case Stmt::Kind::For: {
     const auto *FS = cast<ForStmt>(S);
     if (FS->Init)
-      genStmt(FS->Init.get());
+      genStmt(FS->Init);
     CurStmt = S->Id;
     BasicBlock *CondB = F.newBlock("for.cond");
     BasicBlock *BodyB = F.newBlock("for.body");
@@ -257,19 +257,19 @@ void IRGen::genStmt(const Stmt *S) {
     setBlock(CondB);
     CurStmt = S->Id;
     if (FS->Cond)
-      genCond(FS->Cond.get(), BodyB, ExitB);
+      genCond(FS->Cond, BodyB, ExitB);
     else
       emitBr(BodyB);
     Loops.push_back({ExitB, IncB});
     setBlock(BodyB);
-    genStmt(FS->Body.get());
+    genStmt(FS->Body);
     CurStmt = FS->IncId != InvalidStmt ? FS->IncId : S->Id;
     emitBr(IncB);
     Loops.pop_back();
     setBlock(IncB);
     CurStmt = FS->IncId;
     if (FS->Inc)
-      genExpr(FS->Inc.get());
+      genExpr(FS->Inc);
     emitBr(CondB);
     setBlock(ExitB);
     return;
@@ -279,7 +279,7 @@ void IRGen::genStmt(const Stmt *S) {
     Instr I;
     I.Op = Opcode::Ret;
     if (RS->Value)
-      I.Ops = {genExpr(RS->Value.get())};
+      I.Ops = {genExpr(RS->Value)};
     emit(std::move(I));
     // Code after a return in the same block is unreachable; give it a
     // fresh block so the CFG stays well-formed.
@@ -375,22 +375,22 @@ void IRGen::genCond(const Expr *E, BasicBlock *TrueB, BasicBlock *FalseB) {
   if (const auto *BE = dyn_cast<BinaryExpr>(E)) {
     if (BE->Op == BinaryOp::LogAnd) {
       BasicBlock *Mid = F.newBlock("and.rhs");
-      genCond(BE->LHS.get(), Mid, FalseB);
+      genCond(BE->LHS, Mid, FalseB);
       setBlock(Mid);
-      genCond(BE->RHS.get(), TrueB, FalseB);
+      genCond(BE->RHS, TrueB, FalseB);
       return;
     }
     if (BE->Op == BinaryOp::LogOr) {
       BasicBlock *Mid = F.newBlock("or.rhs");
-      genCond(BE->LHS.get(), TrueB, Mid);
+      genCond(BE->LHS, TrueB, Mid);
       setBlock(Mid);
-      genCond(BE->RHS.get(), TrueB, FalseB);
+      genCond(BE->RHS, TrueB, FalseB);
       return;
     }
   }
   if (const auto *UE = dyn_cast<UnaryExpr>(E)) {
     if (UE->Op == UnaryOp::LogNot) {
-      genCond(UE->Sub.get(), FalseB, TrueB);
+      genCond(UE->Sub, FalseB, TrueB);
       return;
     }
   }
@@ -422,13 +422,13 @@ Value IRGen::genAddr(const Expr *E) {
   }
   if (const auto *UE = dyn_cast<UnaryExpr>(E)) {
     if (UE->Op == UnaryOp::Deref)
-      return genExpr(UE->Sub.get());
+      return genExpr(UE->Sub);
     if (UE->Op == UnaryOp::AddrOf)
-      return genAddr(UE->Sub.get());
+      return genAddr(UE->Sub);
   }
   if (const auto *IE = dyn_cast<IndexExpr>(E)) {
-    Value Base = genExpr(IE->Base.get());
-    Value Idx = genExpr(IE->Index.get());
+    Value Base = genExpr(IE->Base);
+    Value Idx = genExpr(IE->Index);
     Value T = F.newTemp(IRType::Ptr);
     emitBinary(Opcode::Add, IRType::Ptr, T, Base, Idx);
     return T;
@@ -438,17 +438,17 @@ Value IRGen::genAddr(const Expr *E) {
 
 Value IRGen::genAssign(const AssignExpr *E) {
   // Simple variable target.
-  if (const auto *VR = dyn_cast<VarRefExpr>(E->Target.get());
+  if (const auto *VR = dyn_cast<VarRefExpr>(E->Target);
       VR && !VR->IsArray) {
     VarId Var = VR->Var;
     IRType Ty = varIRType(Var);
     Value RHS;
     if (E->Op == AssignOp::Plain) {
-      RHS = genExpr(E->Value.get());
+      RHS = genExpr(E->Value);
       storeToVar(Var, RHS);
     } else {
       Value Old = Value::var(Var, Ty);
-      Value New = genExpr(E->Value.get());
+      Value New = genExpr(E->Value);
       Value T = F.newTemp(Ty);
       emitBinary(opcodeForAssign(E->Op), Ty, T, Old, New);
       storeToVar(Var, T);
@@ -459,15 +459,15 @@ Value IRGen::genAssign(const AssignExpr *E) {
   // Memory target (deref or index).
   IRType ElemTy = irTypeFor(E->Target->Ty);
   Value Addr;
-  if (const auto *UE = dyn_cast<UnaryExpr>(E->Target.get());
+  if (const auto *UE = dyn_cast<UnaryExpr>(E->Target);
       UE && UE->Op == UnaryOp::Deref) {
-    Addr = genExpr(UE->Sub.get());
-  } else if (const auto *IE = dyn_cast<IndexExpr>(E->Target.get())) {
-    Value Base = genExpr(IE->Base.get());
-    Value Idx = genExpr(IE->Index.get());
+    Addr = genExpr(UE->Sub);
+  } else if (const auto *IE = dyn_cast<IndexExpr>(E->Target)) {
+    Value Base = genExpr(IE->Base);
+    Value Idx = genExpr(IE->Index);
     Addr = F.newTemp(IRType::Ptr);
     emitBinary(Opcode::Add, IRType::Ptr, Addr, Base, Idx);
-  } else if (const auto *VRA = dyn_cast<VarRefExpr>(E->Target.get())) {
+  } else if (const auto *VRA = dyn_cast<VarRefExpr>(E->Target)) {
     // &scalar var target: cannot happen (handled above); arrays are not
     // assignable.
     (void)VRA;
@@ -478,11 +478,11 @@ Value IRGen::genAssign(const AssignExpr *E) {
 
   Value RHS;
   if (E->Op == AssignOp::Plain) {
-    RHS = genExpr(E->Value.get());
+    RHS = genExpr(E->Value);
   } else {
     Value Old = F.newTemp(ElemTy);
     emitUnary(Opcode::Load, ElemTy, Old, Addr);
-    Value New = genExpr(E->Value.get());
+    Value New = genExpr(E->Value);
     RHS = F.newTemp(ElemTy);
     emitBinary(opcodeForAssign(E->Op), ElemTy, RHS, Old, New);
   }
@@ -499,7 +499,7 @@ Value IRGen::genIncDec(const UnaryExpr *E) {
   bool IsPost = E->Op == UnaryOp::PostInc || E->Op == UnaryOp::PostDec;
   Opcode Op = IsInc ? Opcode::Add : Opcode::Sub;
 
-  if (const auto *VR = dyn_cast<VarRefExpr>(E->Sub.get());
+  if (const auto *VR = dyn_cast<VarRefExpr>(E->Sub);
       VR && !VR->IsArray) {
     VarId Var = VR->Var;
     IRType Ty = varIRType(Var);
@@ -517,7 +517,7 @@ Value IRGen::genIncDec(const UnaryExpr *E) {
 
   // Memory lvalue.
   IRType ElemTy = irTypeFor(E->Sub->Ty);
-  Value Addr = genAddr(E->Sub.get());
+  Value Addr = genAddr(E->Sub);
   Value Old = F.newTemp(ElemTy);
   emitUnary(Opcode::Load, ElemTy, Old, Addr);
   Value New = F.newTemp(ElemTy);
@@ -534,8 +534,8 @@ Value IRGen::genCall(const CallExpr *E) {
   Instr I;
   I.Op = Opcode::Call;
   I.Ops.reserve(E->Args.size());
-  for (const ExprPtr &A : E->Args)
-    I.Ops.push_back(genExpr(A.get()));
+  for (const Expr *A : E->Args)
+    I.Ops.push_back(genExpr(A));
   I.Callee = E->Func;
   I.BuiltinKind = E->BuiltinKind;
   I.Ty = irTypeFor(E->Ty);
@@ -564,40 +564,40 @@ Value IRGen::genExpr(const Expr *E) {
     const auto *UE = cast<UnaryExpr>(E);
     switch (UE->Op) {
     case UnaryOp::Neg: {
-      Value Sub = genExpr(UE->Sub.get());
+      Value Sub = genExpr(UE->Sub);
       IRType Ty = irTypeFor(E->Ty);
       Value T = F.newTemp(Ty);
       emitUnary(Opcode::Neg, Ty, T, Sub);
       return T;
     }
     case UnaryOp::LogNot: {
-      Value Sub = genExpr(UE->Sub.get());
+      Value Sub = genExpr(UE->Sub);
       Value T = F.newTemp(IRType::Int);
       emitBinary(Opcode::CmpEQ, IRType::Int, T, Sub, Value::constInt(0));
       return T;
     }
     case UnaryOp::BitNot: {
-      Value Sub = genExpr(UE->Sub.get());
+      Value Sub = genExpr(UE->Sub);
       Value T = F.newTemp(IRType::Int);
       emitUnary(Opcode::Not, IRType::Int, T, Sub);
       return T;
     }
     case UnaryOp::Deref: {
-      Value Addr = genExpr(UE->Sub.get());
+      Value Addr = genExpr(UE->Sub);
       IRType Ty = irTypeFor(E->Ty);
       Value T = F.newTemp(Ty);
       emitUnary(Opcode::Load, Ty, T, Addr);
       return T;
     }
     case UnaryOp::AddrOf: {
-      if (const auto *VR = dyn_cast<VarRefExpr>(UE->Sub.get());
+      if (const auto *VR = dyn_cast<VarRefExpr>(UE->Sub);
           VR && !VR->IsArray) {
         Value T = F.newTemp(IRType::Ptr);
         emitUnary(Opcode::AddrOf, IRType::Ptr, T,
                   Value::var(VR->Var, varIRType(VR->Var)));
         return T;
       }
-      return genAddr(UE->Sub.get());
+      return genAddr(UE->Sub);
     }
     case UnaryOp::PreInc:
     case UnaryOp::PreDec:
@@ -611,8 +611,8 @@ Value IRGen::genExpr(const Expr *E) {
     const auto *BE = cast<BinaryExpr>(E);
     if (BE->Op == BinaryOp::LogAnd || BE->Op == BinaryOp::LogOr)
       return genShortCircuit(BE);
-    Value L = genExpr(BE->LHS.get());
-    Value R = genExpr(BE->RHS.get());
+    Value L = genExpr(BE->LHS);
+    Value R = genExpr(BE->RHS);
     IRType Ty = irTypeFor(E->Ty);
     Value T = F.newTemp(Ty == IRType::Void ? IRType::Int : Ty);
     emitBinary(opcodeForBinary(BE->Op),
@@ -624,8 +624,8 @@ Value IRGen::genExpr(const Expr *E) {
     return genAssign(cast<AssignExpr>(E));
   case Expr::Kind::Index: {
     const auto *IE = cast<IndexExpr>(E);
-    Value Base = genExpr(IE->Base.get());
-    Value Idx = genExpr(IE->Index.get());
+    Value Base = genExpr(IE->Base);
+    Value Idx = genExpr(IE->Index);
     Value Addr = F.newTemp(IRType::Ptr);
     emitBinary(Opcode::Add, IRType::Ptr, Addr, Base, Idx);
     IRType Ty = irTypeFor(E->Ty);
@@ -642,13 +642,13 @@ Value IRGen::genExpr(const Expr *E) {
     BasicBlock *ThenB = F.newBlock("sel.then");
     BasicBlock *ElseB = F.newBlock("sel.else");
     BasicBlock *JoinB = F.newBlock("sel.end");
-    genCond(TE->Cond.get(), ThenB, ElseB);
+    genCond(TE->Cond, ThenB, ElseB);
     setBlock(ThenB);
-    Value TV = genExpr(TE->Then.get());
+    Value TV = genExpr(TE->Then);
     emitUnary(Opcode::Copy, Ty, T, TV);
     emitBr(JoinB);
     setBlock(ElseB);
-    Value EV = genExpr(TE->Else.get());
+    Value EV = genExpr(TE->Else);
     emitUnary(Opcode::Copy, Ty, T, EV);
     emitBr(JoinB);
     setBlock(JoinB);
@@ -656,7 +656,7 @@ Value IRGen::genExpr(const Expr *E) {
   }
   case Expr::Kind::Cast: {
     const auto *CE = cast<CastExpr>(E);
-    Value Sub = genExpr(CE->Sub.get());
+    Value Sub = genExpr(CE->Sub);
     IRType To = irTypeFor(E->Ty);
     if (To == IRType::Double && Sub.Ty == IRType::Int) {
       if (Sub.isConstInt())
@@ -692,15 +692,15 @@ std::unique_ptr<IRModule> sldb::generateIR(const TranslationUnit &TU,
   for (const VarDecl &G : TU.Globals) {
     if (!G.Init)
       continue;
-    if (const auto *IL = dyn_cast<IntLiteralExpr>(G.Init.get()))
+    if (const auto *IL = dyn_cast<IntLiteralExpr>(G.Init))
       M->GlobalInits.emplace_back(G.Var, Value::constInt(IL->Value));
-    else if (const auto *DL = dyn_cast<DoubleLiteralExpr>(G.Init.get()))
+    else if (const auto *DL = dyn_cast<DoubleLiteralExpr>(G.Init))
       M->GlobalInits.emplace_back(G.Var, Value::constDouble(DL->Value));
   }
 
-  for (const auto &FD : TU.Functions) {
-    IRFunction *F =
-        M->newFunction(FD->Func, FD->Name, irTypeFor(FD->RetTy));
+  for (const FuncDecl *FD : TU.Functions) {
+    const std::string &Name = M->Info->func(FD->Func).Name;
+    IRFunction *F = M->newFunction(FD->Func, Name, irTypeFor(FD->RetTy));
     for (const VarDecl &P : FD->Params)
       F->Params.push_back(P.Var);
     IRGen Gen(*M, *F, *M->Info);
@@ -710,7 +710,7 @@ std::unique_ptr<IRModule> sldb::generateIR(const TranslationUnit &TU,
       // it as a structured diagnostic and discard the module rather than
       // asserting (DESIGN.md "Failure model").
       if (Diags)
-        Diags->error(SourceLoc(), "internal error lowering '" + FD->Name +
+        Diags->error(SourceLoc(), "internal error lowering '" + Name +
                                       "': " + Gen.InternalErr);
       return nullptr;
     }
