@@ -49,7 +49,7 @@ void Arena::grow(std::size_t Bytes) {
   End = Cur + Size;
 }
 
-void *Arena::allocate(std::size_t Bytes, std::size_t Align) {
+void *Arena::allocateSlow(std::size_t Bytes, std::size_t Align) {
   if (Bytes == 0)
     Bytes = 1;
   if (Limit && Allocated + Bytes > Limit)

@@ -47,8 +47,20 @@ public:
 
   ~Arena();
 
-  /// Allocates \p Bytes with \p Align alignment (power of two).
-  void *allocate(std::size_t Bytes, std::size_t Align);
+  /// Allocates \p Bytes with \p Align alignment (power of two).  The
+  /// common case, an unbudgeted request that fits the current slab, is
+  /// inline.
+  void *allocate(std::size_t Bytes, std::size_t Align) {
+    std::uintptr_t P = reinterpret_cast<std::uintptr_t>(Cur);
+    std::uintptr_t Aligned = (P + Align - 1) & ~(std::uintptr_t(Align) - 1);
+    std::size_t Pad = Aligned - P;
+    if (Bytes == 0 || Limit || !Cur ||
+        Bytes + Pad > static_cast<std::size_t>(End - Cur))
+      return allocateSlow(Bytes, Align);
+    Cur = reinterpret_cast<char *>(Aligned) + Bytes;
+    Allocated += Bytes + Pad;
+    return reinterpret_cast<void *>(Aligned);
+  }
 
   /// Allocates uninitialized storage for \p N objects of type T.
   template <typename T> T *allocate(std::size_t N = 1) {
@@ -108,6 +120,8 @@ private:
 
   /// Makes Cur/End point at a slab with at least \p Bytes free.
   void grow(std::size_t Bytes);
+  /// allocate() for empty and budgeted requests and slab changes.
+  void *allocateSlow(std::size_t Bytes, std::size_t Align);
 
   std::vector<Slab> Slabs;
   std::size_t CurSlab = 0; ///< Index of the slab Cur points into.
