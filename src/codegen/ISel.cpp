@@ -11,7 +11,8 @@
 #include "support/Casting.h"
 #include "support/FaultInjector.h"
 
-#include <unordered_map>
+#include <string>
+#include <vector>
 
 using namespace sldb;
 
@@ -21,7 +22,10 @@ class FunctionSelector {
 public:
   FunctionSelector(const IRFunction &F, const IRModule &M,
                    MachineModule &MM, const CodegenOptions &Opts)
-      : F(F), Info(*M.Info), MM(MM), Opts(Opts) {}
+      : F(F), Info(*M.Info), MM(MM), Opts(Opts),
+        FrameOf(Info.Vars.size(), NoSlot),
+        VRegOf(Info.Vars.size(), Reg::invalid()),
+        TRegOf(F.NextTemp, Reg::invalid()), BlockIdx(F.NextBlockId, NoBlock) {}
 
   MachineFunction run();
 
@@ -64,33 +68,50 @@ private:
 
   /// Frame slot of a memory-homed local; allocates on first touch.
   std::int32_t frameSlot(VarId V) {
-    auto It = FrameOf.find(V);
-    if (It != FrameOf.end())
-      return It->second;
-    const VarInfo &VI = Info.var(V);
-    std::int32_t Slot = static_cast<std::int32_t>(FrameSize);
-    FrameSize += VI.ArraySize ? VI.ArraySize : 1;
-    FrameOf[V] = Slot;
+    if (V >= FrameOf.size()) {
+      selectionError("variable id " + std::to_string(V) + " out of range");
+      return 0;
+    }
+    std::int32_t &Slot = FrameOf[V];
+    if (Slot == NoSlot) {
+      const VarInfo &VI = Info.var(V);
+      Slot = static_cast<std::int32_t>(FrameSize);
+      FrameSize += VI.ArraySize ? VI.ArraySize : 1;
+    }
     return Slot;
   }
 
   /// The dedicated vreg of a promoted variable.
   Reg varReg(VarId V) {
-    auto It = VRegOf.find(V);
-    if (It != VRegOf.end())
-      return It->second;
-    Reg R = newVReg(classFor(irTypeFor(Info.var(V).Ty)));
-    VRegOf[V] = R;
+    if (V >= VRegOf.size()) {
+      selectionError("variable id " + std::to_string(V) + " out of range");
+      return newVReg(RegClass::Int);
+    }
+    Reg &R = VRegOf[V];
+    if (!R.isValid())
+      R = newVReg(classFor(irTypeFor(Info.var(V).Ty)));
     return R;
   }
 
   Reg tempReg(TempId T, IRType Ty) {
-    auto It = TRegOf.find(T);
-    if (It != TRegOf.end())
-      return It->second;
-    Reg R = newVReg(Ty);
-    TRegOf[T] = R;
+    if (T >= TRegOf.size()) {
+      selectionError("temp id " + std::to_string(T) + " out of range");
+      return newVReg(Ty);
+    }
+    Reg &R = TRegOf[T];
+    if (!R.isValid())
+      R = newVReg(Ty);
     return R;
+  }
+
+  /// Machine block index of IR block \p B.
+  std::uint32_t blockIndex(const BasicBlock *B) {
+    if (B->Id >= BlockIdx.size() || BlockIdx[B->Id] == NoBlock) {
+      selectionError("branch to block '" + B->Name +
+                     "' outside the function");
+      return 0;
+    }
+    return BlockIdx[B->Id];
   }
 
   /// Materializes an operand value into a register.
@@ -115,10 +136,14 @@ private:
   const Instr *CurIRInstr = nullptr;
   std::uint32_t NextVReg = 0;
   std::uint32_t FrameSize = 0;
-  std::unordered_map<VarId, std::int32_t> FrameOf;
-  std::unordered_map<VarId, Reg> VRegOf;
-  std::unordered_map<TempId, Reg> TRegOf;
-  std::unordered_map<const BasicBlock *, std::uint32_t> BlockIdx;
+  // Dense tables, filled on first touch so frame slots and vregs keep
+  // their first-touch order.
+  static constexpr std::int32_t NoSlot = -1;
+  static constexpr std::uint32_t NoBlock = ~0u;
+  std::vector<std::int32_t> FrameOf; ///< By VarId.
+  std::vector<Reg> VRegOf;           ///< By VarId.
+  std::vector<Reg> TRegOf;           ///< By TempId.
+  std::vector<std::uint32_t> BlockIdx; ///< By BasicBlock::Id.
 };
 
 } // namespace
@@ -518,7 +543,7 @@ void FunctionSelector::selectInstr(const Instr &I) {
   case Opcode::Br: {
     MInstr MI;
     MI.Op = MOp::J;
-    MI.TargetBlock = BlockIdx.at(I.Succs[0]);
+    MI.TargetBlock = blockIndex(I.Succs[0]);
     MI.Stmt = I.Stmt;
     emit(std::move(MI));
     return;
@@ -528,12 +553,12 @@ void FunctionSelector::selectInstr(const Instr &I) {
     MInstr B;
     B.Op = MOp::BNEZ;
     B.Src0 = C;
-    B.TargetBlock = BlockIdx.at(I.Succs[0]);
+    B.TargetBlock = blockIndex(I.Succs[0]);
     B.Stmt = I.Stmt;
     emit(std::move(B));
     MInstr JF;
     JF.Op = MOp::J;
-    JF.TargetBlock = BlockIdx.at(I.Succs[1]);
+    JF.TargetBlock = blockIndex(I.Succs[1]);
     JF.Stmt = I.Stmt;
     emit(std::move(JF));
     return;
@@ -593,7 +618,12 @@ MachineFunction FunctionSelector::run() {
     B.Name = F.Blocks[BI]->Name;
     B.Insts.setArena(MM.arena());
     MF.Blocks.push_back(std::move(B));
-    BlockIdx[F.Blocks[BI]] = BI;
+    if (F.Blocks[BI]->Id >= BlockIdx.size()) {
+      selectionError("block id " + std::to_string(F.Blocks[BI]->Id) +
+                     " out of range");
+      return std::move(MF);
+    }
+    BlockIdx[F.Blocks[BI]->Id] = BI;
   }
 
   // Without register promotion every scalar local owns a frame slot from
@@ -632,7 +662,7 @@ MachineFunction FunctionSelector::run() {
   // Block edges.
   for (std::uint32_t BI = 0; BI < F.Blocks.size(); ++BI) {
     for (const BasicBlock *S : F.Blocks[BI]->succRange()) {
-      std::uint32_t SI = BlockIdx.at(S);
+      std::uint32_t SI = blockIndex(S);
       MF.Blocks[BI].Succs.push_back(SI);
       MF.Blocks[SI].Preds.push_back(BI);
     }
@@ -644,11 +674,10 @@ MachineFunction FunctionSelector::run() {
   // residence bits are completed by the register allocator).
   for (VarId V : Info.func(F.Id).Locals) {
     VarStorage S;
-    auto FIt = FrameOf.find(V);
-    if (FIt != FrameOf.end()) {
+    if (V < FrameOf.size() && FrameOf[V] != NoSlot) {
       S.K = VarStorage::Kind::Frame;
-      S.Frame = FIt->second;
-    } else if (VRegOf.count(V)) {
+      S.Frame = FrameOf[V];
+    } else if (V < VRegOf.size() && VRegOf[V].isValid()) {
       S.K = VarStorage::Kind::InReg;
       S.R = VRegOf[V];
     } else {
