@@ -2,8 +2,9 @@
 # Configures a sanitized build tree (CMake presets `asan-ubsan` /
 # `tsan`), builds the fuzzing driver, and runs a modest differential
 # campaign, a fault-injection slice, small stepping / cross-level
-# oracle slices and (address + undefined) a scripted sldbc debugger
-# session under the chosen sanitizers.
+# oracle slices and (address + undefined) the crash corpus through
+# sldbc and a scripted sldbc debugger session under the chosen
+# sanitizers.
 # Registered as the tier-1 ctests `fuzz_diff_sanitized` (address +
 # undefined) and `fuzz_parallel_tsan` (thread); any sanitizer report
 # aborts the driver, which the campaign's fork isolation surfaces as a
@@ -111,6 +112,20 @@ else
   # over several rounds.
   UBSAN_OPTIONS=halt_on_error=1 \
     "$BUILD/tools/sldbc" --batch "$ROOT/tests/inputs"
+
+  # Crash corpus through the frontend and the optimizer: each file
+  # compiles (exit 0) or is rejected with diagnostics (exit 1).  A signal
+  # or a sanitizer report (exit 86) fails the suite.
+  for F in "$ROOT"/tests/crashes/*.minic; do
+    RC=0
+    ASAN_OPTIONS=halt_on_error=1:exitcode=86 \
+      UBSAN_OPTIONS=halt_on_error=1:exitcode=86 \
+      "$BUILD/tools/sldbc" --emit=ir-opt "$F" >/dev/null 2>&1 || RC=$?
+    if [ "$RC" -ne 0 ] && [ "$RC" -ne 1 ]; then
+      echo "sldbc --emit=ir-opt $F: exit status $RC" >&2
+      exit 1
+    fi
+  done
 
   # The sldbc REPL: every inspection command before the program starts
   # (there is no current function yet), the same commands at a
