@@ -3,7 +3,7 @@
 # `tsan`), builds the fuzzing driver, and runs a modest differential
 # campaign, a fault-injection slice, small stepping / cross-level
 # oracle slices and (address + undefined) the crash corpus through
-# sldbc and a scripted sldbc debugger session under the chosen
+# sldbc and scripted sldbc debugger sessions under the chosen
 # sanitizers.
 # Registered as the tier-1 ctests `fuzz_diff_sanitized` (address +
 # undefined) and `fuzz_parallel_tsan` (thread); any sanitizer report
@@ -139,6 +139,20 @@ else
     --cmd "explain x" --cmd "explainj x" \
     --cmd s --cmd c --cmd q "$ROOT/tests/inputs/fig2.mc" </dev/null)
   echo "$REPL_OUT" | grep -q "program exited with value 0"
+
+  # Repeated stops at one address: a breakpoint inside spill_rounds_2's
+  # loop, with a scope report at each stop, over two runs of the program.
+  # The third and fourth stops are served from the Debugger's scope memo
+  # (--stats counts them); once more with every variable degraded.
+  for DEGRADE in "" --degrade-all; do
+    MEMO_OUT=$(UBSAN_OPTIONS=halt_on_error=1 \
+      "$BUILD/tools/sldbc" -O2 --debug --stats $DEGRADE \
+      --cmd "b main 3" --cmd run --cmd scope --cmd c --cmd scope --cmd c \
+      --cmd run --cmd scope --cmd c --cmd scope --cmd c --cmd q \
+      "$ROOT/tests/inputs/spill_rounds_2.mc" </dev/null 2>&1)
+    echo "$MEMO_OUT" | grep -q "program exited with value -16"
+    echo "$MEMO_OUT" | grep -q "debugger.scope.memo_hits  *2\$"
+  done
 
   # Back end under the oracle: both builds of a multi-round spilling
   # program and both debuggers, judged with the diff oracle (exits 1 on

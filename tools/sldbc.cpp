@@ -689,10 +689,16 @@ int main(int Argc, char **Argv) {
   }
 
   if (Opts.Emit == "debug") {
-    Debugger Dbg(MM, Opts.Fuel);
-    if (Opts.DegradeAll)
-      Dbg.degradeAllVariables();
-    return finish(replLoop(Dbg, Opts), Opts);
+    int RC;
+    {
+      // The session adds its counts to Stats when it ends, before --stats
+      // prints them.
+      Debugger Dbg(MM, Opts.Fuel);
+      if (Opts.DegradeAll)
+        Dbg.degradeAllVariables();
+      RC = replLoop(Dbg, Opts);
+    }
+    return finish(RC, Opts);
   }
 
   // Default: run to completion.
