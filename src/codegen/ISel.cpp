@@ -29,15 +29,17 @@ public:
 
   MachineFunction run();
 
-  /// Non-empty when selection met IR no lowering rule covers (an array
-  /// used as a scalar, a call exceeding the R3K argument registers);
-  /// the machine function is unusable and the caller must discard it.
-  std::string Err;
+  /// An error when selection met IR no lowering rule covers (an array
+  /// used as a scalar, a call exceeding the R3K argument registers) or a
+  /// frame past MaxFrameWords; the machine function is unusable and the
+  /// caller must discard it.
+  Status Err;
 
 private:
-  void selectionError(const std::string &Msg) {
-    if (Err.empty())
-      Err = F.Name + ": " + Msg;
+  void selectionError(const std::string &Msg,
+                      ErrorCode Code = ErrorCode::InvalidIR) {
+    if (Err.ok())
+      Err = Status::error(Code, F.Name + ": " + Msg);
   }
 
   RegClass classFor(IRType Ty) const {
@@ -75,8 +77,16 @@ private:
     std::int32_t &Slot = FrameOf[V];
     if (Slot == NoSlot) {
       const VarInfo &VI = Info.var(V);
+      const std::uint64_t Words = VI.ArraySize ? VI.ArraySize : 1;
+      if (FrameSize + Words > MachineFunction::MaxFrameWords) {
+        selectionError("frame exceeds " +
+                           std::to_string(MachineFunction::MaxFrameWords) +
+                           " words at '" + VI.Name + "'",
+                       ErrorCode::ResourceExhausted);
+        return 0;
+      }
       Slot = static_cast<std::int32_t>(FrameSize);
-      FrameSize += VI.ArraySize ? VI.ArraySize : 1;
+      FrameSize += static_cast<std::uint32_t>(Words);
     }
     return Slot;
   }
@@ -705,7 +715,7 @@ MachineFunction FunctionSelector::run() {
 namespace {
 
 MachineModule selectModuleImpl(const IRModule &M, const CodegenOptions &Opts,
-                               std::string *Err,
+                               Status *Err,
                                Arena *CodeArena = nullptr) {
   MachineModule MM;
   MM.Info = M.Info.get();
@@ -726,7 +736,7 @@ MachineModule selectModuleImpl(const IRModule &M, const CodegenOptions &Opts,
   for (const auto &F : M.Funcs) {
     FunctionSelector Sel(*F, M, MM, Opts);
     MM.Funcs.push_back(Sel.run());
-    if (Err && Err->empty() && !Sel.Err.empty())
+    if (Err && Err->ok() && !Sel.Err.ok())
       *Err = Sel.Err;
   }
   return MM;
@@ -838,10 +848,10 @@ MachineModule sldb::selectModule(const IRModule &M,
 Expected<MachineModule> sldb::compileToMachineE(const IRModule &M,
                                                 const CodegenOptions &Opts,
                                                 Arena *CodeArena) {
-  std::string Err;
+  Status Err;
   MachineModule MM = selectModuleImpl(M, Opts, &Err, CodeArena);
-  if (!Err.empty())
-    return Status::error(ErrorCode::InvalidIR, Err);
+  if (!Err.ok())
+    return Err;
   for (MachineFunction &MF : MM.Funcs) {
     if (Opts.Schedule)
       scheduleFunction(MF);

@@ -255,7 +255,9 @@ struct MachineFunction {
   FuncId Id = InvalidFunc;
   std::string Name;
   std::vector<MachineBlock> Blocks;
-  std::uint32_t FrameSize = 0; ///< In words.
+  std::uint32_t FrameSize = 0; ///< In words, at most MaxFrameWords.
+  /// Frame slots are int32_t word offsets.
+  static constexpr std::uint32_t MaxFrameWords = INT32_MAX;
   std::vector<HoistKey> HoistKeys;
   std::uint32_t NumStmts = 0;
 

@@ -122,6 +122,8 @@ public:
   /// Set when rewrite() met a virtual register the coloring never saw;
   /// the function's code is unusable and the caller must discard it.
   bool RewriteFailed = false;
+  /// Set when spill slots would grow the frame past MaxFrameWords.
+  bool FrameTooLarge = false;
 
 private:
   static unsigned numColors(RegClass Cls) {
@@ -582,6 +584,11 @@ bool Allocator::allocateClass(RegClass Cls) {
       rewrite(Cls);
       return true;
     }
+    if (MF.FrameSize + std::uint64_t(Spilled.size()) >
+        MachineFunction::MaxFrameWords) {
+      FrameTooLarge = true;
+      return false;
+    }
     spill(Cls);
   }
   return false;
@@ -930,10 +937,17 @@ void Allocator::computeDebugTables() {
 
 Status sldb::allocateRegistersE(MachineFunction &MF, const ProgramInfo &) {
   Allocator A(MF);
-  if (!A.run())
+  if (!A.run()) {
+    if (A.FrameTooLarge)
+      return Status::error(ErrorCode::ResourceExhausted,
+                           "spill slots grow the frame of '" + MF.Name +
+                               "' past " +
+                               std::to_string(MachineFunction::MaxFrameWords) +
+                               " words");
     return Status::error(ErrorCode::RegAllocFailure,
                          "register allocation failed to converge on '" +
                              MF.Name + "'");
+  }
   if (A.RewriteFailed)
     return Status::error(ErrorCode::RegAllocFailure,
                          "uncolored virtual register in '" + MF.Name + "'");

@@ -10,6 +10,7 @@
 #include "support/Casting.h"
 
 #include <algorithm>
+#include <limits>
 
 using namespace sldb;
 
@@ -130,12 +131,7 @@ bool Parser::parseGlobal() {
   Decl.Name = Name;
   Decl.Ty = Ty;
   if (accept(TokKind::LBracket)) {
-    if (!at(TokKind::IntLiteral)) {
-      errorAtCur("expected constant array size");
-      return false;
-    }
-    Decl.ArraySize = static_cast<std::uint32_t>(consume().IntVal);
-    if (!expect(TokKind::RBracket, "after array size"))
+    if (!parseArraySize(Decl))
       return false;
   } else if (accept(TokKind::Assign)) {
     Decl.Init = parsePrimary();
@@ -197,21 +193,33 @@ bool Parser::parseVarDecl(QualType BaseTy, VarDecl &Decl) {
     return false;
   }
   Decl.Name = consume().Sym;
-  if (accept(TokKind::LBracket)) {
-    if (!at(TokKind::IntLiteral)) {
-      errorAtCur("expected constant array size");
-      return false;
-    }
-    Decl.ArraySize = static_cast<std::uint32_t>(consume().IntVal);
-    if (!expect(TokKind::RBracket, "after array size"))
-      return false;
-    return true;
-  }
+  if (accept(TokKind::LBracket))
+    return parseArraySize(Decl);
   if (accept(TokKind::Assign)) {
     Decl.Init = parseAssignment();
     return Decl.Init != nullptr;
   }
   return true;
+}
+
+bool Parser::parseArraySize(VarDecl &Decl) {
+  if (!at(TokKind::IntLiteral)) {
+    errorAtCur("expected constant array size");
+    return false;
+  }
+  // ArraySize 0 means a scalar, so an array needs at least one element.
+  constexpr std::int64_t MaxSize = std::numeric_limits<std::uint32_t>::max();
+  const std::int64_t N = cur().IntVal;
+  if (N < 1 || N > MaxSize) {
+    errorAtCur(N < 1 ? std::string("array size must be at least 1")
+                     : "array size " + std::to_string(N) +
+                           " is too large (the largest is " +
+                           std::to_string(MaxSize) + ")");
+    return false;
+  }
+  consume();
+  Decl.ArraySize = static_cast<std::uint32_t>(N);
+  return expect(TokKind::RBracket, "after array size");
 }
 
 //===----------------------------------------------------------------------===//

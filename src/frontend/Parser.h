@@ -74,6 +74,8 @@ private:
   bool parseGlobal();
   FuncDecl *parseFunction(QualType RetTy, Symbol Name, SourceLoc Loc);
   bool parseVarDecl(QualType BaseTy, VarDecl &Decl);
+  /// Parses `N]` after a declaration's `[` into \p Decl.ArraySize.
+  bool parseArraySize(VarDecl &Decl);
 
   Stmt *parseStmt();
   CompoundStmt *parseCompound();

@@ -219,6 +219,32 @@ TEST(Frontend, ArrayDecaysToPointer) {
     }
 }
 
+TEST(Frontend, ArraySizesSpanOneTo32Bits) {
+  auto FR = check("int g[4294967295];\n"
+                  "int main() { int a[1]; a[0] = 2; return a[0]; }\n");
+  for (const VarInfo &VI : FR.Info->Vars)
+    EXPECT_EQ(VI.ArraySize, VI.Name == "g" ? 4294967295u : 1u) << VI.Name;
+}
+
+// A size of 0 used to declare a scalar, and a size past 32 bits was
+// truncated (4294967298 made a 2-element array).
+TEST(Frontend, ArraySizeOutOfRangeIsALocatedError) {
+  EXPECT_EQ(checkError("int a[0];\nint main() { return 0; }"),
+            "1:7: error: array size must be at least 1\n");
+  EXPECT_EQ(checkError("int main() { int a[0]; a = 5; return 0; }"),
+            "1:20: error: array size must be at least 1\n");
+  EXPECT_EQ(checkError("int a[4294967296];\nint main() { return 0; }"),
+            "1:7: error: array size 4294967296 is too large (the largest "
+            "is 4294967295)\n");
+  EXPECT_EQ(checkError("int main() {\n  int a[4294967298]; a[0] = 5; "
+                       "return 0; }"),
+            "2:9: error: array size 4294967298 is too large (the largest "
+            "is 4294967295)\n");
+  EXPECT_EQ(checkError("int main() { int a[9223372036854775807]; return 0; }"),
+            "1:20: error: array size 9223372036854775807 is too large (the "
+            "largest is 4294967295)\n");
+}
+
 TEST(Frontend, ImplicitConversions) {
   auto FR = check(R"(
     double f(double x) { return x; }
