@@ -376,6 +376,14 @@ std::vector<std::pair<std::string, std::string>> malformedSnippets() {
       {"parse-identifier-after-type", "int 3;"},
       {"parse-array-size", "int a[n]; int main() { return 0; }"},
       {"parse-local-array-size", "int main() { int a[n]; return 0; }"},
+      {"parse-array-size-zero", "int a[0]; int main() { return 0; }"},
+      {"parse-local-array-size-zero",
+       "int main() { int a[0]; a = 5; return 0; }"},
+      {"parse-array-size-too-large",
+       "int a[4294967298]; int main() { return 0; }"},
+      {"parse-local-array-size-too-large",
+       "int main() { int a[4294967296]; return 0; }"},
+      {"array-size-largest", "int a[4294967295]; int main() { return 0; }"},
       {"parse-parameter-name", "int f(int) { return 0; }"},
       {"parse-function-body", "int f() return 0;"},
       {"parse-variable-name", "int main() { int 3 = 4; return 0; }"},
