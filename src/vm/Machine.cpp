@@ -22,6 +22,10 @@ Machine::Machine(const MachineModule &MM, std::uint64_t MaxSteps)
   // Globals at the bottom of memory; stack grows above them.
   SP = MM.GlobalWords;
   for (const auto &[Addr, Init] : MM.GlobalInits) {
+    // Globals past memory leave no room for main's frame: the run traps
+    // before any code runs.
+    if (Addr >= Mem.size())
+      continue;
     if (Init.isConstDouble())
       Mem[Addr].D = Init.DblVal;
     else
