@@ -15,7 +15,9 @@
 ///
 /// Two scenarios additionally drive the installed sldbc binary
 /// (--debug --cmd "explain V", --degrade-all) so the CLI surface is held
-/// to the same golden.
+/// to the same golden.  The ReportGolden tests pin the printed scope and
+/// `p` reports of sldbc sessions and the output of
+/// examples/endangered_tour, whose warnings are the same text.
 ///
 /// Regenerate deliberately with SLDB_UPDATE_GOLDENS=1 (writes the
 /// current output into tests/golden/explain/ and passes).
@@ -389,6 +391,65 @@ TEST(ExplainGolden, CliExplainDegraded) {
   checkGolden("degraded_cli.txt", runCommand(Cmd));
 }
 
+// Scope reports and `p` through the CLI, at stops where each verdict a
+// statement stop of the checked-in inputs can show prints its warning:
+// uninitialized, suspect (premature and stale), noncurrent (stale),
+// nonresident, recovered and current, then the degraded forms.  The
+// lftr_overflow session stops three times at one address, so its last
+// report is served by the scope memo.
+TEST(ReportGolden, CliScopeAndPrint) {
+  struct Session {
+    const char *Flags;
+    const char *Cmds;
+    const char *Input;
+  };
+  const Session Sessions[] = {
+      {"-O0", "--cmd 'b main 4' --cmd run --cmd scope --cmd 'p x'",
+       "fig2.mc"},
+      {"--level=pre", "--cmd 'b main 8' --cmd run --cmd scope --cmd 'p x'",
+       "fig2.mc"},
+      {"--level=dce",
+       "--cmd 'b main 5' --cmd 'b main 8' --cmd run --cmd scope --cmd 'p x' "
+       "--cmd c --cmd scope --cmd 'p x'",
+       "fig2.mc"},
+      {"-O2", "--cmd 'b main 9' --cmd run --cmd scope --cmd 'p x'",
+       "fig2.mc"},
+      {"-O2", "--cmd 'b main 2' --cmd run --cmd scope --cmd 'p c'",
+       "recovery.mc"},
+      {"--level=dce",
+       "--cmd 'b main 3' --cmd run --cmd scope --cmd c --cmd scope --cmd c "
+       "--cmd scope --cmd 'p s'",
+       "lftr_overflow.mc"},
+      {"--level=dce --degrade-all",
+       "--cmd 'b main 4' --cmd 'b main 5' --cmd run --cmd scope --cmd c "
+       "--cmd scope --cmd 'p x'",
+       "fig2.mc"},
+      {"-O2 --degrade-all",
+       "--cmd 'b main 9' --cmd run --cmd scope --cmd 'p x'", "fig2.mc"},
+  };
+  std::string Got;
+  for (const Session &S : Sessions) {
+    const std::string Args =
+        std::string(S.Flags) + " --debug " + S.Cmds + " --cmd q";
+    Got += "# sldbc " + Args + " " + S.Input + "\n";
+    Got += runCommand(std::string("'") + SLDB_SLDBC_PATH + "' " + Args +
+                      " '" SLDB_INPUT_DIR "/" + S.Input +
+                      "' </dev/null 2>/dev/null");
+  }
+  checkGolden("report_cli.txt", Got);
+}
+
 #endif // SLDB_SLDBC_PATH
+
+#if defined(SLDB_SLDBC_PATH) && defined(SLDB_ENDANGERED_TOUR_PATH)
+
+// The endangered-variable tour: one report per Figure-1 verdict, each
+// with its warning.
+TEST(ReportGolden, EndangeredTour) {
+  checkGolden("report_tour.txt",
+              runCommand("'" SLDB_ENDANGERED_TOUR_PATH "' 2>/dev/null"));
+}
+
+#endif
 
 } // namespace
