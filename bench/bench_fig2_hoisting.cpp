@@ -66,7 +66,7 @@ static void printFigure2() {
   auto Show = [&](const char *Bkpt, std::uint32_t A) {
     Classification CC = C.classify(A, X);
     std::printf("%-6s addr %3u: x is %-11s %s\n", Bkpt, A,
-                varClassName(CC.Kind), C.warningText(CC, X).c_str());
+                varClassName(CC.Kind), warningText(CC, "x").c_str());
   };
   if (HoistAddr >= 0)
     Show("Bkpt1", static_cast<std::uint32_t>(HoistAddr + 1));

@@ -50,8 +50,9 @@ static void printFigure4() {
       if (X->HasValue)
         std::printf("displayed value of x = %lld (expected 42)\n",
                     static_cast<long long>(X->IntValue));
-      if (!X->Warning.empty())
-        std::printf("warning: %s\n", X->Warning.c_str());
+      const std::string Warning = warningText(X->Class, "x");
+      if (!Warning.empty())
+        std::printf("warning: %s\n", Warning.c_str());
     }
   }
   bench::rule();

@@ -63,16 +63,17 @@ int main() {
       std::printf("stop #%u at compress() statement %d:\n", Stop,
                   S ? static_cast<int>(*S) : -1);
       for (const VarReport &V : Dbg.reportScope()) {
-        std::printf("  %-8s %-11s", V.Name.c_str(),
-                    varClassName(V.Class.Kind));
+        const std::string &Name = MM.Info->var(V.Var).Name;
+        std::printf("  %-8s %-11s", Name.c_str(), varClassName(V.Class.Kind));
         if (V.HasValue)
           std::printf(" = %-10lld", static_cast<long long>(V.IntValue));
         else
           std::printf("   %-10s", "--");
         if (V.Class.Recoverable)
           std::printf(" [recovered]");
-        if (!V.Warning.empty())
-          std::printf(" ! %s", V.Warning.c_str());
+        const std::string Warning = warningText(V.Class, Name);
+        if (!Warning.empty())
+          std::printf(" ! %s", Warning.c_str());
         std::printf("\n");
       }
       std::printf("\n");

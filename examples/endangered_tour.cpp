@@ -44,8 +44,9 @@ void show(Debugger &Dbg, const char *Var) {
     std::printf(" (value %lld%s)", static_cast<long long>(R->IntValue),
                 R->Class.Recoverable ? ", recovered" : "");
   std::printf("\n");
-  if (!R->Warning.empty())
-    std::printf("      %s\n", R->Warning.c_str());
+  const std::string Warning = warningText(R->Class, Var);
+  if (!Warning.empty())
+    std::printf("      %s\n", Warning.c_str());
 }
 
 void banner(const char *Title) {

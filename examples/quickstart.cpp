@@ -61,8 +61,8 @@ int main() {
 
   std::printf("stopped at statement %u of main()\n\n", PrintStmt);
   for (const VarReport &R : Dbg.reportScope()) {
-    std::printf("  %-9s : %-11s", R.Name.c_str(),
-                varClassName(R.Class.Kind));
+    const std::string &Name = Machine.Info->var(R.Var).Name;
+    std::printf("  %-9s : %-11s", Name.c_str(), varClassName(R.Class.Kind));
     if (R.HasValue) {
       if (R.IsDouble)
         std::printf(" value = %g", R.DoubleValue);
@@ -71,8 +71,9 @@ int main() {
       if (R.Class.Recoverable)
         std::printf(" (recovered)");
     }
-    if (!R.Warning.empty())
-      std::printf("\n              %s", R.Warning.c_str());
+    const std::string Warning = warningText(R.Class, Name);
+    if (!Warning.empty())
+      std::printf("\n              %s", Warning.c_str());
     std::printf("\n");
   }
 

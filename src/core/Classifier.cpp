@@ -805,7 +805,7 @@ std::string Classifier::renderExplainText(const Explanation &X) const {
   }
 
   S += "rule: " + X.Rule + "\n";
-  std::string W = warningText(X.Result, X.V);
+  std::string W = warningText(X.Result, Info.var(X.V).Name);
   S += "warning: " + (W.empty() ? std::string("none") : W) + "\n";
   return S;
 }
@@ -847,7 +847,7 @@ std::string Classifier::renderExplainJson(const Explanation &X) const {
   S += ',';
   Bool("degraded", X.Result.Degraded);
   S += ',';
-  Str("warning", warningText(X.Result, X.V));
+  Str("warning", warningText(X.Result, Info.var(X.V).Name));
   S += "},";
 
   Bool("degradedPath", X.DegradedPath);
@@ -931,13 +931,12 @@ std::string Classifier::renderExplainJson(const Explanation &X) const {
   return S;
 }
 
-std::string Classifier::warningText(const Classification &C, VarId V) const {
+std::string sldb::warningText(const Classification &C,
+                              std::string_view Name) {
   if (C.Kind == VarClass::Current && !C.Degraded)
     return "";
-  // Each warning is built in one reserved buffer: a scope report asks for
-  // one per endangered variable.
-  const std::string &Name = Info.var(V).Name;
-  auto Say = [&Name](std::initializer_list<std::string_view> Parts) {
+  // Each warning is built in one reserved buffer.
+  auto Say = [Name](std::initializer_list<std::string_view> Parts) {
     std::string S;
     S.reserve(Name.size() + 128);
     for (std::string_view P : Parts)

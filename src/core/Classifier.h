@@ -41,6 +41,7 @@
 
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sldb {
@@ -89,6 +90,14 @@ struct Classification {
 };
 
 const char *endangerCauseName(EndangerCause C);
+
+/// Human-readable warning for the variable \p Name under classification
+/// \p C, in source terms (paper §2.2: "the debugger can display the
+/// actual value of x and warn the user that this value is the value
+/// assigned by the source-level assignment E2, which has executed
+/// prematurely").  Empty exactly when the value is shown without one
+/// (Figure 1: current and not degraded).
+std::string warningText(const Classification &C, std::string_view Name);
 
 /// Provenance record of one classification query: everything classify()
 /// consulted on the way to its verdict, in decision order (Figure 1).
@@ -194,12 +203,6 @@ public:
   /// object (one line, no trailing newline).
   std::string renderExplainText(const Explanation &E) const;
   std::string renderExplainJson(const Explanation &E) const;
-
-  /// Human-readable warning for an endangered classification, in source
-  /// terms (paper §2.2: "the debugger can display the actual value of x
-  /// and warn the user that this value is the value assigned by the
-  /// source-level assignment E2, which has executed prematurely").
-  std::string warningText(const Classification &C, VarId V) const;
 
   const MachineFunction &function() const { return MF; }
 

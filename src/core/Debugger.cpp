@@ -183,10 +183,8 @@ Debugger::StaticReport Debugger::describeVar(const Classifier &C,
   StaticReport S;
   VarReport &R = S.Report;
   R.Var = V;
-  R.Name = VI.Name;
   R.Class = C.classify(VM.pc().Local, V);
   R.IsDouble = VI.Ty.isDouble();
-  R.Warning = C.warningText(R.Class, V);
 
   if (R.Class.Recoverable) {
     // The variable is aliased to a surviving expression: show the
@@ -233,7 +231,7 @@ void Debugger::readValue(const StaticReport &S, VarReport &R) const {
 VarReport Debugger::reportVar(const Classifier &C, VarId V) const {
   StaticReport S = describeVar(C, V);
   readValue(S, S.Report);
-  return std::move(S.Report);
+  return S.Report;
 }
 
 bool Debugger::peekStorage(VarId V, bool &IsDouble, std::int64_t &I,

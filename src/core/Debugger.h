@@ -12,9 +12,9 @@
 /// was inserted or constrained on its behalf.
 ///
 /// At a breakpoint, queryVariable() classifies the variable per Figure 1
-/// and returns its value together with the mandated warning — an
-/// endangered value is always accompanied by a warning, so the debugger
-/// never misleads the user.
+/// and returns its value together with the verdict that mandates a
+/// warning (warningText) — an endangered value is always shown with one,
+/// so the debugger never misleads the user.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,14 +27,17 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace sldb {
 
-/// One variable's state at a breakpoint, as shown to the user.
+/// One variable's state at a breakpoint.  A plain value: code that
+/// shows it to the user reads the name from the program's symbol table
+/// (`Info.var(R.Var).Name`) and renders the warning, which Figure 1 makes
+/// a function of the verdict, with `warningText(R.Class, Name)`.
 struct VarReport {
   VarId Var = InvalidVar;
-  std::string Name;
   Classification Class;
 
   /// Whether a value can be displayed (actual value for resident
@@ -43,11 +46,8 @@ struct VarReport {
   bool IsDouble = false;
   std::int64_t IntValue = 0;
   double DoubleValue = 0.0;
-
-  /// Warning text; empty for current variables (paper Figure 1: "Show V
-  /// without warnings").
-  std::string Warning;
 };
+static_assert(std::is_trivially_copyable_v<VarReport>);
 
 /// A source-level debugging session over compiled machine code.
 class Debugger {
@@ -122,9 +122,9 @@ public:
   void degradeAllVariables();
 
   /// Reports every local variable in scope at the current stop.  The
-  /// verdicts and warnings depend only on the stop address, so the
-  /// second stop at an address memoizes them with where each value
-  /// lives, and every later stop there re-reads only the values.
+  /// verdicts depend only on the stop address, so the second stop at an
+  /// address memoizes them with where each value lives, and every later
+  /// stop there re-reads only the values.
   std::vector<VarReport> reportScope() const;
 
   /// Raw debug-table read of \p V's storage home at the current stop,
@@ -147,7 +147,7 @@ private:
 
   /// The part of a variable's report that depends only on the stop
   /// address: the report without its value (value fields as a fresh
-  /// VarReport has them), and where the value lives.
+  /// VarReport has them, IsDouble aside), and where the value lives.
   struct StaticReport {
     VarReport Report;
     ValueSource Src = ValueSource::None;

@@ -80,7 +80,7 @@ std::vector<Violation> sldb::checkSoundness(const LockstepResult &R) {
       const VarReport &E = V.Expected;
       const VarReport &Opt = V.Opt;
       auto Add = [&](ViolationKind K, std::string Detail) {
-        Out.push_back({K, Stop.Func, Stop.Stmt, Opt.Name,
+        Out.push_back({K, Stop.Func, Stop.Stmt, R.VarNames[Opt.Var],
                        std::move(Detail)});
       };
 

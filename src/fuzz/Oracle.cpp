@@ -185,6 +185,9 @@ LockstepResult sldb::runLockstep(const LockstepBuilds &B,
   const MachineModule &MMO = B.Ref;
   const MachineModule &MM2 = B.Opt;
   R.Compiled = true;
+  R.VarNames.reserve(MM2.Info->Vars.size());
+  for (const VarInfo &VI : MM2.Info->Vars)
+    R.VarNames.push_back(VI.Name);
 
   // Machine-level evidence of the endangering transformations.
   for (const MachineFunction &MF : MM2.Funcs)
@@ -278,8 +281,8 @@ LockstepResult sldb::runLockstep(const LockstepBuilds &B,
       VO.RawValid =
           Opt.peekStorage(V, VO.RawIsDouble, VO.RawInt, VO.RawDouble);
       VO.IsPtr = MM2.Info->var(V).Ty.Kind == TypeKind::Ptr;
-      VO.Expected = std::move(ScopeO[I]);
-      VO.Opt = std::move(Scope2[I]);
+      VO.Expected = ScopeO[I];
+      VO.Opt = Scope2[I];
     }
     if (!R.PairError.empty())
       break;

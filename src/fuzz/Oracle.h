@@ -135,6 +135,11 @@ struct LockstepResult {
 
   std::vector<StopObservation> Stops;
 
+  /// The optimized build's variable names, indexed by VarId: one copy
+  /// per run, so a report's variable can be named (DiffCheck's
+  /// violations) after the builds are gone.
+  std::vector<std::string> VarNames;
+
   /// End-state comparison (behavioral equivalence of the two builds).
   StopReason ExpectedEnd = StopReason::Running;
   StopReason OptEnd = StopReason::Running;

@@ -140,7 +140,7 @@ TEST(Figure2, WarningTextMentionsPrematureExecution) {
   ASSERT_GE(HoistAddr, 0);
   Classification After =
       C.classify(static_cast<std::uint32_t>(HoistAddr + 1), X);
-  std::string W = C.warningText(After, X);
+  std::string W = warningText(After, MM.Info->var(X).Name);
   EXPECT_NE(W.find("noncurrent"), std::string::npos);
   EXPECT_NE(W.find("hoisted"), std::string::npos);
 }
@@ -435,7 +435,7 @@ TEST(Debugger, CurrentVariablesShownWithoutWarnings) {
   auto B = Dbg.queryVariable("b");
   ASSERT_TRUE(B.has_value());
   if (B->Class.Kind == VarClass::Current) {
-    EXPECT_TRUE(B->Warning.empty());
+    EXPECT_TRUE(warningText(B->Class, "b").empty());
     EXPECT_TRUE(B->HasValue);
     EXPECT_EQ(B->IntValue, 21);
   }
@@ -494,13 +494,17 @@ std::uint64_t doubleBits(double D) {
 }
 
 /// The first field in which two reports differ, or null when they agree
-/// (doubles compared by their bits).
-const char *firstDifference(const VarReport &A, const VarReport &B) {
+/// (doubles compared by their bits), the name and warning each renders
+/// with \p Info included.
+const char *firstDifference(const ProgramInfo &Info, const VarReport &A,
+                            const VarReport &B) {
   const Classification &CA = A.Class, &CB = B.Class;
   const MRecovery &RA = CA.Recovery, &RB = CB.Recovery;
+  const std::string &NameA = Info.var(A.Var).Name;
+  const std::string &NameB = Info.var(B.Var).Name;
   if (A.Var != B.Var)
     return "Var";
-  if (A.Name != B.Name)
+  if (NameA != NameB)
     return "Name";
   if (CA.Kind != CB.Kind)
     return "Class.Kind";
@@ -525,7 +529,7 @@ const char *firstDifference(const VarReport &A, const VarReport &B) {
     return "IntValue";
   if (doubleBits(A.DoubleValue) != doubleBits(B.DoubleValue))
     return "DoubleValue";
-  if (A.Warning != B.Warning)
+  if (warningText(CA, NameA) != warningText(CB, NameB))
     return "Warning";
   return nullptr;
 }
@@ -541,7 +545,9 @@ struct MemoTally {
 /// fresh queryVariable() of its name.
 void compareWithFresh(const Debugger &D, const VarReport &Got,
                       const std::string &Label, MemoTally &T) {
-  std::optional<VarReport> Fresh = D.queryVariable(Got.Name);
+  const ProgramInfo &Info = *D.module().Info;
+  const std::string &Name = Info.var(Got.Var).Name;
+  std::optional<VarReport> Fresh = D.queryVariable(Name);
   // queryVariable finds the function's first local of that name, or a
   // global: a shadowed or shadowing scope variable resolves elsewhere.
   if (!Fresh || Fresh->Var != Got.Var) {
@@ -549,10 +555,10 @@ void compareWithFresh(const Debugger &D, const VarReport &Got,
     return;
   }
   ++T.Compared;
-  if (const char *Field = firstDifference(Got, *Fresh))
+  if (const char *Field = firstDifference(Info, Got, *Fresh))
     if (++T.Mismatches <= 10)
       ADD_FAILURE() << Label << ", stop " << T.Stops << ", variable "
-                    << Got.Name << ": " << Field
+                    << Name << ": " << Field
                     << " differs from a fresh query";
 }
 
@@ -666,7 +672,7 @@ TEST(ScopeMemo, DegradeBetweenStopsAtOneAddressDegradesTheNextReport) {
                                               D.machine().pc().Local);
     const std::vector<VarReport> Scope = D.reportScope();
     for (const VarReport &V : Scope) {
-      EXPECT_EQ(V.Class.Degraded, Target.has_value()) << V.Name;
+      EXPECT_EQ(V.Class.Degraded, Target.has_value()) << "variable " << V.Var;
       compareWithFresh(D, V, "loop", T);
     }
     if (Target) {
@@ -752,10 +758,12 @@ void checkNeverMisleads(std::string_view Src, const OptOptions &Opts) {
         continue;
       if (V2.IsDouble)
         EXPECT_DOUBLE_EQ(V2.DoubleValue, VO.DoubleValue)
-            << "stmt " << *S2 << " var " << V2.Name << " stop " << Steps;
+            << "stmt " << *S2 << " var " << MM2.Info->var(V2.Var).Name
+            << " stop " << Steps;
       else
         EXPECT_EQ(V2.IntValue, VO.IntValue)
-            << "stmt " << *S2 << " var " << V2.Name << " stop " << Steps;
+            << "stmt " << *S2 << " var " << MM2.Info->var(V2.Var).Name
+            << " stop " << Steps;
     }
 
     RO = Oracle.resume();

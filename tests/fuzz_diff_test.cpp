@@ -87,19 +87,17 @@ std::uint64_t bitsOf(double D) {
   return B;
 }
 
-/// Every field of a scope report, the warning text included, as a
-/// comparable and printable tuple.
+/// Every field of a scope report as a comparable and printable tuple.
 auto fields(const VarReport &R) {
   const Classification &C = R.Class;
   const MRecovery &Q = C.Recovery;
   return std::make_tuple(
-      R.Var, std::string_view(R.Name), static_cast<int>(C.Kind),
+      R.Var, static_cast<int>(C.Kind),
       static_cast<int>(C.Cause), C.CulpritStmt, C.Recoverable,
       static_cast<int>(Q.K), Q.Imm, bitsOf(Q.FImm),
       static_cast<int>(Q.R.Cls), Q.R.N, Q.Frame, Q.Scale, Q.IsIV,
       static_cast<int>(Q.SrcVreg.Cls), Q.SrcVreg.N, Q.SrcVar, C.Degraded,
-      R.HasValue, R.IsDouble, R.IntValue, bitsOf(R.DoubleValue),
-      std::string_view(R.Warning));
+      R.HasValue, R.IsDouble, R.IntValue, bitsOf(R.DoubleValue));
 }
 
 /// Both reports of an observation and its table, init, raw and pointer
@@ -157,6 +155,7 @@ template <class T>
 
 void expectSameResult(const LockstepResult &A, const LockstepResult &B) {
   ASSERT_TRUE(same(A, B, "run"));
+  ASSERT_EQ(A.VarNames, B.VarNames) << "name table";
   for (std::size_t I = 0; I < A.Firings.size(); ++I)
     ASSERT_EQ(std::tie(A.Firings[I].Name, A.Firings[I].Changed),
               std::tie(B.Firings[I].Name, B.Firings[I].Changed));

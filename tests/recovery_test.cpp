@@ -56,7 +56,7 @@ findObservation(const LockstepResult &R, StmtId Stmt,
     if (S.Stmt != Stmt)
       continue;
     for (const VarObservation &VO : S.Vars)
-      if (VO.Expected.Name == Name)
+      if (R.VarNames[VO.Expected.Var] == Name)
         return &VO;
   }
   return nullptr;
@@ -90,7 +90,7 @@ TEST(Recovery, CopyRecoveryFromOtherVariable) {
   const VarObservation *Seen = nullptr;
   for (const StopObservation &S : R.Stops)
     for (const VarObservation &VO : S.Vars)
-      if (VO.Expected.Name == "x" && VO.Opt.Class.Recoverable)
+      if (R.VarNames[VO.Expected.Var] == "x" && VO.Opt.Class.Recoverable)
         Seen = &VO;
   ASSERT_NE(Seen, nullptr) << "x was never classified as recoverable";
   EXPECT_EQ(Seen->Opt.Class.Kind, VarClass::Current);
@@ -168,7 +168,7 @@ TEST(Recovery, StrengthReducedRecoveryFromSRTemp) {
   bool SawNonzero = false;
   for (const StopObservation &S : R.Stops)
     for (const VarObservation &VO : S.Vars)
-      if (VO.Expected.Name == "j" && VO.Opt.Class.Recoverable &&
+      if (R.VarNames[VO.Expected.Var] == "j" && VO.Opt.Class.Recoverable &&
           VO.Opt.Class.Kind == VarClass::Current && VO.Opt.HasValue &&
           VO.Expected.HasValue &&
           VO.Opt.IntValue == VO.Expected.IntValue) {
@@ -209,7 +209,7 @@ TEST(Recovery, TaintedRecoveryFallsBackToWarning) {
   const VarObservation *AtPrint = nullptr;
   for (const StopObservation &S : R.Stops)
     for (const VarObservation &VO : S.Vars)
-      if (VO.Expected.Name == "x")
+      if (R.VarNames[VO.Expected.Var] == "x")
         AtPrint = &VO; // last stop observing x == the print
   ASSERT_NE(AtPrint, nullptr);
   EXPECT_NE(AtPrint->Opt.Class.Kind, VarClass::Current)

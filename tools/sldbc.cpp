@@ -221,8 +221,9 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
   return true;
 }
 
-void printVarReport(const VarReport &R) {
-  std::printf("  %-10s %-11s", R.Name.c_str(), varClassName(R.Class.Kind));
+void printVarReport(const ProgramInfo &Info, const VarReport &R) {
+  const std::string &Name = Info.var(R.Var).Name;
+  std::printf("  %-10s %-11s", Name.c_str(), varClassName(R.Class.Kind));
   if (R.HasValue) {
     if (R.IsDouble)
       std::printf(" = %g", R.DoubleValue);
@@ -232,8 +233,9 @@ void printVarReport(const VarReport &R) {
       std::printf("  [recovered]");
   }
   std::printf("\n");
-  if (!R.Warning.empty())
-    std::printf("             %s\n", R.Warning.c_str());
+  const std::string Warning = warningText(R.Class, Name);
+  if (!Warning.empty())
+    std::printf("             %s\n", Warning.c_str());
 }
 
 void printStmtMap(const MachineModule &MM, const MachineFunction &MF) {
@@ -386,7 +388,7 @@ int replLoop(Debugger &Dbg, const Options &Opts) {
       if (!R)
         std::printf("no variable '%s' in scope\n", Var.c_str());
       else
-        printVarReport(*R);
+        printVarReport(*MM.Info, *R);
       continue;
     }
     if (Verb == "explain" || Verb == "explainj") {
@@ -403,7 +405,7 @@ int replLoop(Debugger &Dbg, const Options &Opts) {
     }
     if (Verb == "scope") {
       for (const VarReport &R : Dbg.reportScope())
-        printVarReport(R);
+        printVarReport(*MM.Info, R);
       continue;
     }
     if (Verb == "where") {
