@@ -94,6 +94,8 @@ void Debugger::breakEverywhere() {
 }
 
 std::optional<StmtId> Debugger::currentStmt() const {
+  if (exited())
+    return std::nullopt;
   const StmtId S = stmtAt(VM.pc().Func, VM.pc().Local);
   if (S == InvalidStmt)
     return std::nullopt;
@@ -256,6 +258,8 @@ bool Debugger::peekStorage(VarId V, bool &IsDouble, std::int64_t &I,
 
 std::optional<VarReport> Debugger::queryVariable(
     const std::string &Name) const {
+  if (exited())
+    return std::nullopt;
   FuncId F = VM.pc().Func;
   // Locals shadow globals.
   for (VarId V : MM.Info->func(F).Locals)
@@ -269,6 +273,8 @@ std::optional<VarReport> Debugger::queryVariable(
 
 std::optional<Explanation> Debugger::explainVariable(
     const std::string &Name) const {
+  if (exited())
+    return std::nullopt;
   FuncId F = VM.pc().Func;
   const Classifier &C = classifier(F);
   // Locals shadow globals, as in queryVariable.
@@ -282,8 +288,10 @@ std::optional<Explanation> Debugger::explainVariable(
 }
 
 std::vector<VarReport> Debugger::reportScope() const {
-  ++ScopeReports;
   std::vector<VarReport> Out;
+  if (exited())
+    return Out;
+  ++ScopeReports;
   const FuncId F = VM.pc().Func;
   AddrInfo *A = addrInfo(F, VM.pc().Local);
   if (!A || A->Stmt == InvalidStmt)

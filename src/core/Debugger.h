@@ -93,6 +93,11 @@ public:
   /// inspect.  Every inspection below requires it.
   bool started() const { return VM.pc().Func < MM.Funcs.size(); }
 
+  /// True once the program has run to its end.  Nothing is left to
+  /// inspect: currentStmt, queryVariable, explainVariable and
+  /// reportScope answer nothing until the next run() or startPaused().
+  bool exited() const { return VM.state() == StopReason::Exited; }
+
   /// Current stop location as (function, statement); statement is the one
   /// whose breakpoint address matches the PC, if any (the lowest, when
   /// several statements start there).

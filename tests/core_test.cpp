@@ -481,6 +481,34 @@ TEST(Debugger, GlobalsAlwaysReadable) {
   EXPECT_EQ(G->IntValue, 6);
 }
 
+TEST(Debugger, ExitedProgramAnswersNothingUntilTheNextRun) {
+  const char *Src = R"(
+    int main() {
+      int a = 3;
+      print(a);          // s1
+      return a;
+    }
+  )";
+  auto [IR, MM] = compileOrAbort(Src, OptOptions::all());
+  Debugger Dbg(MM);
+  ASSERT_TRUE(Dbg.setBreakpointAtStmt(MM.Info->findFunc("main"), 1));
+  ASSERT_EQ(Dbg.run(), StopReason::Breakpoint);
+  EXPECT_FALSE(Dbg.exited());
+  EXPECT_TRUE(Dbg.queryVariable("a").has_value());
+  ASSERT_EQ(Dbg.resume(), StopReason::Exited);
+  EXPECT_TRUE(Dbg.started());
+  EXPECT_TRUE(Dbg.exited());
+  EXPECT_FALSE(Dbg.currentStmt().has_value());
+  EXPECT_FALSE(Dbg.queryVariable("a").has_value());
+  EXPECT_FALSE(Dbg.explainVariable("a").has_value());
+  EXPECT_TRUE(Dbg.reportScope().empty());
+  // A new run stops again and answers again.
+  ASSERT_EQ(Dbg.run(), StopReason::Breakpoint);
+  EXPECT_FALSE(Dbg.exited());
+  EXPECT_EQ(Dbg.currentStmt(), std::optional<StmtId>(1));
+  EXPECT_EQ(Dbg.reportScope().size(), 1u);
+}
+
 //===----------------------------------------------------------------------===//
 // Scope-report memo: a report served from the memo equals a fresh one
 //===----------------------------------------------------------------------===//

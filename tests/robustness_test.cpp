@@ -152,6 +152,41 @@ TEST(Robustness, ReplInspectionBeforeRunIsAMessage) {
     }
 }
 
+TEST(Robustness, ReplInspectionAfterExitIsAMessage) {
+  // After the program exits the PC still names its last function, but
+  // there is no stop: no inspection command may show a value from the
+  // finished run (`p t` printed `t current = -8934705946205048080` and
+  // `where` printed `main() statement -1`).
+  const std::string File = SLDB_INPUTS_DIR "/spill_rounds_2.mc";
+  std::string Cmd = std::string("exec '") + SLDB_SLDBC_PATH +
+                    "' -O2 --debug --cmd 'b main 3' --cmd run --cmd c "
+                    "--cmd c";
+  for (const char *Verb : {"p t", "where", "scope", "stmts", "storage",
+                           "explain t", "explainj t"})
+    Cmd += std::string(" --cmd '") + Verb + "'";
+  Cmd += " --cmd q '" + File + "' </dev/null 2>&1";
+  FILE *P = popen(Cmd.c_str(), "r");
+  ASSERT_NE(P, nullptr);
+  std::string Out;
+  char Buf[256];
+  while (std::fgets(Buf, sizeof(Buf), P))
+    Out += Buf;
+  int St = pclose(P);
+  EXPECT_TRUE(WIFEXITED(St) && WEXITSTATUS(St) == 0) << Out;
+  const std::size_t Exit = Out.find("program exited with value -16\n");
+  ASSERT_NE(Exit, std::string::npos) << Out;
+  const std::string After = Out.substr(Exit);
+  std::size_t Messages = 0;
+  for (std::size_t At = 0;
+       (At = After.find("the program has exited; use 'run' or 's'", At)) !=
+       std::string::npos;
+       ++At)
+    ++Messages;
+  EXPECT_EQ(Messages, 7u) << After;
+  EXPECT_EQ(After.find("current ="), std::string::npos) << After;
+  EXPECT_EQ(After.find("statement -1"), std::string::npos) << After;
+}
+
 TEST(Robustness, FuelTrapNamesBudget) {
   std::string Cmd = std::string("'") + SLDB_SLDBC_PATH + "' -O0 --fuel 5000 '" +
                     SLDB_CRASH_DIR + "/infinite-loop.minic' 2>&1";

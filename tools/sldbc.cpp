@@ -56,6 +56,10 @@
 //   out                       program output so far
 //   q|quit                    exit
 //
+// The inspection commands (p, explain, explainj, scope, where, stmts,
+// storage) need a stop: before the program starts and after it exits
+// they print a message instead.
+//
 //===----------------------------------------------------------------------===//
 
 #include "codegen/MachineIR.h"
@@ -330,14 +334,20 @@ int replLoop(Debugger &Dbg, const Options &Opts) {
       }
     };
 
-    // Inspection needs a current function, which exists only once the
-    // program has started.
-    if (!Dbg.started() &&
-        (Verb == "p" || Verb == "print" || Verb == "explain" ||
-         Verb == "explainj" || Verb == "scope" || Verb == "where" ||
-         Verb == "stmts" || Verb == "storage")) {
-      std::printf("no program is running; use 'run' or 's'\n");
-      continue;
+    // Inspection needs a stop: a current function, which exists only
+    // once the program has started, and a program that has not exited.
+    if (Verb == "p" || Verb == "print" || Verb == "explain" ||
+        Verb == "explainj" || Verb == "scope" || Verb == "where" ||
+        Verb == "stmts" || Verb == "storage") {
+      if (!Dbg.started()) {
+        std::printf("no program is running; use 'run' or 's'\n");
+        continue;
+      }
+      if (Dbg.exited()) {
+        std::printf("the program has exited; use 'run' or 's' to "
+                    "start it again\n");
+        continue;
+      }
     }
 
     if (Verb == "q" || Verb == "quit")
