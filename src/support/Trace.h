@@ -40,6 +40,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -138,11 +139,12 @@ public:
   }
 
   /// Attaches a key/value argument (shown in the trace viewer).  No-op
-  /// when the span is inactive.
-  TraceSpan &arg(const char *Key, std::string Value) {
+  /// when the span is inactive: the value's string is built only for an
+  /// active span, so a disabled trace copies and formats nothing.
+  TraceSpan &arg(const char *Key, std::string_view Value) {
 #if SLDB_TRACE_ENABLED
     if (Active)
-      E.Args.emplace_back(Key, std::move(Value));
+      E.Args.emplace_back(Key, std::string(Value));
 #else
     (void)Key;
     (void)Value;
@@ -150,7 +152,14 @@ public:
     return *this;
   }
   TraceSpan &arg(const char *Key, std::uint64_t Value) {
-    return arg(Key, std::to_string(Value));
+#if SLDB_TRACE_ENABLED
+    if (Active)
+      E.Args.emplace_back(Key, std::to_string(Value));
+#else
+    (void)Key;
+    (void)Value;
+#endif
+    return *this;
   }
 
   ~TraceSpan() {
