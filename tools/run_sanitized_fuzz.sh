@@ -143,16 +143,34 @@ else
   # Repeated stops at one address: a breakpoint inside spill_rounds_2's
   # loop, with a scope report at each stop, over two runs of the program.
   # The third and fourth stops are served from the Debugger's scope memo
-  # (--stats counts them); once more with every variable degraded.
+  # (--stats counts them); once more with every variable degraded.  After
+  # the last exit, `p t` and `where` must print the exited message and no
+  # value from the finished run.
   for DEGRADE in "" --degrade-all; do
     MEMO_OUT=$(UBSAN_OPTIONS=halt_on_error=1 \
       "$BUILD/tools/sldbc" -O2 --debug --stats $DEGRADE \
       --cmd "b main 3" --cmd run --cmd scope --cmd c --cmd scope --cmd c \
-      --cmd run --cmd scope --cmd c --cmd scope --cmd c --cmd q \
+      --cmd run --cmd scope --cmd c --cmd scope --cmd c \
+      --cmd "p t" --cmd where --cmd q \
       "$ROOT/tests/inputs/spill_rounds_2.mc" </dev/null 2>&1)
     echo "$MEMO_OUT" | grep -q "program exited with value -16"
     echo "$MEMO_OUT" | grep -q "debugger.scope.memo_hits  *2\$"
+    AFTER_EXIT=$(echo "$MEMO_OUT" | awk '/program exited with value/ {
+      A = ""; next } { A = A $0 "\n" } END { printf "%s", A }')
+    echo "$AFTER_EXIT" | grep -q "the program has exited; use 'run' or 's'"
+    if echo "$AFTER_EXIT" | grep -q "current ="; then
+      echo "sldbc showed a value after the program exited" >&2
+      exit 1
+    fi
   done
+
+  # Warnings rendered at print time: an endangered variable's scope
+  # report at its third stop in a loop, served from the memo.
+  WARN_OUT=$(UBSAN_OPTIONS=halt_on_error=1 \
+    "$BUILD/tools/sldbc" --level=dce --debug \
+    --cmd "b main 3" --cmd run --cmd scope --cmd c --cmd scope --cmd c \
+    --cmd scope --cmd q "$ROOT/tests/inputs/lftr_overflow.mc" </dev/null)
+  echo "$WARN_OUT" | grep -q "^ *'s' is suspect: an eliminated assignment"
 
   # Back end under the oracle: both builds of a multi-round spilling
   # program and both debuggers, judged with the diff oracle (exits 1 on
