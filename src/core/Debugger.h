@@ -152,7 +152,7 @@ private:
 
   /// The part of a variable's report that depends only on the stop
   /// address: the report without its value (value fields as a fresh
-  /// VarReport has them, IsDouble aside), and where the value lives.
+  /// VarReport has them), and where the value lives.
   struct StaticReport {
     VarReport Report;
     ValueSource Src = ValueSource::None;
