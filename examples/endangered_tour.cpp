@@ -2,10 +2,14 @@
 //
 // Part of the sldb project (PLDI 1996 reproduction).
 //
-// A guided tour producing every classification of the paper's Figure 1 —
-// uninitialized, nonresident, noncurrent (premature and stale), suspect,
-// current, and recovery — each with the program that triggers it and the
-// debugger's report.
+// A guided tour of the paper's Figure 1 classifications at statement
+// stops — uninitialized, nonresident, noncurrent (stale), suspect
+// (premature and stale), current, and recovery — each with the program
+// that triggers it and the debugger's report.  Premature noncurrent is
+// not among them: PRE places the hoisted instance at the end of a join's
+// predecessor, so no statement starts between it and the original, and
+// the verdict appears only at an address past the hoisted instance
+// (tests/golden/explain/fig2_noncurrent.txt).
 //
 // Build & run:  ./build/examples/endangered_tour
 //
@@ -76,7 +80,8 @@ int main() {
   }
 
   // ------------------------------------------------------------------
-  banner("noncurrent (premature): PRE hoisted the assignment (Figure 2)");
+  banner("suspect (premature): PRE hoisted the assignment on one path "
+         "(Figure 2)");
   {
     OptOptions O = OptOptions::none();
     O.PRE = true;

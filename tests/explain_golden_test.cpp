@@ -443,8 +443,8 @@ TEST(ReportGolden, CliScopeAndPrint) {
 
 #if defined(SLDB_SLDBC_PATH) && defined(SLDB_ENDANGERED_TOUR_PATH)
 
-// The endangered-variable tour: one report per Figure-1 verdict, each
-// with its warning.
+// The endangered-variable tour: one report per Figure-1 verdict that a
+// statement stop reaches, each with its warning.
 TEST(ReportGolden, EndangeredTour) {
   checkGolden("report_tour.txt",
               runCommand("'" SLDB_ENDANGERED_TOUR_PATH "' 2>/dev/null"));
