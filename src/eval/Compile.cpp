@@ -7,6 +7,7 @@
 #include "eval/Compile.h"
 
 #include "ir/IRGen.h"
+#include "support/FaultInjector.h"
 
 #include <string>
 
@@ -26,12 +27,9 @@ Status overBudget(const Arena *A, const char *Phase) {
                            " bytes)");
 }
 
-} // namespace
-
-Expected<std::unique_ptr<IRModule>>
-sldb::compileOptimizedIR(std::string_view Src, const OptOptions &Opts,
-                         Arena *A, const PipelineConfig &Config,
-                         PipelineStats *Stats, DiagnosticEngine *Diags) {
+/// compileOptimizedIR's frontend half: the unoptimized IR.
+Expected<std::unique_ptr<IRModule>> frontend(std::string_view Src, Arena *A,
+                                             DiagnosticEngine *Diags) {
   DiagnosticEngine Local;
   DiagnosticEngine &D = Diags ? *Diags : Local;
   std::unique_ptr<IRModule> IR = compileToIR(Src, D, A);
@@ -43,11 +41,48 @@ sldb::compileOptimizedIR(std::string_view Src, const OptOptions &Opts,
   }
   if (Status S = overBudget(A, "frontend"); !S.ok())
     return S;
-  if (Status S = runPipelineEx(*IR, Opts, Config, Stats); !S.ok())
+  return IR;
+}
+
+/// compileOptimizedIR's optimizer half.
+Status optimize(IRModule &IR, const OptOptions &Opts, Arena *A,
+                const PipelineConfig &Config, PipelineStats *Stats) {
+  if (Status S = runPipelineEx(IR, Opts, Config, Stats); !S.ok())
     return S;
-  if (Status S = overBudget(A, "optimizer"); !S.ok())
+  return overBudget(A, "optimizer");
+}
+
+} // namespace
+
+Expected<std::unique_ptr<IRModule>>
+sldb::compileOptimizedIR(std::string_view Src, const OptOptions &Opts,
+                         Arena *A, const PipelineConfig &Config,
+                         PipelineStats *Stats, DiagnosticEngine *Diags) {
+  Expected<std::unique_ptr<IRModule>> IR = frontend(Src, A, Diags);
+  if (!IR)
+    return IR;
+  if (Status S = optimize(**IR, Opts, A, Config, Stats); !S.ok())
     return S;
   return IR;
+}
+
+IRWithReference sldb::compileWithReference(std::string_view Src,
+                                           const OptOptions &Opts,
+                                           const CodegenOptions &RefCG,
+                                           PipelineStats *Stats) {
+  Expected<std::unique_ptr<IRModule>> IR = frontend(Src, nullptr, nullptr);
+  if (!IR) {
+    Status S = IR.status();
+    return {std::move(IR), std::move(S)};
+  }
+  FaultInjector::suspend();
+  Status RefS = optimize(**IR, OptOptions::none(), nullptr, {}, nullptr);
+  Expected<MachineModule> Ref =
+      RefS.ok() ? lowerModule(**IR, RefCG) : Expected<MachineModule>(RefS);
+  FaultInjector::resume();
+  if (Status S = optimize(**IR, Opts, nullptr, {}, Stats); !S.ok())
+    return {S, S};
+  return {std::move(IR), std::move(Ref)};
 }
 
 Expected<MachineModule> sldb::lowerModule(const IRModule &IR,

@@ -18,6 +18,8 @@
 /// lowerModule lowers the result as often as needed.  Each lowering
 /// equals a fresh compileModule in its configuration: the pipeline never
 /// reads CodegenOptions and the back end reads the IR as const.
+/// compileWithReference also lowers the unoptimized IR of the same
+/// frontend run, the fuzz oracles' reference, before optimizing it.
 ///
 /// It takes OptOptions plus CodegenOptions rather than a LevelSpec: the
 /// lockstep reference build, sldbc's -O0/--no-promote combinations and
@@ -82,6 +84,30 @@ compileOptimizedIR(std::string_view Src, const OptOptions &Opts,
 Expected<MachineModule> lowerModule(const IRModule &IR,
                                     const CodegenOptions &CG,
                                     Arena *A = nullptr);
+
+/// A program's optimized IR and its reference build, from one frontend
+/// run (compileWithReference).
+struct IRWithReference {
+  /// compileOptimizedIR's result.  Declared first so it is destroyed
+  /// last: Ref borrows its ProgramInfo.
+  Expected<std::unique_ptr<IRModule>> OptIR;
+  /// The unoptimized build; OptIR's error when OptIR failed.
+  Expected<MachineModule> Ref;
+};
+
+/// compileOptimizedIR(Src, Opts) that also builds the program's
+/// reference from the same frontend run: before the optimizer runs, the
+/// unoptimized IR takes the empty pipeline (its annotation findings) and
+/// is lowered with \p RefCG, with the FaultInjector suspended.  Ref is
+/// exactly what compileModule(Src, OptOptions::none(), RefCG) builds,
+/// since the optimizer never writes the ProgramInfo that Ref borrows and
+/// no fault point fires in the frontend or the optimizer (they fire in
+/// ISel, the classifier and the VM).  \p Stats is passed to the
+/// optimizer's runPipelineEx.
+IRWithReference compileWithReference(std::string_view Src,
+                                     const OptOptions &Opts,
+                                     const CodegenOptions &RefCG,
+                                     PipelineStats *Stats = nullptr);
 
 } // namespace sldb
 

@@ -221,17 +221,19 @@ XLOutcome runXLUnit(const CrossLevelCampaignConfig &C, std::uint32_t Seed) {
   // One ground-truth run per judgeable level: soundness, conservatism,
   // and the evidence base for judging this seed's candidates.  The runs
   // judge the sweep's own builds (unscheduled, so exactly the lockstep
-  // builds) against its O0 row, which is the lockstep reference.
+  // builds) against its O0 row, which is the lockstep reference, recorded
+  // once for them all.
   const auto &Table = pipelineLevels();
-  const MachineModule &Ref =
-      PS.Builds[static_cast<std::size_t>(PipelineLevel::O0)].MM;
+  LockstepOptions LO;
+  LO.MaxStops = CrossLevelMaxStops;
+  const ReferenceRecording Ref(
+      PS.Builds[static_cast<std::size_t>(PipelineLevel::O0)].MM, LO.Fuel,
+      LO.MaxStops);
   std::vector<std::vector<Violation>> LevelViolations(Table.size());
   for (std::size_t L = 0; L < Table.size(); ++L) {
     const LevelSpec &Spec = Table[L];
     if (!judgeable(Spec))
       continue;
-    LockstepOptions LO;
-    LO.MaxStops = CrossLevelMaxStops;
     LockstepResult LR =
         runLockstep({Ref, PS.Builds[L].MM, *PS.Builds[L].IR}, LO);
     ++O.LockstepRuns;

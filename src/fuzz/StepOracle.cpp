@@ -61,9 +61,8 @@ StepResult sldb::runStepLockstep(const SharedBuilds &B,
     R.CompileError = Lowered.status().str();
     return R;
   }
-  const LockstepBuilds Builds = B.builds(*Lowered);
-  const MachineModule &MMO = Builds.Ref;
-  const MachineModule &MM2 = Builds.Opt;
+  const MachineModule &MMO = B.reference();
+  const MachineModule &MM2 = *Lowered;
   R.Compiled = true;
 
   FaultInjector::suspend();

@@ -18,18 +18,24 @@
 //  * reproducers name the command that re-judges them under their oracle,
 //    and sldb-fuzz refuses flags the selected oracle would ignore;
 //  * judging both modes from one SharedBuilds gives, field by field, the
-//    results of compiling each mode on its own.
+//    results of compiling each mode on its own;
+//  * the reference SharedBuilds lowers from the shared frontend run is
+//    the unoptimized compile's, and a campaign records each seed's
+//    reference session once.
 //
 //===----------------------------------------------------------------------===//
 
+#include "BackendDigest.h"
 #include "core/Classifier.h"
 #include "fuzz/Campaign.h"
 #include "fuzz/CampaignEngine.h"
 #include "fuzz/ProgramGen.h"
+#include "fuzz/QualityCampaign.h"
 #include "fuzz/Reduce.h"
 #include "fuzz/StepOracle.h"
 #include "ir/IRGen.h"
 #include "support/FaultInjector.h"
+#include "support/Stats.h"
 
 #include <gtest/gtest.h>
 
@@ -316,6 +322,74 @@ TEST(FuzzDiff, SharedBuildsJudgeLikePerModeCompiles) {
                          runStepLockstep(Src, SO));
       }
     }
+}
+
+/// Folds \p MM's code, tables, integrity findings and globals into \p H.
+void hashReferenceBuild(Fnv1a &H, const MachineModule &MM) {
+  for (const MachineFunction &MF : MM.Funcs) {
+    hashFunction(H, MF, MM.Info);
+    H.num(MF.ExpectedDeadMarkers);
+    H.num(MF.ExpectedAvailMarkers);
+    for (const AnnotationFinding &F : MF.IntegrityFindings) {
+      H.num(F.Var);
+      H.str(F.Message + "\n");
+    }
+  }
+  H.num(static_cast<std::int64_t>(MM.GlobalWords));
+  for (std::size_t A : MM.GlobalAddr)
+    H.num(static_cast<std::int64_t>(A));
+  for (const auto &[Addr, Init] : MM.GlobalInits) {
+    H.num(static_cast<std::int64_t>(Addr));
+    H.num(Init.IntVal);
+    H.bytes(&Init.DblVal, sizeof Init.DblVal);
+  }
+}
+
+// SharedBuilds lowers its reference from the IR of the one frontend run,
+// before the optimizer rewrites that IR.  It must be the build an
+// unoptimized, unpromoted compile of its own makes.
+TEST(FuzzDiff, SharedReferenceMatchesUnoptimizedCompile) {
+  for (bool Alias : {false, true})
+    for (std::uint32_t Seed = 1; Seed <= 200; ++Seed) {
+      GenOptions GO;
+      GO.Alias = Alias;
+      const std::string Src = generateProgram(Seed, GO);
+      SCOPED_TRACE("seed " + std::to_string(Seed) +
+                   (Alias ? " --alias" : ""));
+      SharedBuilds Builds(Src, LockstepOptions::lockstepOpts());
+      ASSERT_TRUE(Builds.lower(/*Promote=*/true));
+      Expected<CompiledModule> Own =
+          compileModule(Src, OptOptions::none(), {false, false});
+      ASSERT_TRUE(Own) << Own.status().str();
+      Fnv1a Shared, Fresh;
+      hashReferenceBuild(Shared, Builds.reference());
+      hashReferenceBuild(Fresh, Own->MM);
+      EXPECT_EQ(Shared.H, Fresh.H);
+    }
+}
+
+// A campaign records each seed's reference session once: a diff seed for
+// both promote modes, a cross-level seed for every judged level.
+TEST(FuzzDiff, EachSeedRecordsItsReferenceOnce) {
+  const StatCounter &Runs = Stats::counter("lockstep.reference_runs");
+  CampaignConfig C;
+  C.Seed = 1;
+  C.Count = 20;
+  C.BothPromoteModes = true;
+  C.Shrink = false;
+  std::uint64_t Before = Runs.value();
+  CampaignResult R = runCampaign(C);
+  ASSERT_EQ(R.Runs, 40u);
+  EXPECT_EQ(Runs.value() - Before, 20u);
+
+  CrossLevelCampaignConfig X;
+  X.Seed = 1;
+  X.Count = 3;
+  X.Shrink = false;
+  Before = Runs.value();
+  CrossLevelCampaignResult XR = runCrossLevelCampaign(X);
+  ASSERT_GT(XR.LockstepRuns, 3u * 2);
+  EXPECT_EQ(Runs.value() - Before, 3u);
 }
 
 TEST(FuzzDiff, ShrinkerPreservesPredicateAndShrinks) {
