@@ -94,7 +94,7 @@ void Debugger::breakEverywhere() {
 }
 
 std::optional<StmtId> Debugger::currentStmt() const {
-  if (exited())
+  if (ended())
     return std::nullopt;
   const StmtId S = stmtAt(VM.pc().Func, VM.pc().Local);
   if (S == InvalidStmt)
@@ -258,7 +258,7 @@ bool Debugger::peekStorage(VarId V, bool &IsDouble, std::int64_t &I,
 
 std::optional<VarReport> Debugger::queryVariable(
     const std::string &Name) const {
-  if (exited())
+  if (ended())
     return std::nullopt;
   FuncId F = VM.pc().Func;
   // Locals shadow globals.
@@ -273,7 +273,7 @@ std::optional<VarReport> Debugger::queryVariable(
 
 std::optional<Explanation> Debugger::explainVariable(
     const std::string &Name) const {
-  if (exited())
+  if (ended())
     return std::nullopt;
   FuncId F = VM.pc().Func;
   const Classifier &C = classifier(F);
@@ -289,7 +289,7 @@ std::optional<Explanation> Debugger::explainVariable(
 
 std::vector<VarReport> Debugger::reportScope() const {
   std::vector<VarReport> Out;
-  if (exited())
+  if (ended())
     return Out;
   ++ScopeReports;
   const FuncId F = VM.pc().Func;

@@ -98,6 +98,14 @@ public:
   /// reportScope answer nothing until the next run() or startPaused().
   bool exited() const { return VM.state() == StopReason::Exited; }
 
+  /// True once the program has trapped (a run-time error such as a call
+  /// stack overflow), or has spent its fuel budget.  The PC then lies
+  /// inside a statement, outside the paper's statement-boundary model,
+  /// where no verdict holds: as after an exit, the inspection calls
+  /// answer nothing until the next run() or startPaused().
+  bool trapped() const { return VM.state() == StopReason::Trapped; }
+  bool outOfFuel() const { return VM.state() == StopReason::StepLimit; }
+
   /// Current stop location as (function, statement); statement is the one
   /// whose breakpoint address matches the PC, if any (the lowest, when
   /// several statements start there).
@@ -147,6 +155,10 @@ public:
   const Classifier &classifier(FuncId F) const;
 
 private:
+  /// Whether the run is over (exited, trapped or out of fuel): nothing
+  /// is left to inspect.
+  bool ended() const { return exited() || trapped() || outOfFuel(); }
+
   /// Where a report's value is read from at a stop.
   enum class ValueSource : std::uint8_t { None, Home, Recovery };
 

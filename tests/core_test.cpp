@@ -509,6 +509,40 @@ TEST(Debugger, ExitedProgramAnswersNothingUntilTheNextRun) {
   EXPECT_EQ(Dbg.reportScope().size(), 1u);
 }
 
+TEST(Debugger, TrappedOrOutOfFuelProgramAnswersNothingUntilTheNextRun) {
+  // A trap and a spent fuel budget stop the program inside a statement,
+  // outside the statement-boundary model: nothing is inspected there.
+  const char *Src = R"(
+    int down(int n) {
+      int r = down(n + 1);
+      return r;
+    }
+    int main() {
+      return down(0);
+    }
+  )";
+  auto [IR, MM] = compileOrAbort(Src, OptOptions::all());
+  for (std::uint64_t Fuel : {std::uint64_t(50'000'000), std::uint64_t(2000)}) {
+    SCOPED_TRACE("fuel " + std::to_string(Fuel));
+    const bool Trap = Fuel > 2000;
+    Debugger Dbg(MM, Fuel);
+    ASSERT_EQ(Dbg.run(),
+              Trap ? StopReason::Trapped : StopReason::StepLimit);
+    EXPECT_TRUE(Dbg.started());
+    EXPECT_FALSE(Dbg.exited());
+    EXPECT_EQ(Dbg.trapped(), Trap);
+    EXPECT_EQ(Dbg.outOfFuel(), !Trap);
+    EXPECT_FALSE(Dbg.currentStmt().has_value());
+    EXPECT_FALSE(Dbg.queryVariable("n").has_value());
+    EXPECT_FALSE(Dbg.explainVariable("n").has_value());
+    EXPECT_TRUE(Dbg.reportScope().empty());
+    // A run paused at main's first statement answers again.
+    ASSERT_EQ(Dbg.startPaused(), StopReason::Breakpoint);
+    EXPECT_FALSE(Dbg.trapped() || Dbg.outOfFuel());
+    EXPECT_EQ(Dbg.currentStmt(), std::optional<StmtId>(0));
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Scope-report memo: a report served from the memo equals a fresh one
 //===----------------------------------------------------------------------===//

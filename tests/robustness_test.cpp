@@ -152,18 +152,23 @@ TEST(Robustness, ReplInspectionBeforeRunIsAMessage) {
     }
 }
 
-TEST(Robustness, ReplInspectionAfterExitIsAMessage) {
-  // After the program exits the PC still names its last function, but
-  // there is no stop: no inspection command may show a value from the
-  // finished run (`p t` printed `t current = -8934705946205048080` and
-  // `where` printed `main() statement -1`).
-  const std::string File = SLDB_INPUTS_DIR "/spill_rounds_2.mc";
-  std::string Cmd = std::string("exec '") + SLDB_SLDBC_PATH +
-                    "' -O2 --debug --cmd 'b main 3' --cmd run --cmd c "
-                    "--cmd c";
-  for (const char *Verb : {"p t", "where", "scope", "stmts", "storage",
-                           "explain t", "explainj t"})
-    Cmd += std::string(" --cmd '") + Verb + "'";
+/// Runs `sldbc <Flags> --debug <Cmds>` on \p File, then every inspection
+/// command (naming variable \p Var).  From the line \p End that reports
+/// how the program stopped, each command must print \p Message, and none
+/// may show a value or a statement.
+void expectInspectionMessages(const std::string &Flags,
+                              const std::string &Cmds,
+                              const std::string &File, const char *Var,
+                              const std::string &End,
+                              const std::string &Message) {
+  std::string Cmd = std::string("exec '") + SLDB_SLDBC_PATH + "' " + Flags +
+                    " --debug " + Cmds;
+  const std::string V = std::string(" ") + Var;
+  const std::string Verbs[] = {"p" + V,   "where",         "scope",
+                               "stmts",   "storage",       "explain" + V,
+                               "explainj" + V};
+  for (const std::string &Verb : Verbs)
+    Cmd += " --cmd '" + Verb + "'";
   Cmd += " --cmd q '" + File + "' </dev/null 2>&1";
   FILE *P = popen(Cmd.c_str(), "r");
   ASSERT_NE(P, nullptr);
@@ -173,18 +178,46 @@ TEST(Robustness, ReplInspectionAfterExitIsAMessage) {
     Out += Buf;
   int St = pclose(P);
   EXPECT_TRUE(WIFEXITED(St) && WEXITSTATUS(St) == 0) << Out;
-  const std::size_t Exit = Out.find("program exited with value -16\n");
-  ASSERT_NE(Exit, std::string::npos) << Out;
-  const std::string After = Out.substr(Exit);
+  const std::size_t At = Out.find(End);
+  ASSERT_NE(At, std::string::npos) << Out;
+  const std::string After = Out.substr(At);
   std::size_t Messages = 0;
-  for (std::size_t At = 0;
-       (At = After.find("the program has exited; use 'run' or 's'", At)) !=
-       std::string::npos;
-       ++At)
+  for (std::size_t I = 0; (I = After.find(Message, I)) != std::string::npos;
+       ++I)
     ++Messages;
   EXPECT_EQ(Messages, 7u) << After;
   EXPECT_EQ(After.find("current ="), std::string::npos) << After;
   EXPECT_EQ(After.find("statement -1"), std::string::npos) << After;
+}
+
+TEST(Robustness, ReplInspectionAfterExitIsAMessage) {
+  // After the program exits the PC still names its last function, but
+  // there is no stop: no inspection command may show a value from the
+  // finished run (`p t` printed `t current = -8934705946205048080` and
+  // `where` printed `main() statement -1`).
+  expectInspectionMessages("-O2", "--cmd 'b main 3' --cmd run --cmd c --cmd c",
+                           SLDB_INPUTS_DIR "/spill_rounds_2.mc", "t",
+                           "program exited with value -16\n",
+                           "the program has exited; use 'run' or 's'");
+}
+
+TEST(Robustness, ReplInspectionAfterTrapIsAMessage) {
+  // A trap leaves the PC inside a statement, outside the paper's
+  // statement-boundary model: `p n` printed `n current = 4095` with no
+  // warning and `where` printed `down() statement -1`.
+  expectInspectionMessages("-O2", "--cmd run",
+                           SLDB_CRASH_DIR "/deep-recursion.minic", "n",
+                           "program trapped: call stack overflow\n",
+                           "the program has trapped; use 'run' or 's'");
+}
+
+TEST(Robustness, ReplInspectionAfterFuelStopIsAMessage) {
+  // Running out of fuel stops mid-statement too.
+  expectInspectionMessages(
+      "-O2 --fuel 2000", "--cmd run", SLDB_CRASH_DIR "/deep-recursion.minic",
+      "n", "program stopped: step limit exceeded (fuel budget 2000 "
+           "instructions)\n",
+      "the program ran out of fuel; use 'run' or 's'");
 }
 
 TEST(Robustness, FuelTrapNamesBudget) {

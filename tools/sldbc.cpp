@@ -335,7 +335,8 @@ int replLoop(Debugger &Dbg, const Options &Opts) {
     };
 
     // Inspection needs a stop: a current function, which exists only
-    // once the program has started, and a program that has not exited.
+    // once the program has started, and a program that has not exited,
+    // trapped or run out of fuel.
     if (Verb == "p" || Verb == "print" || Verb == "explain" ||
         Verb == "explainj" || Verb == "scope" || Verb == "where" ||
         Verb == "stmts" || Verb == "storage") {
@@ -343,9 +344,13 @@ int replLoop(Debugger &Dbg, const Options &Opts) {
         std::printf("no program is running; use 'run' or 's'\n");
         continue;
       }
-      if (Dbg.exited()) {
-        std::printf("the program has exited; use 'run' or 's' to "
-                    "start it again\n");
+      const char *Over = Dbg.exited()      ? "has exited"
+                         : Dbg.trapped()   ? "has trapped"
+                         : Dbg.outOfFuel() ? "ran out of fuel"
+                                           : nullptr;
+      if (Over) {
+        std::printf("the program %s; use 'run' or 's' to start it again\n",
+                    Over);
         continue;
       }
     }
