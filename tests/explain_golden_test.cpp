@@ -16,8 +16,8 @@
 /// Two scenarios additionally drive the installed sldbc binary
 /// (--debug --cmd "explain V", --degrade-all) so the CLI surface is held
 /// to the same golden.  The ReportGolden tests pin the printed scope and
-/// `p` reports of sldbc sessions and the output of
-/// examples/endangered_tour, whose warnings are the same text.
+/// `p` reports of sldbc sessions, the output of examples/endangered_tour,
+/// whose warnings are the same text, and sldbc's --pass-stats tables.
 ///
 /// Regenerate deliberately with SLDB_UPDATE_GOLDENS=1 (writes the
 /// current output into tests/golden/explain/ and passes).
@@ -31,10 +31,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 using namespace sldb;
 
@@ -437,6 +440,29 @@ TEST(ReportGolden, CliScopeAndPrint) {
                       "' </dev/null 2>/dev/null");
   }
   checkGolden("report_cli.txt", Got);
+}
+
+// The optimizer's per-slot runs and changes and the analysis cache's
+// hits and misses per analysis (sldbc --pass-stats), for every input
+// under tests/inputs at every pipeline level.  A prerequisite fetched,
+// counted or invalidated differently changes a count here.
+TEST(ReportGolden, CliPassStatsAtEveryLevel) {
+  std::vector<std::string> Inputs;
+  for (const auto &E : std::filesystem::directory_iterator(SLDB_INPUT_DIR))
+    if (E.path().extension() == ".mc")
+      Inputs.push_back(E.path().filename().string());
+  std::sort(Inputs.begin(), Inputs.end());
+  std::string Got;
+  for (const std::string &Input : Inputs)
+    for (const LevelSpec &L : pipelineLevels()) {
+      const std::string Args =
+          std::string("--pass-stats --emit=asm --level=") + L.Name;
+      Got += "# sldbc " + Args + " " + Input + "\n";
+      Got += runCommand(std::string("'") + SLDB_SLDBC_PATH + "' " + Args +
+                        " '" SLDB_INPUT_DIR "/" + Input +
+                        "' 2>&1 >/dev/null");
+    }
+  checkGolden("pass_stats.txt", Got);
 }
 
 #endif // SLDB_SLDBC_PATH
