@@ -144,8 +144,7 @@ struct PassSlotStats {
 /// Aggregate observability of one pipeline run.
 struct PipelineStats {
   std::vector<PassSlotStats> Slots;
-  AnalysisStats Analyses; ///< Cache hits/misses of the shared manager.
-  double TotalMs = 0;     ///< Filled when PipelineConfig::TimePasses.
+  double TotalMs = 0; ///< Filled when PipelineConfig::TimePasses.
 };
 
 /// Runs the cmcc-like pipeline over every function of \p M, sharing one

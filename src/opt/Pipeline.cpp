@@ -173,13 +173,10 @@ Status sldb::runPipelineEx(IRModule &M, const OptOptions &Opts,
     }
   }
 
-  if (Stats) {
-    Stats->Analyses = AM.stats();
-    if (Timing)
-      Stats->TotalMs =
-          std::chrono::duration<double, std::milli>(Clock::now() - RunStart)
-              .count();
-  }
+  if (Timing)
+    Stats->TotalMs =
+        std::chrono::duration<double, std::milli>(Clock::now() - RunStart)
+            .count();
   return Err;
 }
 

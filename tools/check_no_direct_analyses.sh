@@ -6,6 +6,8 @@
 #  1. No pass and no core debugger component constructs an IR analysis
 #     directly — everything goes through AnalysisManager::getResult so
 #     caching and invalidation stay sound.  Scope: src/opt and src/core.
+#     The analysis types are the result types of the SLDB_ANALYSES rows
+#     in src/analysis/AnalysisManager.h.
 #  2. The debugger's data flows over final machine code have one solver:
 #     under src/core and src/codegen only codegen/MachineFlow.cpp calls
 #     solveDataflowGeneric; everything else states its problem as a
@@ -30,9 +32,16 @@ set -u
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 
+# The second field of each "X(ID, Type, ..." row of SLDB_ANALYSES.
+TYPES=$(sed -nE 's/^[[:space:]]*X\([A-Za-z_]+,[[:space:]]*([A-Za-z_]+),.*/\1/p' \
+          src/analysis/AnalysisManager.h | paste -sd'|')
+if [ -z "$TYPES" ]; then
+  echo "error: no analysis rows found in src/analysis/AnalysisManager.h" >&2
+  exit 1
+fi
+
 # Stack/heap construction of an analysis type: "CFGContext CFG(F)",
 # "auto X = CFGContext(...)", "make_unique<Dominators>", "new Liveness".
-TYPES='CFGContext|Dominators|PostDominators|LoopInfo|ValueIndex|Liveness|ReachingDefs|DomFrontiers|SsaDefUse|AliasInfo'
 PATTERN="\b($TYPES)[[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]*\(|make_unique<[[:space:]]*($TYPES)[[:space:]]*>|new[[:space:]]+($TYPES)\b|=[[:space:]]*($TYPES)[[:space:]]*\("
 
 VIOLATIONS=$(grep -rEn "$PATTERN" src/opt src/core --include='*.cpp' --include='*.h' | grep -v '^\s*//' || true)
