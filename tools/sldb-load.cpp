@@ -25,6 +25,7 @@
 
 #include "fuzz/QueryGen.h"
 #include "support/Interrupt.h"
+#include "support/ParseDecimal.h"
 #include "support/Percentiles.h"
 
 #include <algorithm>
@@ -287,6 +288,9 @@ int connectSocket(const std::string &Path) {
   return -1;
 }
 
+/// The most client threads --concurrency may start.
+constexpr unsigned MaxConcurrency = 256;
+
 void usage() {
   std::fprintf(
       stderr,
@@ -297,14 +301,14 @@ void usage() {
       "  --queries N         queries per session (100)\n"
       "  --seed N            first module seed (1)\n"
       "  --shuffle-seed N    session-interleave shuffle (0 = round-robin)\n"
-      "  --concurrency N     client threads, socket mode only (1)\n"
+      "  --concurrency N     client threads, socket mode only (1..256, 1)\n"
       "  --qps N             request pacing (0 = full speed)\n"
       "  --duration SECS     soak: iterate fresh streams for SECS\n"
       "  --hang-timeout-ms N no-response hang threshold (30000)\n"
       "  --expect-sound      fail on malformed responses or unsound>0\n"
       "  --quiet             suppress the report\n"
-      "Everything after --spawn SLDBD up to the next --option is passed\n"
-      "to the spawned daemon.\n");
+      "Integer values are decimal digits only.  Everything after --spawn\n"
+      "SLDBD up to the next --option is passed to the spawned daemon.\n");
 }
 
 } // namespace
@@ -316,7 +320,11 @@ int main(int argc, char **argv) {
     auto next = [&]() -> const char * {
       return I + 1 < argc ? argv[++I] : nullptr;
     };
-    const char *Arg;
+    const char *Arg = nullptr;
+    auto number = [&](auto &Out, auto... Range) {
+      return (Arg = next()) && parseDecimal(Arg, Out, Range...);
+    };
+    bool Ok = true;
     if (A == "--spawn" && (Arg = next())) {
       O.Spawn = Arg;
       // Slurp daemon args until the next --option of ours.
@@ -335,24 +343,24 @@ int main(int argc, char **argv) {
       }
     } else if (A == "--socket" && (Arg = next()))
       O.Socket = Arg;
-    else if (A == "--sessions" && (Arg = next()))
-      O.Sessions = static_cast<unsigned>(std::strtoul(Arg, nullptr, 10));
-    else if (A == "--modules" && (Arg = next()))
-      O.Modules = static_cast<unsigned>(std::strtoul(Arg, nullptr, 10));
-    else if (A == "--queries" && (Arg = next()))
-      O.Queries = static_cast<unsigned>(std::strtoul(Arg, nullptr, 10));
-    else if (A == "--seed" && (Arg = next()))
-      O.Seed = static_cast<std::uint32_t>(std::strtoul(Arg, nullptr, 10));
-    else if (A == "--shuffle-seed" && (Arg = next()))
-      O.ShuffleSeed = std::strtoull(Arg, nullptr, 10);
-    else if (A == "--concurrency" && (Arg = next()))
-      O.Concurrency = static_cast<unsigned>(std::strtoul(Arg, nullptr, 10));
-    else if (A == "--qps" && (Arg = next()))
-      O.Qps = static_cast<unsigned>(std::strtoul(Arg, nullptr, 10));
-    else if (A == "--duration" && (Arg = next()))
-      O.DurationSec = static_cast<unsigned>(std::strtoul(Arg, nullptr, 10));
-    else if (A == "--hang-timeout-ms" && (Arg = next()))
-      O.HangTimeoutMs = static_cast<unsigned>(std::strtoul(Arg, nullptr, 10));
+    else if (A == "--sessions")
+      Ok = number(O.Sessions);
+    else if (A == "--modules")
+      Ok = number(O.Modules);
+    else if (A == "--queries")
+      Ok = number(O.Queries);
+    else if (A == "--seed")
+      Ok = number(O.Seed);
+    else if (A == "--shuffle-seed")
+      Ok = number(O.ShuffleSeed);
+    else if (A == "--concurrency")
+      Ok = number(O.Concurrency, 1u, MaxConcurrency);
+    else if (A == "--qps")
+      Ok = number(O.Qps);
+    else if (A == "--duration")
+      Ok = number(O.DurationSec);
+    else if (A == "--hang-timeout-ms")
+      Ok = number(O.HangTimeoutMs);
     else if (A == "--expect-sound")
       O.ExpectSound = true;
     else if (A == "--quiet")
@@ -360,8 +368,11 @@ int main(int argc, char **argv) {
     else if (A == "--help" || A == "-h") {
       usage();
       return 0;
-    } else {
-      std::fprintf(stderr, "sldb-load: bad argument: %s\n", A.c_str());
+    } else
+      Ok = false;
+    if (!Ok) {
+      std::fprintf(stderr, "sldb-load: bad argument: %s%s%s\n", A.c_str(),
+                   Arg ? " " : "", Arg ? Arg : "");
       usage();
       return 2;
     }

@@ -24,22 +24,26 @@
 #include "service/Server.h"
 #include "support/FaultInjector.h"
 #include "support/Interrupt.h"
+#include "support/ParseDecimal.h"
 #include "support/Stats.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 using namespace sldb;
 
 namespace {
 
+/// The most --jobs may ask for: the pool starts a thread per request of
+/// a batch, up to --jobs of them.
+constexpr unsigned MaxJobs = 256;
+
 void usage() {
   std::fprintf(
       stderr,
       "usage: sldbd [options]\n"
-      "  --jobs N              worker threads for query batches (default 1)\n"
+      "  --jobs N              worker threads for query batches (1..256,\n"
+      "                        default 1)\n"
       "  --socket PATH         serve a unix-domain socket instead of stdio\n"
       "  --replay FILE         process FILE as protocol batches, then exit\n"
       "  --fuel N              VM fuel per request (default 2000000)\n"
@@ -52,17 +56,8 @@ void usage() {
       "  --max-modules N       registry capacity\n"
       "  --inject FAULT        arm a FaultInjector point for loads\n"
       "  --inject-seed N       victim-selection seed (default 1)\n"
-      "  --stats               dump the stats registry on exit\n");
-}
-
-bool parseArgU64(const char *S, std::uint64_t &Out) {
-  char *End = nullptr;
-  errno = 0;
-  unsigned long long V = std::strtoull(S, &End, 10);
-  if (errno != 0 || !End || *End)
-    return false;
-  Out = V;
-  return true;
+      "  --stats               dump the stats registry on exit\n"
+      "Integer values are decimal digits only.\n");
 }
 
 } // namespace
@@ -71,7 +66,7 @@ int main(int argc, char **argv) {
   ServiceLimits Limits;
   unsigned Jobs = 1;
   std::string SocketPath, ReplayPath, InjectName;
-  std::uint64_t InjectSeed = 1;
+  std::uint32_t InjectSeed = 1;
   std::uint32_t HardWallMs = 60'000;
   bool DumpStats = false;
 
@@ -80,41 +75,50 @@ int main(int argc, char **argv) {
     auto next = [&]() -> const char * {
       return I + 1 < argc ? argv[++I] : nullptr;
     };
-    std::uint64_t V = 0;
-    const char *Arg;
-    if (A == "--jobs" && (Arg = next()) && parseArgU64(Arg, V))
-      Jobs = static_cast<unsigned>(V);
-    else if (A == "--socket" && (Arg = next()))
-      SocketPath = Arg;
-    else if (A == "--replay" && (Arg = next()))
-      ReplayPath = Arg;
-    else if (A == "--fuel" && (Arg = next()) && parseArgU64(Arg, V))
-      Limits.RequestFuel = V;
-    else if (A == "--wall-ms" && (Arg = next()) && parseArgU64(Arg, V))
-      Limits.RequestWallMs = static_cast<std::uint32_t>(V);
-    else if (A == "--hard-wall-ms" && (Arg = next()) && parseArgU64(Arg, V))
-      HardWallMs = static_cast<std::uint32_t>(V);
-    else if (A == "--arena-limit" && (Arg = next()) && parseArgU64(Arg, V))
-      Limits.LoadArenaBytes = V;
-    else if (A == "--session-limit" && (Arg = next()) && parseArgU64(Arg, V))
-      Limits.SessionArenaBytes = V;
-    else if (A == "--queue-depth" && (Arg = next()) && parseArgU64(Arg, V))
-      Limits.QueueDepth = V;
-    else if (A == "--retry-after-ms" && (Arg = next()) && parseArgU64(Arg, V))
-      Limits.RetryAfterMs = static_cast<std::uint32_t>(V);
-    else if (A == "--max-modules" && (Arg = next()) && parseArgU64(Arg, V))
-      Limits.MaxModules = V;
-    else if (A == "--inject" && (Arg = next()))
-      InjectName = Arg;
-    else if (A == "--inject-seed" && (Arg = next()) && parseArgU64(Arg, V))
-      InjectSeed = V;
+    const char *Arg = nullptr;
+    auto text = [&](std::string &Out) {
+      return (Arg = next()) && (Out = Arg, true);
+    };
+    auto number = [&](auto &Out, auto... Range) {
+      return (Arg = next()) && parseDecimal(Arg, Out, Range...);
+    };
+    bool Ok = true;
+    if (A == "--jobs")
+      Ok = number(Jobs, 1u, MaxJobs);
+    else if (A == "--socket")
+      Ok = text(SocketPath);
+    else if (A == "--replay")
+      Ok = text(ReplayPath);
+    else if (A == "--fuel")
+      Ok = number(Limits.RequestFuel);
+    else if (A == "--wall-ms")
+      Ok = number(Limits.RequestWallMs);
+    else if (A == "--hard-wall-ms")
+      Ok = number(HardWallMs);
+    else if (A == "--arena-limit")
+      Ok = number(Limits.LoadArenaBytes);
+    else if (A == "--session-limit")
+      Ok = number(Limits.SessionArenaBytes);
+    else if (A == "--queue-depth")
+      Ok = number(Limits.QueueDepth);
+    else if (A == "--retry-after-ms")
+      Ok = number(Limits.RetryAfterMs);
+    else if (A == "--max-modules")
+      Ok = number(Limits.MaxModules);
+    else if (A == "--inject")
+      Ok = text(InjectName);
+    else if (A == "--inject-seed")
+      Ok = number(InjectSeed);
     else if (A == "--stats")
       DumpStats = true;
     else if (A == "--help" || A == "-h") {
       usage();
       return 0;
-    } else {
-      std::fprintf(stderr, "sldbd: bad argument: %s\n", A.c_str());
+    } else
+      Ok = false;
+    if (!Ok) {
+      std::fprintf(stderr, "sldbd: bad argument: %s%s%s\n", A.c_str(),
+                   Arg ? " " : "", Arg ? Arg : "");
       usage();
       return 2;
     }
@@ -132,7 +136,7 @@ int main(int argc, char **argv) {
     // Armed on the main thread: loads (barrier verbs) run here, so the
     // injected corruption lands in the compiled tables; the classifier
     // build inside load runs under suspend() and judges the damage.
-    FaultInjector::arm(P->Id, static_cast<std::uint32_t>(InjectSeed));
+    FaultInjector::arm(P->Id, InjectSeed);
   }
 
   ServiceCore Core(Limits, Jobs);
