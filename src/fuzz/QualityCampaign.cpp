@@ -6,8 +6,8 @@
 //
 // The stepping and cross-level oracles on the campaign engine
 // (fuzz/CampaignEngine.h): both units are one seed.  The stepping unit
-// judges every promote mode from one SharedBuilds; the cross-level unit
-// judges the sweep's own builds.
+// judges every promote mode from one SharedBuilds and one walk of its
+// reference; the cross-level unit judges the sweep's own builds.
 //
 //===----------------------------------------------------------------------===//
 
@@ -54,11 +54,12 @@ StepOutcome runStepUnit(const StepCampaignConfig &C, std::uint32_t Seed,
   StepOutcome O;
   std::string Src = generateProgram(Seed, C.Gen);
   SharedBuilds Builds(Src, Opts);
+  std::optional<StepWalk> RefWalk;
   for (bool Promote : Modes) {
     ++O.Runs;
     StepOracleOptions SO;
     SO.Promote = Promote;
-    StepResult R = runStepLockstep(Builds, SO);
+    StepResult R = runStepLockstep(Builds, SO, RefWalk);
     if (!R.Compiled) {
       O.CompileFail = true;
       O.Failures.push_back(

@@ -7,6 +7,7 @@
 #include "fuzz/StepOracle.h"
 
 #include "support/FaultInjector.h"
+#include "support/Stats.h"
 
 #include <map>
 
@@ -26,34 +27,44 @@ const MInstr *instrAt(const MachineFunction &MF, std::uint32_t Addr) {
   return &MF.Blocks[B].Insts[Off];
 }
 
-using VisitKey = std::pair<FuncId, StmtId>;
-
-/// Single-steps one build to completion, counting statement-boundary
-/// stops.  Returns true when the event cap was hit (counts truncated).
-bool stepSide(Debugger &D, unsigned MaxEvents,
-              std::map<VisitKey, std::uint64_t> &Count, StopReason &End) {
+/// Single-steps \p MM to completion with \p O's fuel, counting
+/// statement-boundary stops until O.MaxEvents of them.
+StepWalk walk(const MachineModule &MM, const StepOracleOptions &O) {
+  StepWalk W;
+  W.Fuel = O.Fuel;
+  W.MaxEvents = O.MaxEvents;
+  Debugger D(MM, O.Fuel);
   StopReason R = D.startPaused();
   unsigned Events = 0;
   while (R == StopReason::Breakpoint) {
     if (auto S = D.currentStmt())
-      ++Count[{D.currentFunction(), *S}];
-    if (++Events >= MaxEvents)
-      return true;
+      ++W.Stops[{D.currentFunction(), *S}];
+    if (++Events >= O.MaxEvents)
+      break;
     R = D.stepStmt();
   }
-  End = R;
-  return R == StopReason::StepLimit;
+  if (R == StopReason::Breakpoint) { // Cut at the event cap.
+    W.Capped = true;
+  } else {
+    W.End = R;
+    W.Capped = R == StopReason::StepLimit;
+  }
+  W.Exit = D.machine().exitValue();
+  W.Output = D.machine().outputText();
+  return W;
 }
 
 } // namespace
 
 StepResult sldb::runStepLockstep(std::string_view Src,
                                  const StepOracleOptions &O) {
-  return runStepLockstep(SharedBuilds(Src, O.Opts), O);
+  std::optional<StepWalk> RefWalk;
+  return runStepLockstep(SharedBuilds(Src, O.Opts), O, RefWalk);
 }
 
 StepResult sldb::runStepLockstep(const SharedBuilds &B,
-                                 const StepOracleOptions &O) {
+                                 const StepOracleOptions &O,
+                                 std::optional<StepWalk> &RefWalk) {
   StepResult R;
 
   Expected<MachineModule> Lowered = B.lower(O.Promote);
@@ -61,30 +72,29 @@ StepResult sldb::runStepLockstep(const SharedBuilds &B,
     R.CompileError = Lowered.status().str();
     return R;
   }
-  const MachineModule &MMO = B.reference();
   const MachineModule &MM2 = *Lowered;
   R.Compiled = true;
 
-  FaultInjector::suspend();
-  Debugger SrcDbg(MMO, O.Fuel);
-  FaultInjector::resume();
-  Debugger OptDbg(MM2, O.Fuel);
-
-  std::map<VisitKey, std::uint64_t> SrcCount, OptCount;
-  FaultInjector::suspend();
-  bool SrcCapped = stepSide(SrcDbg, O.MaxEvents, SrcCount, R.SrcEnd);
-  FaultInjector::resume();
-  bool OptCapped = stepSide(OptDbg, O.MaxEvents, OptCount, R.OptEnd);
-  R.Capped = SrcCapped || OptCapped;
-
-  R.SrcExit = SrcDbg.machine().exitValue();
-  R.OptExit = OptDbg.machine().exitValue();
-  R.SrcOutput = SrcDbg.machine().outputText();
-  R.OptOutput = OptDbg.machine().outputText();
+  if (!RefWalk || !RefWalk->serves(O)) {
+    static StatCounter &Walks = Stats::counter("step.reference_walks");
+    Walks.add();
+    FaultInjector::suspend();
+    RefWalk = walk(B.reference(), O);
+    FaultInjector::resume();
+  }
+  const StepWalk &Src = *RefWalk;
+  const StepWalk Opt = walk(MM2, O);
+  R.Capped = Src.Capped || Opt.Capped;
+  R.SrcEnd = Src.End;
+  R.OptEnd = Opt.End;
+  R.SrcExit = Src.Exit;
+  R.OptExit = Opt.Exit;
+  R.SrcOutput = Src.Output;
+  R.OptOutput = Opt.Output;
 
   // Merge the two count maps into one deterministic visit table.
-  std::map<VisitKey, StepVisit> Merged;
-  auto Row = [&](VisitKey K) -> StepVisit & {
+  std::map<std::pair<FuncId, StmtId>, StepVisit> Merged;
+  auto Row = [&](std::pair<FuncId, StmtId> K) -> StepVisit & {
     StepVisit &V = Merged[K];
     if (V.Func == InvalidFunc) {
       V.Func = K.first;
@@ -102,9 +112,9 @@ StepResult sldb::runStepLockstep(const SharedBuilds &B,
     }
     return V;
   };
-  for (const auto &[K, N] : SrcCount)
+  for (const auto &[K, N] : Src.Stops)
     Row(K).SrcVisits = N;
-  for (const auto &[K, N] : OptCount)
+  for (const auto &[K, N] : Opt.Stops)
     Row(K).OptVisits = N;
   for (auto &[K, V] : Merged)
     R.Visits.push_back(V);

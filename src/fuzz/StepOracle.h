@@ -34,8 +34,11 @@
 
 #include "fuzz/DiffCheck.h"
 
+#include <map>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace sldb {
@@ -89,11 +92,34 @@ struct StepResult {
   std::string SrcOutput, OptOutput;
 };
 
-/// Lowers \p B for O.Promote and single-steps it and the reference to
-/// completion, counting statement-boundary stops per statement.  O.Opts
+/// One build single-stepped to completion: its statement-boundary stops
+/// per (function, statement), then its end state.
+struct StepWalk {
+  std::uint64_t Fuel = 0;  ///< The execution fuel it ran with.
+  unsigned MaxEvents = 0;  ///< The event cap it ran with.
+  std::map<std::pair<FuncId, StmtId>, std::uint64_t> Stops;
+  /// It hit MaxEvents (End stays Running) or ran out of fuel.
+  bool Capped = false;
+  StopReason End = StopReason::Running;
+  std::int64_t Exit = 0;
+  std::string Output;
+
+  /// Whether the walk stands for runs with \p O's fuel and event cap.
+  bool serves(const StepOracleOptions &O) const {
+    return O.Fuel == Fuel && O.MaxEvents == MaxEvents;
+  }
+};
+
+/// Lowers \p B for O.Promote and single-steps it to completion, counting
+/// statement-boundary stops per statement, against the reference's walk.
+/// The reference depends only on \p B, so it is walked once, with the
+/// FaultInjector suspended, into \p RefWalk by the first run that lowers,
+/// and every later run of \p B with the same fuel and event cap reads it
+/// from there.  Each reference walk bumps `step.reference_walks`.  O.Opts
 /// is not read (the builds are already compiled).  Never asserts:
 /// findings are in the result for checkStepping to judge.
-StepResult runStepLockstep(const SharedBuilds &B, const StepOracleOptions &O);
+StepResult runStepLockstep(const SharedBuilds &B, const StepOracleOptions &O,
+                           std::optional<StepWalk> &RefWalk);
 
 /// Compiles \p Src for one mode (unoptimized-unpromoted oracle vs. \p O)
 /// and steps both builds as above.

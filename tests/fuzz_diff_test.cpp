@@ -292,10 +292,10 @@ TEST(FuzzDiff, BrokenDeadReachKillIsCaught) {
 }
 
 // The diff and step campaigns judge each seed in both modes from one
-// SharedBuilds (one optimizer run, one reference, one lowering per mode).
-// Every field of every result must equal what compiling the mode on its
-// own gives, for the frame mode lowered second as for the promote mode
-// lowered first.
+// SharedBuilds (one optimizer run, one reference, one lowering per mode)
+// and, stepping, one walk of the reference.  Every field of every result
+// must equal what compiling the mode on its own gives, for the frame
+// mode lowered second as for the promote mode lowered first.
 TEST(FuzzDiff, SharedBuildsJudgeLikePerModeCompiles) {
   for (bool Alias : {false, true})
     for (std::uint32_t Seed = 1; Seed <= 200; ++Seed) {
@@ -306,6 +306,7 @@ TEST(FuzzDiff, SharedBuildsJudgeLikePerModeCompiles) {
                    (Alias ? " --alias" : ""));
       SharedBuilds Builds(Src, LockstepOptions::lockstepOpts(),
                           /*Instrument=*/true);
+      std::optional<StepWalk> RefWalk;
       for (bool Promote : {true, false}) {
         SCOPED_TRACE(Promote ? "promote" : "frame");
         LockstepOptions LO;
@@ -318,7 +319,7 @@ TEST(FuzzDiff, SharedBuildsJudgeLikePerModeCompiles) {
 
         StepOracleOptions SO;
         SO.Promote = Promote;
-        expectSameResult(runStepLockstep(Builds, SO),
+        expectSameResult(runStepLockstep(Builds, SO, RefWalk),
                          runStepLockstep(Src, SO));
       }
     }
@@ -369,7 +370,8 @@ TEST(FuzzDiff, SharedReferenceMatchesUnoptimizedCompile) {
 }
 
 // A campaign records each seed's reference session once: a diff seed for
-// both promote modes, a cross-level seed for every judged level.
+// both promote modes, a cross-level seed for every judged level.  A step
+// seed walks its reference once for both promote modes.
 TEST(FuzzDiff, EachSeedRecordsItsReferenceOnce) {
   const StatCounter &Runs = Stats::counter("lockstep.reference_runs");
   CampaignConfig C;
@@ -390,6 +392,17 @@ TEST(FuzzDiff, EachSeedRecordsItsReferenceOnce) {
   CrossLevelCampaignResult XR = runCrossLevelCampaign(X);
   ASSERT_GT(XR.LockstepRuns, 3u * 2);
   EXPECT_EQ(Runs.value() - Before, 3u);
+
+  const StatCounter &Walks = Stats::counter("step.reference_walks");
+  StepCampaignConfig S;
+  S.Seed = 1;
+  S.Count = 20;
+  S.BothPromoteModes = true;
+  S.Shrink = false;
+  Before = Walks.value();
+  StepCampaignResult SR = runStepCampaign(S);
+  ASSERT_EQ(SR.Runs, 40u);
+  EXPECT_EQ(Walks.value() - Before, 20u);
 }
 
 TEST(FuzzDiff, ShrinkerPreservesPredicateAndShrinks) {
