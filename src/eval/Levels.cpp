@@ -18,6 +18,9 @@ OptOptions onePass(bool OptOptions::*Field) {
   return O;
 }
 
+/// Everything but loop peeling and unrolling, which duplicate statements:
+/// the heaviest set whose statements the lockstep oracle can still pair
+/// one-to-one (LockstepOptions::lockstepOpts reads it from the O2nl row).
 OptOptions lockstepSet() {
   OptOptions O = OptOptions::all();
   O.LoopPeel = false;

@@ -26,6 +26,7 @@
 
 #include "core/Debugger.h"
 #include "eval/Compile.h"
+#include "eval/Levels.h"
 
 #include <optional>
 #include <string>
@@ -107,11 +108,9 @@ struct LockstepOptions {
   /// Record per-pipeline-slot firing counts (pass coverage).
   bool InstrumentPasses = false;
 
+  /// The O2nl level's pass set (eval/Levels.h).
   static OptOptions lockstepOpts() {
-    OptOptions O = OptOptions::all();
-    O.LoopPeel = false;
-    O.LoopUnroll = false;
-    return O;
+    return levelSpec(PipelineLevel::O2nl).Opts;
   }
 };
 
