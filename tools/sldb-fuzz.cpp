@@ -24,6 +24,7 @@
 #include "fuzz/CampaignEngine.h"
 #include "fuzz/QualityCampaign.h"
 #include "support/Interrupt.h"
+#include "support/ParseDecimal.h"
 #include "support/Sharder.h"
 #include "support/Stats.h"
 #include "support/Trace.h"
@@ -116,12 +117,6 @@ void usage() {
       "crosslevel and --repro with --inject.\n");
 }
 
-bool parseUnsigned(const char *S, unsigned long &Out) {
-  char *End = nullptr;
-  Out = std::strtoul(S, &End, 10);
-  return End && *End == '\0' && End != S;
-}
-
 bool parseArgs(int Argc, char **Argv, Options &O) {
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
@@ -131,12 +126,12 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
     unsigned long N = 0;
     if (A == "--seed") {
       const char *V = Next();
-      if (!V || !parseUnsigned(V, N))
+      if (!V || !parseDecimal(V, N))
         return false;
       O.Seed = static_cast<std::uint32_t>(N);
     } else if (A == "--count") {
       const char *V = Next();
-      if (!V || !parseUnsigned(V, N))
+      if (!V || !parseDecimal(V, N))
         return false;
       O.Count = static_cast<unsigned>(N);
     } else if (A == "--no-promote") {
@@ -153,7 +148,7 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
       O.WriteDir = V;
     } else if (A == "--dump-seed") {
       const char *V = Next();
-      if (!V || !parseUnsigned(V, N))
+      if (!V || !parseDecimal(V, N))
         return false;
       O.DumpSeed = static_cast<long>(N);
     } else if (A == "--repro") {
@@ -182,13 +177,13 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
       O.Isolate = 0;
     } else if (A == "--timeout-ms") {
       const char *V = Next();
-      if (!V || !parseUnsigned(V, N))
+      if (!V || !parseDecimal(V, N))
         return false;
       O.TimeoutMs = static_cast<unsigned>(N);
       O.TimeoutGiven = true;
     } else if (A == "--jobs") {
       const char *V = Next();
-      if (!V || !parseUnsigned(V, N))
+      if (!V || !parseDecimal(V, N))
         return false;
       O.Jobs = static_cast<unsigned>(N);
     } else if (A == "--shard") {
