@@ -16,6 +16,8 @@
 /// The back-end digest pins what the register allocator, the scheduler
 /// and the residence/recovery tables produce, at every pipeline level,
 /// so a rewrite of the back end's inner loops must stay byte-identical.
+/// The spill digest pins the same for two inputs that spill at every
+/// level, since the back-end corpus never runs out of registers.
 /// The classifier digest pins every verdict and path fact the classifier
 /// explains over the same corpus, so a rewrite of its data flow must
 /// stay byte-identical too.  The frontend digest pins the symbol tables
@@ -219,6 +221,48 @@ TEST(Golden, BackendDigest) {
   checkDigest(Dig, "backend_digest.txt",
               "back-end output changed: machine code, frame, statement map, "
               "storage, residence or recovery validity differs from the "
+              "checked-in digest");
+}
+
+// Spill identity: the back-end digest's corpus never runs out of
+// registers, so the two spill inputs (36 locals live across one body)
+// are hashed at every level with the level's promote setting, one line
+// per program and level.  Every build must still run to the
+// unoptimized IR's output and exit value.
+TEST(Golden, SpillDigest) {
+  std::string Dig;
+  for (const char *Name : {"spill_rounds_2.mc", "spill_rounds_14.mc"}) {
+    std::ifstream In(std::string(SLDB_INPUT_DIR) + "/" + Name);
+    ASSERT_TRUE(In) << Name;
+    std::stringstream Src;
+    Src << In.rdbuf();
+    DiagnosticEngine Diags;
+    auto Ref = compileToIR(Src.str(), Diags);
+    ASSERT_TRUE(Ref) << Name << ": " << Diags.str();
+    ExecResult Oracle = interpretIR(*Ref);
+    ASSERT_FALSE(Oracle.Trapped) << Name << ": " << Oracle.TrapMsg;
+    for (const LevelSpec &Spec : pipelineLevels()) {
+      SCOPED_TRACE(std::string(Name) + " at " + Spec.Name);
+      auto M = compileToIR(Src.str(), Diags);
+      ASSERT_TRUE(M);
+      ASSERT_TRUE(runPipelineEx(*M, Spec.Opts, PipelineConfig()).ok());
+      CodegenOptions CG;
+      CG.PromoteVars = Spec.Promote;
+      Expected<MachineModule> MM = compileToMachineE(*M, CG);
+      ASSERT_TRUE(MM) << MM.status().str();
+      Fnv1a H;
+      for (const MachineFunction &MF : MM->Funcs)
+        hashFunction(H, MF, MM->Info);
+      Machine VM(*MM);
+      EXPECT_EQ(VM.run(), StopReason::Exited) << VM.trapMessage();
+      EXPECT_EQ(VM.outputText(), Oracle.outputText());
+      EXPECT_EQ(VM.exitValue(), Oracle.ExitValue);
+      Dig += digestLine(Name, Spec, H);
+    }
+  }
+  checkDigest(Dig, "spill_digest.txt",
+              "spilled back-end output changed: spill code, spill slots, "
+              "frame, statement map or debug tables differ from the "
               "checked-in digest");
 }
 
