@@ -667,4 +667,22 @@ TEST(SldbFuzzCli, FlagsTheOracleWouldIgnoreAreUsageErrors) {
   }
 }
 
+TEST(SldbFuzzCli, IntegerFlagsOutsideTheirFieldAreUsageErrors) {
+  // Each flag parses into its field's own type: 2^32 once wrapped to 0
+  // (--dump-seed 4294967297 printed seed 1), and --jobs is capped like
+  // sldbd --jobs, so a large value never starts a thread per unit.  The
+  // usage line comes before any unit runs.
+  for (const char *Args :
+       {"--dump-seed 4294967296", "--seed 4294967296", "--count 4294967296",
+        "--jobs 257", "--jobs -1", "--timeout-ms 4294967296"}) {
+    auto [Status, Out] =
+        runFuzz(std::string(Args) + " --count 1 --no-write --no-shrink");
+    EXPECT_EQ(Status, 2) << Args << "\n" << Out;
+    EXPECT_EQ(Out.rfind("usage: sldb-fuzz", 0), 0u) << Args << "\n" << Out;
+  }
+  auto [Status, Out] = runFuzz("--dump-seed 4294967295");
+  EXPECT_EQ(Status, 0) << Out;
+  EXPECT_NE(Out.find("int main()"), std::string::npos) << Out;
+}
+
 #endif // SLDB_FUZZ_PATH

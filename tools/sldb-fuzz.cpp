@@ -32,11 +32,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 using namespace sldb;
 
 namespace {
+
+/// The bound of --jobs, as of sldbd --jobs and sldb-load --concurrency.
+constexpr unsigned MaxJobs = 256;
 
 struct Options {
   std::uint32_t Seed = 1;
@@ -47,14 +51,14 @@ struct Options {
   bool Write = true;
   std::string WriteDir; ///< Empty: the campaign's default directory.
   std::string ReproPath;
-  long DumpSeed = -1;
+  std::optional<std::uint32_t> DumpSeed; ///< --dump-seed N.
   std::string Oracle = "diff"; ///< diff | step | crosslevel.
   std::string Level; ///< --level NAME: judge at one named pipeline level.
   bool Inject = false;
   int Isolate = -1; ///< -1 default (on for --inject, off otherwise).
   unsigned TimeoutMs = 20'000;
   bool TimeoutGiven = false;
-  unsigned Jobs = 1;       ///< 0 = all hardware cores.
+  unsigned Jobs = 1;       ///< 0 = all hardware cores, else 1..MaxJobs.
   unsigned ShardIndex = 0; ///< --shard i/k.
   unsigned ShardCount = 1;
   bool WorkerStats = false;
@@ -99,10 +103,10 @@ void usage() {
       "  --no-isolate    run checks in-process\n"
       "  --timeout-ms N  watchdog budget per isolated check (default\n"
       "                  20000)\n"
-      "  --jobs N        fan units across N worker threads (0 = all\n"
-      "                  cores; default 1).  The report is byte-identical\n"
-      "                  for every N; with --isolate each worker forks\n"
-      "                  its own watchdogged child\n"
+      "  --jobs N        fan units across N worker threads (0..256; 0 =\n"
+      "                  all cores; default 1).  The report is\n"
+      "                  byte-identical for every N; with --isolate each\n"
+      "                  worker forks its own watchdogged child\n"
       "  --shard I/K     run only the I-th of K contiguous slices of the\n"
       "                  seed range (0-based; distributed campaigns)\n"
       "  --worker-stats  print per-worker throughput/steal/slowest-seed\n"
@@ -123,17 +127,18 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
     auto Next = [&]() -> const char * {
       return I + 1 < Argc ? Argv[++I] : nullptr;
     };
-    unsigned long N = 0;
+    // Each integer flag parses into its field's own type, so a value
+    // the field cannot hold is a usage error, never a wrapped one.
+    auto Number = [&](auto &Out, auto... Range) {
+      const char *V = Next();
+      return V && parseDecimal(V, Out, Range...);
+    };
     if (A == "--seed") {
-      const char *V = Next();
-      if (!V || !parseDecimal(V, N))
+      if (!Number(O.Seed))
         return false;
-      O.Seed = static_cast<std::uint32_t>(N);
     } else if (A == "--count") {
-      const char *V = Next();
-      if (!V || !parseDecimal(V, N))
+      if (!Number(O.Count))
         return false;
-      O.Count = static_cast<unsigned>(N);
     } else if (A == "--no-promote") {
       O.Promote = false;
       O.BothModes = false;
@@ -147,10 +152,10 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
         return false;
       O.WriteDir = V;
     } else if (A == "--dump-seed") {
-      const char *V = Next();
-      if (!V || !parseDecimal(V, N))
+      std::uint32_t Seed = 0;
+      if (!Number(Seed))
         return false;
-      O.DumpSeed = static_cast<long>(N);
+      O.DumpSeed = Seed;
     } else if (A == "--repro") {
       const char *V = Next();
       if (!V)
@@ -176,16 +181,12 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
     } else if (A == "--no-isolate") {
       O.Isolate = 0;
     } else if (A == "--timeout-ms") {
-      const char *V = Next();
-      if (!V || !parseDecimal(V, N))
+      if (!Number(O.TimeoutMs))
         return false;
-      O.TimeoutMs = static_cast<unsigned>(N);
       O.TimeoutGiven = true;
     } else if (A == "--jobs") {
-      const char *V = Next();
-      if (!V || !parseDecimal(V, N))
+      if (!Number(O.Jobs, 0u, MaxJobs))
         return false;
-      O.Jobs = static_cast<unsigned>(N);
     } else if (A == "--shard") {
       const char *V = Next();
       if (!V || !Sharder::parseSpec(V, O.ShardIndex, O.ShardCount))
@@ -426,11 +427,10 @@ int main(int Argc, char **Argv) {
     Trace::enable();
   }
 
-  if (O.DumpSeed >= 0) {
+  if (O.DumpSeed) {
     GenOptions G;
     G.Alias = O.Alias;
-    std::string Src =
-        generateProgram(static_cast<std::uint32_t>(O.DumpSeed), G);
+    std::string Src = generateProgram(*O.DumpSeed, G);
     std::fputs(Src.c_str(), stdout);
     return 0;
   }
