@@ -4,17 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Worklist solver.  Blocks are processed in traversal order — reverse
-// post-order for forward problems, post-order for backward ones (the
-// CFGContext block order *is* RPO) — so most problems converge in one or
-// two visits per block.  A block is re-queued only when the result side of
-// an edge into it changed.  All BitVector scratch is allocated once before
-// the loop and refilled in place: the inner loop is pure word-parallel
-// set algebra over preallocated storage.
-//
-// The fixed point of a monotone gen/kill problem is unique, so the switch
-// from the old repeated-sweep schedule changes iteration counts, never
-// results.
+// The two vector-list entries of the solver; the solver itself is the
+// template in Dataflow.h.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,129 +13,27 @@
 
 using namespace sldb;
 
-namespace {
-
-/// Core solver over an abstract edge supplier.  \p edgesIn yields the
-/// blocks whose results feed B (preds for forward, succs for backward);
-/// \p edgesOut the blocks that consume B's result.
-template <typename EdgesInFn, typename EdgesOutFn>
-DataflowResult solveCore(unsigned N, const DataflowProblem &P,
-                         const std::vector<unsigned> &Exits,
-                         EdgesInFn edgesIn, EdgesOutFn edgesOut) {
-  const bool Fwd = P.Dir == FlowDir::Forward;
-  const bool Union = P.Meet == FlowMeet::Union;
-
-  DataflowResult R;
-  R.In.assign(N, BitVector(P.Universe, !Union));
-  R.Out.assign(N, BitVector(P.Universe, !Union));
-
-  // "Meet input" of a block: In for forward, Out for backward.
-  // "Result" of a block:     Out for forward, In for backward.
-  auto &MeetSide = Fwd ? R.In : R.Out;
-  auto &ResultSide = Fwd ? R.Out : R.In;
-
-  std::vector<bool> IsBoundary(N, false);
-  if (Fwd) {
-    if (N)
-      IsBoundary[0] = true; // Entry block has index 0.
-  } else {
-    for (unsigned E : Exits)
-      IsBoundary[E] = true;
-  }
-
-  // LIFO worklist, seeded so the first N pops visit every block in
-  // traversal order (RPO forward, post-order backward).
-  std::vector<unsigned> Work;
-  Work.reserve(2 * N);
-  std::vector<bool> OnList(N, true);
-  for (unsigned Step = 0; Step < N; ++Step)
-    Work.push_back(Fwd ? N - 1 - Step : Step);
-
-  // Scratch reused across every visit; same-size BitVector assignment
-  // rewrites the existing words without reallocating.
-  const BitVector InitVal(P.Universe, !Union);
-  BitVector NewMeet(P.Universe);
-  BitVector NewResult(P.Universe);
-
-  while (!Work.empty()) {
-    unsigned B = Work.back();
-    Work.pop_back();
-    OnList[B] = false;
-
-    // Meet over incoming edges (plus the boundary value for boundary
-    // blocks).  A block with no incoming information keeps the top
-    // (Intersect) or bottom (Union) value.
-    const std::vector<unsigned> &Edges = edgesIn(B);
-    bool First = true;
-    for (unsigned E : Edges) {
-      if (First) {
-        NewMeet = ResultSide[E];
-        First = false;
-      } else if (Union) {
-        NewMeet |= ResultSide[E];
-      } else {
-        NewMeet &= ResultSide[E];
-      }
-    }
-    if (IsBoundary[B]) {
-      if (First) {
-        NewMeet = P.Boundary;
-        First = false;
-      } else if (Union) {
-        NewMeet |= P.Boundary;
-      } else {
-        NewMeet &= P.Boundary;
-      }
-    }
-    if (First)
-      NewMeet = InitVal;
-
-    NewResult = NewMeet;
-    NewResult.subtract(P.Kill[B]);
-    NewResult |= P.Gen[B];
-
-    if (NewMeet != MeetSide[B])
-      std::swap(MeetSide[B], NewMeet);
-    if (NewResult != ResultSide[B]) {
-      std::swap(ResultSide[B], NewResult);
-      // B's result feeds its out-edges; requeue the consumers.
-      for (unsigned S : edgesOut(B))
-        if (!OnList[S]) {
-          OnList[S] = true;
-          Work.push_back(S);
-        }
-    }
-  }
-  return R;
-}
-
-} // namespace
-
 DataflowResult sldb::solveDataflowGeneric(
     unsigned NumBlocks, const std::vector<std::vector<unsigned>> &Preds,
     const std::vector<std::vector<unsigned>> &Succs,
     const std::vector<unsigned> &Exits, const DataflowProblem &P) {
-  const bool Fwd = P.Dir == FlowDir::Forward;
-  return solveCore(
-      NumBlocks, P, Exits,
-      [&](unsigned B) -> const std::vector<unsigned> & {
-        return Fwd ? Preds[B] : Succs[B];
-      },
-      [&](unsigned B) -> const std::vector<unsigned> & {
-        return Fwd ? Succs[B] : Preds[B];
-      });
+  DataflowResult R;
+  solveDataflowGeneric(
+      NumBlocks,
+      [&](unsigned B) -> const std::vector<unsigned> & { return Preds[B]; },
+      [&](unsigned B) -> const std::vector<unsigned> & { return Succs[B]; },
+      Exits, P, R);
+  return R;
 }
 
 DataflowResult sldb::solveDataflow(const CFGContext &CFG,
                                    const DataflowProblem &P) {
   // Reads the context's edge lists in place — no per-call CFG copy.
-  const bool Fwd = P.Dir == FlowDir::Forward;
-  return solveCore(
-      CFG.numBlocks(), P, CFG.exits(),
-      [&](unsigned B) -> const std::vector<unsigned> & {
-        return Fwd ? CFG.preds(B) : CFG.succs(B);
-      },
-      [&](unsigned B) -> const std::vector<unsigned> & {
-        return Fwd ? CFG.succs(B) : CFG.preds(B);
-      });
+  DataflowResult R;
+  solveDataflowGeneric(
+      CFG.numBlocks(),
+      [&](unsigned B) -> const std::vector<unsigned> & { return CFG.preds(B); },
+      [&](unsigned B) -> const std::vector<unsigned> & { return CFG.succs(B); },
+      CFG.exits(), P, R);
+  return R;
 }

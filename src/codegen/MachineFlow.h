@@ -51,7 +51,16 @@ public:
   /// a later decision at an address overriding an earlier one.  The
   /// entry block starts with no fact holding.
   MachineFlow(const MachineFunction &MF, unsigned Universe,
-              std::vector<Decision> Decisions, FlowMeet Meet);
+              std::vector<Decision> Decisions, FlowMeet Meet) {
+    assign(MF, Universe, Decisions, Meet);
+  }
+
+  /// Solves a new problem in place of this one, as the constructor does,
+  /// reusing this flow's storage.  \p Decisions is swapped with the log
+  /// it replaces, so a caller that refills it reuses that storage too
+  /// (the register allocator keeps one flow per thread).
+  void assign(const MachineFunction &MF, unsigned Universe,
+              std::vector<Decision> &Decisions, FlowMeet Meet);
 
   /// The facts holding just before the instruction at \p Addr, which may
   /// be the past-the-end address numInstrs(): the entry state of the last
@@ -60,7 +69,13 @@ public:
   BitVector at(std::uint32_t Addr) const;
 
   /// Per fact, every address where it holds.
-  std::vector<BitVector> expand() const;
+  std::vector<BitVector> expand() const {
+    std::vector<BitVector> Rows;
+    expand(Rows);
+    return Rows;
+  }
+  /// The same into \p Rows, reusing their storage.
+  void expand(std::vector<BitVector> &Rows) const;
 
 private:
   const MachineFunction *MF = nullptr;
