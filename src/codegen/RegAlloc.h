@@ -19,10 +19,13 @@
 ///  * validity bits for marker recovery values that live in registers
 ///    (MachineFunction::RecoveryValidAt, keyed by marker address).
 ///
-/// Coloring numbers each class's registers through dense tables
-/// (physical registers, selection vregs, spill temps) and keeps the
-/// interference graph as a flat bit matrix; every decision is ordered by
-/// register number, so the numbering never shows in the output.  The
+/// Coloring decodes each class's operands once into a flat table of dense
+/// register ids (physical registers, selection vregs, spill temps); every
+/// round works from that table, which coalescing rewrites along with the
+/// code and a spill round decodes again.  The interference graph is a
+/// flat bit matrix; every decision is ordered by register number, so the
+/// numbering never shows in the output.  One allocator lives per thread
+/// and keeps its storage between calls.  The
 /// debug tables are one forward all-paths problem over the final code,
 /// stated as a codegen/MachineFlow.h decision log with one bit per fact —
 /// residence of a register-homed variable, ownership of a recovery
