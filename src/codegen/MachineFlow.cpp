@@ -11,10 +11,10 @@
 using namespace sldb;
 
 void MachineFlow::assign(const MachineFunction &F, unsigned U,
-                         std::vector<Decision> &Decisions, FlowMeet Meet) {
+                         std::span<const Decision> Decisions, FlowMeet Meet) {
   MF = &F;
   Universe = U;
-  Log.swap(Decisions);
+  Log = Decisions;
   const unsigned NB = static_cast<unsigned>(F.Blocks.size());
   // The problem and the solver's Out side are scratch, kept per thread.
   thread_local DataflowProblem P;

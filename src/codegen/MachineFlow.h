@@ -28,6 +28,7 @@
 #include "analysis/Dataflow.h"
 #include "codegen/MachineIR.h"
 
+#include <span>
 #include <vector>
 
 namespace sldb {
@@ -42,6 +43,8 @@ struct Decision {
 
 /// A forward problem over the laid-out code of a machine function (its
 /// BlockAddr filled), stated as a decision log and solved under one meet.
+/// The flow borrows the log: it must outlive the flow and stay unchanged
+/// while the flow answers, so flows under both meets can share one log.
 class MachineFlow {
 public:
   /// No problem yet: a placeholder to assign a solved flow to.
@@ -51,16 +54,15 @@ public:
   /// a later decision at an address overriding an earlier one.  The
   /// entry block starts with no fact holding.
   MachineFlow(const MachineFunction &MF, unsigned Universe,
-              std::vector<Decision> Decisions, FlowMeet Meet) {
+              std::span<const Decision> Decisions, FlowMeet Meet) {
     assign(MF, Universe, Decisions, Meet);
   }
 
   /// Solves a new problem in place of this one, as the constructor does,
-  /// reusing this flow's storage.  \p Decisions is swapped with the log
-  /// it replaces, so a caller that refills it reuses that storage too
-  /// (the register allocator keeps one flow per thread).
+  /// reusing this flow's storage (the register allocator keeps one flow
+  /// per thread).
   void assign(const MachineFunction &MF, unsigned Universe,
-              std::vector<Decision> &Decisions, FlowMeet Meet);
+              std::span<const Decision> Decisions, FlowMeet Meet);
 
   /// The facts holding just before the instruction at \p Addr, which may
   /// be the past-the-end address numInstrs(): the entry state of the last
@@ -80,7 +82,7 @@ public:
 private:
   const MachineFunction *MF = nullptr;
   unsigned Universe = 0;
-  std::vector<Decision> Log;
+  std::span<const Decision> Log;
   std::vector<std::size_t> BlockLog; ///< Block -> its first decision.
   std::vector<BitVector> In;         ///< Block -> facts at its entry.
 };

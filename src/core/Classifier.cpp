@@ -32,6 +32,12 @@ bool overwrites(const MInstr &I, const MRecovery &R) {
                    : I.FrameSlot == R.Frame);
   return I.Op == MOp::JAL && Global; // The callee may write the global.
 }
+
+/// `classifier.queries`: one per variable classified.
+StatCounter &queryCount() {
+  static StatCounter &C = Stats::counter("classifier.queries");
+  return C;
+}
 } // namespace
 
 const char *sldb::varClassName(VarClass C) {
@@ -196,7 +202,6 @@ Classifier::Classifier(const MachineFunction &MF, const ProgramInfo &Info,
 
   // One walk states each flow rule once, as the decisions of each
   // instruction, in the order they apply.
-  std::vector<Decision> Log;
   auto Decide = [&](unsigned Fact, bool Set) {
     Log.push_back({Addr, Fact, Set});
   };
@@ -260,26 +265,13 @@ Classifier::Classifier(const MachineFunction &MF, const ProgramInfo &Info,
           Decide(Markers[M].Taint, true);
       ++Addr;
     }
-  SomeFlow = MachineFlow(MF, U, Log, FlowMeet::Union);
-  AllFlow = MachineFlow(MF, U, std::move(Log), FlowMeet::Intersect);
+  SomeFlow.assign(MF, U, Log, FlowMeet::Union);
+  AllFlow.assign(MF, U, Log, FlowMeet::Intersect);
 }
 
-const Classifier::AddrState &Classifier::stateAt(std::uint32_t Addr) const {
-  if (Cache.empty())
-    Cache.resize(Total + 1);
+Classifier::AddrState Classifier::stateAt(std::uint32_t Addr) const {
   Addr = std::min(Addr, Total);
-  AddrState &E = Cache[Addr];
-  static StatCounter &HitCount = Stats::counter("classifier.cache.hits");
-  static StatCounter &MissCount = Stats::counter("classifier.cache.misses");
-  if (E.Valid) {
-    HitCount.add();
-    return E;
-  }
-  MissCount.add();
-  E.Some = SomeFlow.at(Addr);
-  E.All = AllFlow.at(Addr);
-  E.Valid = true;
-  return E;
+  return {SomeFlow.at(Addr), AllFlow.at(Addr)};
 }
 
 bool Classifier::recoveryValid(unsigned M, std::uint32_t Addr,
@@ -305,7 +297,7 @@ bool Classifier::recoveryValid(unsigned M, std::uint32_t Addr,
 // Classification (Figure 1)
 //===----------------------------------------------------------------------===//
 
-Classification Classifier::classifyDegraded(std::uint32_t Addr, VarId V,
+Classification Classifier::classifyDegraded(const AddrState &AS, VarId V,
                                             Explanation *E) const {
   // Fail-safe path for variables whose bookkeeping failed verification.
   // Only facts a corrupt annotation cannot skew toward optimism are
@@ -336,7 +328,7 @@ Classification Classifier::classifyDegraded(std::uint32_t Addr, VarId V,
   const VarRow &Row = row(V);
   if (VI.Storage != StorageKind::Global) {
     bool Tracked = Row.Init != ~0u;
-    bool Reached = Tracked && stateAt(Addr).Some.test(Row.Init);
+    bool Reached = Tracked && AS.Some.test(Row.Init);
     if (E) {
       E->InitTracked = Tracked;
       E->InitReached = Reached;
@@ -365,9 +357,12 @@ Classification Classifier::classifyDegraded(std::uint32_t Addr, VarId V,
 
 Classification Classifier::classify(std::uint32_t Addr, VarId V,
                                     Explanation *E) const {
-  // Registry lookups are a lock + map probe; resolve the counters once.
-  static StatCounter &QueryCount = Stats::counter("classifier.queries");
-  QueryCount.add();
+  queryCount().add();
+  return classifyAt(Addr, stateAt(Addr), V, E);
+}
+
+Classification Classifier::classifyAt(std::uint32_t Addr, const AddrState &AS,
+                                      VarId V, Explanation *E) const {
   if (E) {
     E->V = V;
     E->Addr = Addr;
@@ -378,12 +373,11 @@ Classification Classifier::classify(std::uint32_t Addr, VarId V,
     static StatCounter &DegradedCount =
         Stats::counter("classifier.queries.degraded");
     DegradedCount.add();
-    return classifyDegraded(Addr, V, E);
+    return classifyDegraded(AS, V, E);
   }
 
   Classification C;
   const VarInfo &VI = Info.var(V);
-  const AddrState &AS = stateAt(Addr);
 
   auto Done = [&](const char *Rule) {
     if (E) {
@@ -468,9 +462,7 @@ Classification Classifier::classify(std::uint32_t Addr, VarId V,
         if (E)
           E->RecoveryNote = "rejected: self-referential alias";
       } else {
-        // Marker addresses are fixed, so these states come from the same
-        // per-address cache as the breakpoint's own.
-        const AddrState &MS = stateAt(MAddr);
+        const AddrState MS = stateAt(MAddr);
         for (unsigned M : markersOf(Src))
           if (MS.Some.test(FirstMarker + M))
             SrcSound = false;
@@ -574,17 +566,13 @@ Explanation Classifier::explain(std::uint32_t Addr, VarId V) const {
   return E;
 }
 
-std::vector<Classification>
-Classifier::classifyAll(std::uint32_t Addr,
-                        const std::vector<VarId> &Vs) const {
-  // Warm the per-address cache once, then every classify() in the sweep
-  // is a pure bit-vector probe against the shared solution.
-  (void)stateAt(Addr);
-  std::vector<Classification> Cs;
-  Cs.reserve(Vs.size());
+void Classifier::classifyAll(std::uint32_t Addr, std::span<const VarId> Vs,
+                             std::vector<Classification> &Out) const {
+  queryCount().add(Vs.size());
+  const AddrState AS = stateAt(Addr);
+  Out.clear();
   for (VarId V : Vs)
-    Cs.push_back(classify(Addr, V));
-  return Cs;
+    Out.push_back(classifyAt(Addr, AS, V, nullptr));
 }
 
 //===----------------------------------------------------------------------===//

@@ -179,13 +179,13 @@ bool Debugger::readRecovery(const MRecovery &R, std::int64_t &I, double &D,
   return false;
 }
 
-Debugger::StaticReport Debugger::describeVar(const Classifier &C,
-                                             VarId V) const {
+Debugger::StaticReport Debugger::describeVar(const Classifier &C, VarId V,
+                                             const Classification &Class) const {
   const VarInfo &VI = MM.Info->var(V);
   StaticReport S;
   VarReport &R = S.Report;
   R.Var = V;
-  R.Class = C.classify(VM.pc().Local, V);
+  R.Class = Class;
   R.IsDouble = VI.Ty.isDouble();
 
   if (R.Class.Recoverable) {
@@ -231,7 +231,7 @@ void Debugger::readValue(const StaticReport &S, VarReport &R) const {
 }
 
 VarReport Debugger::reportVar(const Classifier &C, VarId V) const {
-  StaticReport S = describeVar(C, V);
+  StaticReport S = describeVar(C, V, C.classify(VM.pc().Local, V));
   readValue(S, S.Report);
   return S.Report;
 }
@@ -317,16 +317,15 @@ std::vector<VarReport> Debugger::reportScope() const {
   if (Scope.empty())
     return Out;
   const Classifier &C = classifier(F);
+  C.classifyAll(VM.pc().Local, Scope, ScopeClasses);
   Out.reserve(Scope.size());
-  if (!Entry) {
-    for (VarId V : Scope)
-      Out.push_back(reportVar(C, V));
-    return Out;
-  }
-  Entry->reserve(Scope.size());
-  for (VarId V : Scope) {
-    const StaticReport &S = Entry->emplace_back(describeVar(C, V));
+  if (Entry)
+    Entry->reserve(Scope.size());
+  for (std::size_t I = 0; I < Scope.size(); ++I) {
+    StaticReport S = describeVar(C, Scope[I], ScopeClasses[I]);
     readValue(S, Out.emplace_back(S.Report));
+    if (Entry)
+      Entry->push_back(S);
   }
   return Out;
 }

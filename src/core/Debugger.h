@@ -171,8 +171,10 @@ private:
     VarStorage Home; ///< Read when Src is Home.
   };
 
-  /// \p V's static report at the current address.
-  StaticReport describeVar(const Classifier &C, VarId V) const;
+  /// \p V's static report at the current address, where \p C classified
+  /// it as \p Class.
+  StaticReport describeVar(const Classifier &C, VarId V,
+                           const Classification &Class) const;
   /// Reads \p S's value at the current stop into \p R.
   void readValue(const StaticReport &S, VarReport &R) const;
   VarReport reportVar(const Classifier &C, VarId V) const;
@@ -205,6 +207,8 @@ private:
   /// The scope memo's entries, one per address stopped at twice or more
   /// (AddrInfo::Memo points here).
   mutable std::vector<std::vector<StaticReport>> Memos;
+  /// The verdicts of a scope report the memo does not serve.
+  mutable std::vector<Classification> ScopeClasses;
   bool ForceDegraded = false; ///< Applied to lazily-built classifiers too.
   /// This session's scope reports and memo hits, added to Stats once,
   /// when the session ends, so a stop pays no atomic add.

@@ -69,13 +69,16 @@ Expected<CompiledModule> classifyLevel(std::string_view Src,
     Classifier C(MF, *MM.Info);
     const FuncInfo &FI = MM.Info->func(MF.Id);
     CC.SrcStmts += MF.StmtAddr.size();
+    std::vector<Classification> Cs;
     for (StmtId S = 0; S < MF.StmtAddr.size(); ++S) {
       if (MF.StmtAddr[S] < 0)
         continue;
       ++CC.CodeStmts;
-      std::uint32_t Addr = static_cast<std::uint32_t>(MF.StmtAddr[S]);
-      for (VarId V : FI.Stmts[S].ScopeVars) {
-        Classification R = C.classify(Addr, V);
+      const std::vector<VarId> &Scope = FI.Stmts[S].ScopeVars;
+      C.classifyAll(static_cast<std::uint32_t>(MF.StmtAddr[S]), Scope, Cs);
+      for (std::size_t I = 0; I < Scope.size(); ++I) {
+        const VarId V = Scope[I];
+        const Classification &R = Cs[I];
         CC.count(R);
         PointKey K{MF.Id, S, V};
         Column[K] = {R.Kind, R.Recoverable};

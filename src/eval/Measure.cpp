@@ -43,13 +43,15 @@ void tally(const MachineModule &MM, CoverageCounts &CC, bool EnableRecovery,
       C.degradeAllVariables();
     const FuncInfo &FI = MM.Info->func(MF.Id);
     CC.SrcStmts += MF.StmtAddr.size();
+    std::vector<Classification> Cs;
     for (StmtId S = 0; S < MF.StmtAddr.size(); ++S) {
       if (MF.StmtAddr[S] < 0)
         continue; // The statement emitted no code (paper: code location).
       ++CC.CodeStmts;
-      std::uint32_t Addr = static_cast<std::uint32_t>(MF.StmtAddr[S]);
-      for (VarId V : FI.Stmts[S].ScopeVars)
-        CC.count(C.classify(Addr, V));
+      C.classifyAll(static_cast<std::uint32_t>(MF.StmtAddr[S]),
+                    FI.Stmts[S].ScopeVars, Cs);
+      for (const Classification &R : Cs)
+        CC.count(R);
     }
   }
 }

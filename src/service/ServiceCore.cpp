@@ -237,7 +237,6 @@ std::string ServiceCore::doLoad(const Request &R) {
       FirstFinding = MF.Name + ": " + C->annotationFindings()[0].Message;
     }
     Mod->Classifiers.push_back(std::move(C));
-    Mod->FuncLocks.push_back(std::make_unique<std::mutex>());
   }
   FaultInjector::resume();
 
@@ -286,7 +285,6 @@ bool ServiceCore::resolve(const Request &R, ResolvedQuery &Q,
   }
   Q.MF = &Q.Mod->Build.MM.Funcs[Q.F];
   Q.C = Q.Mod->Classifiers[Q.F].get();
-  Q.Lock = Q.Mod->FuncLocks[Q.F].get();
   if (!NeedStmt)
     return true;
   std::uint64_t S = 0;
@@ -339,11 +337,7 @@ std::string ServiceCore::doClassify(const Request &R, bool All) {
     if (V == InvalidVar)
       return renderErr(R.Session, ErrorCode::InvalidRequest,
                        "no variable '" + R.Args[3] + "' in scope");
-    Classification C;
-    {
-      std::lock_guard<std::mutex> L(*Q.Lock);
-      C = Q.C->classify(Q.Addr, V);
-    }
+    Classification C = Q.C->classify(Q.Addr, V);
     auditContainment(*Q.Mod, C);
     std::string Payload = renderClass(C);
     if (C.Cause != EndangerCause::None)
@@ -358,10 +352,7 @@ std::string ServiceCore::doClassify(const Request &R, bool All) {
   for (VarId G : Info.Globals)
     Vars.push_back(G);
   std::vector<Classification> Cs;
-  {
-    std::lock_guard<std::mutex> L(*Q.Lock);
-    Cs = Q.C->classifyAll(Q.Addr, Vars);
-  }
+  Q.C->classifyAll(Q.Addr, Vars, Cs);
   std::string Payload = "n=" + std::to_string(Vars.size());
   for (std::size_t I = 0; I < Vars.size(); ++I) {
     auditContainment(*Q.Mod, Cs[I]);
@@ -387,15 +378,9 @@ std::string ServiceCore::doExplain(const Request &R) {
                      "no variable '" + R.Args[3] + "' in scope");
   if (Q.Mod->Quarantined)
     Counters.QuarantineHits.fetch_add(1, std::memory_order_relaxed);
-  Explanation E;
-  std::string Json;
-  {
-    std::lock_guard<std::mutex> L(*Q.Lock);
-    E = Q.C->explain(Q.Addr, V);
-    Json = Q.C->renderExplainJson(E);
-  }
+  Explanation E = Q.C->explain(Q.Addr, V);
   auditContainment(*Q.Mod, E.Result);
-  return renderOk(R.Session, Json);
+  return renderOk(R.Session, Q.C->renderExplainJson(E));
 }
 
 //===----------------------------------------------------------------------===//

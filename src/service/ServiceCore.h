@@ -45,7 +45,6 @@
 #include <atomic>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -88,16 +87,14 @@ struct ServiceLimits {
 /// eagerly-built classifiers and the quarantine latch.  Members are
 /// ordered so destruction tears down classifiers, then machine code,
 /// then IR, then the arena (the IR memory model's ownership rule).
+/// Queries only read the classifiers, so parallel queries share them
+/// without a lock; quarantine degrades them between parallel sections.
 struct LoadedModule {
   std::string Name;
   std::string Session; ///< Session that loaded it (budget accounting).
   std::unique_ptr<Arena> A;
   CompiledModule Build; ///< Lives in A; classifiers hold refs into it.
   std::vector<std::unique_ptr<Classifier>> Classifiers; ///< Per function.
-  /// One lock per function: Classifier's per-address cache is mutable,
-  /// so concurrent queries against the same function serialize on its
-  /// stripe while different functions proceed in parallel.
-  std::vector<std::unique_ptr<std::mutex>> FuncLocks;
 
   bool Quarantined = false;
   std::string QuarantineReason;
@@ -145,8 +142,7 @@ private:
   struct ResolvedQuery {
     LoadedModule *Mod = nullptr;
     const MachineFunction *MF = nullptr;
-    Classifier *C = nullptr;
-    std::mutex *Lock = nullptr;
+    const Classifier *C = nullptr;
     FuncId F = InvalidFunc;
     StmtId S = InvalidStmt;
     std::uint32_t Addr = 0;

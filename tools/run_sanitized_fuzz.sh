@@ -34,9 +34,10 @@ cmake -S "$ROOT" -B "$BUILD" \
   -DSLDB_SANITIZE="$SAN" >/dev/null
 
 if [ "$SUITE" = service ]; then
-  # Service suite: the daemon's batch worker pool, per-function cache
-  # locks, watchdog thread, and the deferred-quarantine handoff all race
-  # under the chosen sanitizer while sldb-load hammers a pipe.
+  # Service suite: the daemon's batch worker pool (its query workers
+  # read the shared classifiers without locks), watchdog thread, and the
+  # deferred-quarantine handoff all race under the chosen sanitizer while
+  # sldb-load hammers a pipe.
   cmake --build "$BUILD" --target sldbd sldb-load -j "$JOBS" >/dev/null
   SANOPTS=halt_on_error=1
   TSAN_OPTIONS=$SANOPTS UBSAN_OPTIONS=$SANOPTS \
