@@ -10,12 +10,10 @@
 /// (chrome://tracing, Perfetto, speedscope all read it).  The event half
 /// of the observability layer; support/Stats.h is the numeric half.
 ///
-/// Cost model, from cold to hot:
+/// Cost model:
 ///
-///  * compiled out — CMake -DSLDB_TRACE=OFF defines SLDB_TRACE_ENABLED 0
-///    and every TraceSpan/event call inlines to nothing;
-///  * compiled in, disabled (the default at runtime) — one relaxed
-///    atomic load per call site, no allocation, no clock read;
+///  * disabled (the default at runtime) — one relaxed atomic load per
+///    call site, no allocation, no clock read;
 ///  * enabled — a steady_clock read per span boundary plus an append to
 ///    the calling thread's own buffer (mutex only on first use per
 ///    thread and at collection time).
@@ -44,10 +42,6 @@
 #include <utility>
 #include <vector>
 
-#ifndef SLDB_TRACE_ENABLED
-#define SLDB_TRACE_ENABLED 1
-#endif
-
 namespace sldb {
 
 /// Appends \p V to \p S as a JSON string literal, quotes included
@@ -73,16 +67,7 @@ public:
   /// every hot path.
   static void enable() { On.store(true, std::memory_order_relaxed); }
   static void disable() { On.store(false, std::memory_order_relaxed); }
-  static bool enabled() {
-#if SLDB_TRACE_ENABLED
-    return On.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
-  }
-
-  /// True when the build compiled tracing in at all.
-  static constexpr bool compiledIn() { return SLDB_TRACE_ENABLED != 0; }
+  static bool enabled() { return On.load(std::memory_order_relaxed); }
 
   /// Appends one finished event to the calling thread's buffer (or the
   /// active TraceCapture's).  No-op when disabled.
@@ -119,66 +104,46 @@ private:
 };
 
 /// RAII span: records a 'X' (complete) event covering the scope's
-/// lifetime.  Constructed disabled-cheap: when tracing is off (or
-/// compiled out) the constructor is a single relaxed load and the
-/// destructor a branch.
+/// lifetime.  Constructed disabled-cheap: when tracing is off the
+/// constructor is a single relaxed load and the destructor a branch.
 class TraceSpan {
 public:
   TraceSpan(const char *Name, const char *Cat) {
-#if SLDB_TRACE_ENABLED
     if (Trace::enabled()) {
       Active = true;
       E.Name = Name;
       E.Cat = Cat;
       E.Ts = Trace::nowUs();
     }
-#else
-    (void)Name;
-    (void)Cat;
-#endif
   }
 
   /// Attaches a key/value argument (shown in the trace viewer).  No-op
   /// when the span is inactive: the value's string is built only for an
   /// active span, so a disabled trace copies and formats nothing.
   TraceSpan &arg(const char *Key, std::string_view Value) {
-#if SLDB_TRACE_ENABLED
     if (Active)
       E.Args.emplace_back(Key, std::string(Value));
-#else
-    (void)Key;
-    (void)Value;
-#endif
     return *this;
   }
   TraceSpan &arg(const char *Key, std::uint64_t Value) {
-#if SLDB_TRACE_ENABLED
     if (Active)
       E.Args.emplace_back(Key, std::to_string(Value));
-#else
-    (void)Key;
-    (void)Value;
-#endif
     return *this;
   }
 
   ~TraceSpan() {
-#if SLDB_TRACE_ENABLED
     if (Active) {
       E.Dur = Trace::nowUs() - E.Ts;
       Trace::record(std::move(E));
     }
-#endif
   }
 
   TraceSpan(const TraceSpan &) = delete;
   TraceSpan &operator=(const TraceSpan &) = delete;
 
 private:
-#if SLDB_TRACE_ENABLED
   bool Active = false;
   TraceEvent E;
-#endif
 };
 
 /// Diverts the calling thread's events into a private buffer for the

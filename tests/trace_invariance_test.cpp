@@ -81,21 +81,16 @@ TEST(TraceInvariance, CampaignReportByteIdenticalWithTracingOn) {
   EXPECT_EQ(digest(Off), digest(On))
       << "enabling tracing changed the campaign report (observer effect)";
 
-  // The trace itself was produced (when compiled in): campaign.unit
-  // spans in seed-major order, tid = 1-based unit ordinal (one unit per
-  // seed).
-  if (Trace::compiledIn()) {
-    ASSERT_FALSE(On.Trace.empty());
-    std::uint32_t MaxTid = 0;
-    for (const TraceEvent &E : On.Trace) {
-      ASSERT_GE(E.Tid, 1u);
-      ASSERT_GE(E.Tid, MaxTid); // Seed-major merge: tids nondecreasing.
-      MaxTid = E.Tid;
-    }
-    EXPECT_EQ(MaxTid, On.Programs);
-  } else {
-    EXPECT_TRUE(On.Trace.empty());
+  // The trace itself was produced: campaign.unit spans in seed-major
+  // order, tid = 1-based unit ordinal (one unit per seed).
+  ASSERT_FALSE(On.Trace.empty());
+  std::uint32_t MaxTid = 0;
+  for (const TraceEvent &E : On.Trace) {
+    ASSERT_GE(E.Tid, 1u);
+    ASSERT_GE(E.Tid, MaxTid); // Seed-major merge: tids nondecreasing.
+    MaxTid = E.Tid;
   }
+  EXPECT_EQ(MaxTid, On.Programs);
 }
 
 TEST(TraceInvariance, PerQueryVerdictsIdenticalWithTracingOn) {

@@ -603,14 +603,8 @@ int main(int Argc, char **Argv) {
   Options Opts;
   if (!parseArgs(Argc, Argv, Opts))
     return 2;
-  if (!Opts.TraceJson.empty()) {
-    if (!Trace::compiledIn())
-      std::fprintf(stderr,
-                   "note: tracing compiled out (SLDB_TRACE=OFF); '%s' will "
-                   "hold an empty trace\n",
-                   Opts.TraceJson.c_str());
+  if (!Opts.TraceJson.empty())
     Trace::enable();
-  }
 
   if (!Opts.BatchDir.empty())
     return finish(runBatch(Opts), Opts);
