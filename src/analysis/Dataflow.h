@@ -63,22 +63,14 @@ struct DataflowResult {
 /// or minimum (Union) fixed point.
 DataflowResult solveDataflow(const CFGContext &CFG, const DataflowProblem &P);
 
-/// Graph-agnostic variant: \p Preds / \p Succs are edge lists by block
-/// index (block 0 = entry), \p Exits lists the blocks meeting the virtual
-/// exit.  Used by the debugger-side analyses, which run over *machine*
-/// CFGs (paper §3: the analyses are performed on the final
+/// Graph-agnostic variant over edge lists read in place: \p PredsOf(B)
+/// and \p SuccsOf(B) return block B's lists by block index (block 0 =
+/// entry; one container type for both), so a caller's own block array
+/// needs no copy.  \p Exits lists the blocks meeting the virtual exit
+/// (read by backward problems only).  In/Out go into \p R, reusing its
+/// storage.  Used by the debugger-side analyses, which run over
+/// *machine* CFGs (paper §3: the analyses are performed on the final
 /// instruction-level representation).
-DataflowResult
-solveDataflowGeneric(unsigned NumBlocks,
-                     const std::vector<std::vector<unsigned>> &Preds,
-                     const std::vector<std::vector<unsigned>> &Succs,
-                     const std::vector<unsigned> &Exits,
-                     const DataflowProblem &P);
-
-/// The same over edge lists read in place: \p PredsOf(B) and
-/// \p SuccsOf(B) return block B's lists (one container type for both),
-/// so a caller's own block array needs no copy.  In/Out go into \p R,
-/// reusing its storage.
 template <typename PredsFn, typename SuccsFn>
 void solveDataflowGeneric(unsigned NumBlocks, PredsFn PredsOf,
                           SuccsFn SuccsOf, const std::vector<unsigned> &Exits,

@@ -28,17 +28,6 @@ class AllPathsInit {
 public:
   AllPathsInit(const MachineFunction &MF, const ProgramInfo &Info) : MF(MF) {
     unsigned NumBlocks = static_cast<unsigned>(MF.Blocks.size());
-    std::vector<std::vector<unsigned>> Preds(NumBlocks), Succs(NumBlocks);
-    std::vector<unsigned> Exits;
-    for (unsigned B = 0; B < NumBlocks; ++B) {
-      for (unsigned S : MF.Blocks[B].Succs)
-        Succs[B].push_back(S);
-      for (unsigned P : MF.Blocks[B].Preds)
-        Preds[B].push_back(P);
-      if (!MF.Blocks[B].Insts.empty() &&
-          MF.Blocks[B].Insts.back().Op == MOp::RET)
-        Exits.push_back(B);
-    }
     unsigned Universe = 0;
     for (VarId V : Info.func(MF.Id).Locals)
       if (Info.var(V).isScalar() && index(V) == NoIndex) {
@@ -58,7 +47,15 @@ public:
       for (const MInstr &I : MF.Blocks[B].Insts)
         if (unsigned X = index(I.DestVar); X != NoIndex)
           P.Gen[B].set(X);
-    In = solveDataflowGeneric(NumBlocks, Preds, Succs, Exits, P).In;
+    // The solver reads the blocks' own edge lists; a forward problem
+    // needs no exit list.
+    DataflowResult R;
+    solveDataflowGeneric(
+        NumBlocks,
+        [&](unsigned B) -> const auto & { return MF.Blocks[B].Preds; },
+        [&](unsigned B) -> const auto & { return MF.Blocks[B].Succs; },
+        /*Exits=*/{}, P, R);
+    In = std::move(R.In);
   }
 
   /// Moves to \p Addr: the facts every path to (and through the block

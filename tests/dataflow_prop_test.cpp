@@ -49,6 +49,19 @@ struct RandomCFG {
   unsigned Universe;
 };
 
+/// Solves \p P over \p G's edge lists through the solver's in-place
+/// entry.
+template <typename Graph>
+DataflowResult solve(const Graph &G, const DataflowProblem &P) {
+  DataflowResult R;
+  solveDataflowGeneric(
+      G.N,
+      [&](unsigned B) -> const std::vector<unsigned> & { return G.Preds[B]; },
+      [&](unsigned B) -> const std::vector<unsigned> & { return G.Succs[B]; },
+      G.Exits, P, R);
+  return R;
+}
+
 RandomCFG makeCFG(unsigned Seed, unsigned Universe = 4) {
   std::mt19937 Rng(Seed);
   RandomCFG G;
@@ -170,7 +183,7 @@ TEST_P(DataflowVsOracle, UnionMeetMatchesSomePath) {
   P.Gen = G.Gen;
   P.Kill = G.Kill;
   P.Boundary = BitVector(G.Universe);
-  DataflowResult R = solveDataflowGeneric(G.N, G.Preds, G.Succs, G.Exits, P);
+  DataflowResult R = solve(G, P);
 
   PathOracle O(G);
   for (unsigned B = 0; B < G.N; ++B) {
@@ -189,7 +202,7 @@ TEST_P(DataflowVsOracle, IntersectMeetMatchesAllPaths) {
   P.Gen = G.Gen;
   P.Kill = G.Kill;
   P.Boundary = BitVector(G.Universe);
-  DataflowResult R = solveDataflowGeneric(G.N, G.Preds, G.Succs, G.Exits, P);
+  DataflowResult R = solve(G, P);
 
   PathOracle O(G);
   for (unsigned B = 0; B < G.N; ++B) {
@@ -212,11 +225,9 @@ TEST_P(DataflowVsOracle, SomeAlwaysContainsAll) {
   P.Kill = G.Kill;
   P.Boundary = BitVector(G.Universe);
   P.Meet = FlowMeet::Union;
-  DataflowResult Some =
-      solveDataflowGeneric(G.N, G.Preds, G.Succs, G.Exits, P);
+  DataflowResult Some = solve(G, P);
   P.Meet = FlowMeet::Intersect;
-  DataflowResult All =
-      solveDataflowGeneric(G.N, G.Preds, G.Succs, G.Exits, P);
+  DataflowResult All = solve(G, P);
   // Lattice sanity behind Lemmas 2/3 and 5/6: whatever holds on all
   // paths holds on some path (for reachable blocks).
   PathOracle O(G);
@@ -454,9 +465,9 @@ void solveBoth(const EventCFG &G, DataflowResult &Some,
     composeBlock(G, B, P.Gen[B], P.Kill[B]);
   P.Boundary = BitVector(G.Universe);
   P.Meet = FlowMeet::Union;
-  Some = solveDataflowGeneric(G.N, G.Preds, G.Succs, G.Exits, P);
+  Some = solve(G, P);
   P.Meet = FlowMeet::Intersect;
-  All = solveDataflowGeneric(G.N, G.Preds, G.Succs, G.Exits, P);
+  All = solve(G, P);
 }
 
 class MarkerReachVsOracle : public ::testing::TestWithParam<unsigned> {};
