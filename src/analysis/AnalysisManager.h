@@ -214,8 +214,6 @@ public:
     invalidate(F, PreservedAnalyses::none());
   }
 
-  const ProgramInfo &programInfo() const { return Info; }
-
 private:
   /// Deletes a cached result as its own type (the result types share no
   /// base class).

@@ -30,7 +30,7 @@ void Liveness::transfer(const Instr &I, BitVector &Live) const {
 
 Liveness::Liveness(const CFGContext &CFG, const ValueIndex &VI,
                    const ProgramInfo &Info, const AliasInfo &AI)
-    : CFG(CFG), VI(VI), AI(AI) {
+    : VI(VI), AI(AI) {
   DataflowProblem P;
   P.Dir = FlowDir::Backward;
   P.Meet = FlowMeet::Union;
@@ -56,14 +56,3 @@ Liveness::Liveness(const CFGContext &CFG, const ValueIndex &VI,
   R = solveDataflow(CFG, P);
 }
 
-BitVector Liveness::liveAfter(unsigned BlockIdx, const Instr *Pos) const {
-  BitVector Live = R.Out[BlockIdx];
-  const BasicBlock *BB = CFG.block(BlockIdx);
-  for (auto It = BB->Insts.rbegin(); It != BB->Insts.rend(); ++It) {
-    if (&*It == Pos)
-      return Live;
-    transfer(*It, Live);
-  }
-  assert(false && "instruction not found in block");
-  return Live;
-}

@@ -36,17 +36,12 @@ public:
     return R.Out[BlockIdx];
   }
 
-  /// Returns the live set immediately *after* instruction \p Pos of block
-  /// \p BlockIdx executes (recomputed by a backward walk; O(block size)).
-  BitVector liveAfter(unsigned BlockIdx, const Instr *Pos) const;
-
   /// Applies one instruction's transfer function (backward) to \p Live.
   void transfer(const Instr &I, BitVector &Live) const;
 
   const ValueIndex &values() const { return VI; }
 
 private:
-  const CFGContext &CFG;
   const ValueIndex &VI;
   const AliasInfo &AI;
   DataflowResult R;

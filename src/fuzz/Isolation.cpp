@@ -17,20 +17,6 @@
 
 using namespace sldb;
 
-const char *sldb::isolatedStatusName(IsolatedStatus S) {
-  switch (S) {
-  case IsolatedStatus::Ok:
-    return "ok";
-  case IsolatedStatus::Violation:
-    return "violation";
-  case IsolatedStatus::Crash:
-    return "crash";
-  case IsolatedStatus::Timeout:
-    return "timeout";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Cap on the child's report so it always fits the pipe's kernel buffer:

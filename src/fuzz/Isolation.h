@@ -45,8 +45,6 @@ enum class IsolatedStatus : std::uint8_t {
   Timeout    ///< Watchdog expired; child was SIGKILLed.
 };
 
-const char *isolatedStatusName(IsolatedStatus S);
-
 struct IsolatedOutcome {
   IsolatedStatus Status = IsolatedStatus::Ok;
   int Signal = 0;     ///< Fatal signal number (Crash only; 0 otherwise).

@@ -53,8 +53,6 @@ struct GenWeights {
   double Rem = 0.5;
   double Cmp = 2.0;
 
-  static GenWeights uniform() { return GenWeights(); }
-
   /// Counts tokens across the benchmark sources of eval/Programs.cpp and
   /// turns the frequencies into weights.
   static const GenWeights &fromBenchmarks();

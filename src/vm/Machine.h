@@ -120,9 +120,6 @@ public:
   /// Number of live activations.
   std::size_t frameDepth() const { return Frames.size(); }
 
-  /// Function index of the current activation.
-  std::uint32_t currentFunc() const { return PC.Func; }
-
 private:
   StopReason resumeImpl(bool SkipFirst);
   bool atBreakpoint() const {
